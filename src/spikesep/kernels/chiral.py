@@ -17,11 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ..logspace import SignedLogValue, slog_sum_columns
+from ..logspace import SignedLogValue
 from ..specialfn import laguerre_weighted_signlog, log_0f1
-from .common import materialize_columns, pair_and_sum
-from .hermite import kernel_gue, rising_log
-from .laguerre import _bulk_lue_signlog
+from .hermite import kernel_gue
+from .laguerre import _bulk_lue
+from .twopole import (
+    completing_family,
+    pair_point,
+    plain_family,
+    power_sign,
+    rising_log,
+    spiked_density,
+)
 
 __all__ = [
     "ShiftedChiral",
@@ -32,7 +39,8 @@ __all__ = [
     "chiral_asymptotic_pq",
 ]
 
-_SMALL_CSQ = 0.02  # Taylor branch when c^2 falls below this
+_SMALL_CSQ = 0.02  # merged-pole branch when |eps| = c^2 falls below this
+_TAYLOR_TERMS = 160  # Laguerre rows added for the merged-pole series
 
 
 @dataclass(frozen=True)
@@ -71,88 +79,51 @@ def _chiral_pq_grid(m, alpha, r, c, x):
     npts = x.size
     q0 = m - r
     csq = c * c
-    taylor = csq < _SMALL_CSQ
-    extra = 160 if taylor else 0
-    ls, ll = _laguerre_fixed_param_logs(m + extra, alpha, x)
+    eps = SignedLogValue.from_log(-1, 2.0 * math.log(c)) if c > 0 else SignedLogValue.zero()
+    merged = csq < _SMALL_CSQ
+    ls, ll = _laguerre_fixed_param_logs(m + (_TAYLOR_TERMS if merged else 0), alpha, x)
     logx = np.log(x)
+    wlog = alpha * logx - x  # x^alpha e^{-x}
+    # p_k's line q! L^alpha_q(x); q_k's line x^alpha e^{-x} L^alpha_q(x) / Gamma(q+alpha+1)
+    qs = np.arange(ls.shape[0])
+    log_fact = gammaln(qs + 1.0)
+    log_gamma_a = gammaln(qs + 1.0 + alpha)
+    s_line = (ls, lambda q, log_binom, log_power: ll[q] + (log_binom + log_fact[q] + log_power))
+    t_line = (
+        ls,
+        lambda q, log_binom, log_power: ll[q] + wlog + (log_binom + log_power - log_gamma_a[q]),
+    )
 
-    psign = np.zeros((r, npts), dtype=np.int8)
-    plog = np.full((r, npts), -np.inf)
-    qsign = np.zeros((r, npts), dtype=np.int8)
-    qlog = np.full((r, npts), -np.inf)
+    # residue at -c^2: triple Leibniz over e^v, 0F1(a+1;-xv), v^{-q0}
+    f1log = [] if merged else [
+        np.array([log_0f1(alpha + 1.0 + i, xi * csq) for xi in x]) for i in range(r)
+    ]
 
-    for k in range(1, r + 1):
-        # ---- p_k = sum_l C(k-1,l) c^{2(k-1-l)} Gamma(q0+l+1) L^alpha_{q0+l} ----
+    def residue_at_eps(k):
         sgs, lgs = [], []
-        for l_ in range(k):
-            if c == 0.0 and l_ != k - 1:
-                continue
-            q = q0 + l_
-            base = math.log(math.comb(k - 1, l_)) + gammaln(q0 + l_ + 1.0)
-            if k - 1 - l_ > 0:
-                base += 2.0 * (k - 1 - l_) * math.log(c)
-            sgs.append(ls[q])
-            lgs.append(ll[q] + base)
-        psign[k - 1], plog[k - 1] = slog_sum_columns(np.array(sgs), np.array(lgs))
-
-        # ---- q_k ----
-        sgs, lgs = [], []
-        wlog = alpha * logx - x  # x^alpha e^{-x}
-        if taylor:
-            best = np.full(npts, -np.inf)
-            for t in range(extra - r):
-                q = q0 + k + t - 1
-                base = -gammaln(q0 + k + t + alpha)
-                lg = ll[q] + wlog + base
-                sg = ls[q].copy()
-                if t > 0:
-                    lg += math.log(math.comb(k + t - 1, t)) + 2.0 * t * math.log(c)
-                    sg = (sg * ((-1) ** (t % 2))).astype(np.int8)
-                sgs.append(sg)
-                lgs.append(lg)
-                if c == 0.0:
-                    break
-                cur = np.where(sg != 0, lg, -np.inf)
-                best = np.maximum(best, cur)
-                if t > 4 and np.all(cur < best - 45.0):
-                    break
-        else:
-            # residue at 0: sum over Laguerre degrees below q0
-            for p in range(q0):
-                q = q0 - 1 - p
+        for i in range(k):
+            for l_ in range(k - i):
+                s_ = k - 1 - i - l_
+                zero_rise, rise = rising_log(q0, l_)
+                if zero_rise:
+                    continue
+                poch_a = gammaln(alpha + 1.0 + i) - gammaln(alpha + 1.0)
                 base = (
-                    math.log(math.comb(k + p - 1, p))
-                    - 2.0 * (k + p) * math.log(c)
-                    - gammaln(q0 - p + alpha)
+                    -gammaln(i + 1.0)
+                    - gammaln(l_ + 1.0)
+                    - gammaln(s_ + 1.0)
+                    - poch_a
+                    - gammaln(alpha + 1.0)
+                    + rise
+                    - csq
+                    - 2.0 * (q0 + l_) * math.log(c)
                 )
-                sgn = (-1) ** (p % 2)
-                sgs.append((ls[q] * sgn).astype(np.int8))
-                lgs.append(ll[q] + wlog + base)
-            # residue at -c^2: triple Leibniz over e^v, 0F1(a+1;-xv), v^{-q0}
-            for i in range(k):
-                f1log = np.array([log_0f1(alpha + 1.0 + i, xi * csq) for xi in x])
-                for l_ in range(k - i):
-                    s_ = k - 1 - i - l_
-                    zero_rise, rise = rising_log(q0, l_)
-                    if zero_rise:
-                        continue
-                    poch_a = gammaln(alpha + 1.0 + i) - gammaln(alpha + 1.0)
-                    base = (
-                        -gammaln(i + 1.0)
-                        - gammaln(l_ + 1.0)
-                        - gammaln(s_ + 1.0)
-                        - poch_a
-                        - gammaln(alpha + 1.0)
-                        + rise
-                        - csq
-                        - 2.0 * (q0 + l_) * math.log(c)
-                    )
-                    sgn = ((-1) ** (i % 2)) * ((-1) ** (q0 % 2))
-                    lg = base + i * logx + f1log + wlog
-                    sgs.append(np.full(npts, sgn, dtype=np.int8))
-                    lgs.append(lg)
-        qsign[k - 1], qlog[k - 1] = slog_sum_columns(np.array(sgs), np.array(lgs))
+                sgs.append(np.full(npts, power_sign(-1, i + q0), dtype=np.int8))
+                lgs.append(base + i * logx + f1log[i] + wlog)
+        return sgs, lgs
 
+    psign, plog = plain_family(s_line, q0, r, eps)
+    qsign, qlog = completing_family(t_line, q0, r, eps, merged, residue_at_eps)
     return psign, plog, qsign, qlog
 
 
@@ -168,16 +139,13 @@ def chiral_pq(kind: str, k: int, x: float, m: int, alpha: float, r: int, c: floa
     raise ValueError("kind must be 'p' or 'q'")
 
 
+def _grid(model: ShiftedChiral):
+    return lambda u: _chiral_pq_grid(model.m, model.alpha, model.r, model.c, u)
+
+
 def chiral_spike_term(model: ShiftedChiral, x: float, y: float) -> float:
     """Raw sum_k p_k(x) q_k(y) in the squared variable, as a float."""
-    ps, pl, _, _ = _chiral_pq_grid(model.m, model.alpha, model.r, model.c, np.array([float(x)]))
-    _, _, qs, ql = _chiral_pq_grid(model.m, model.alpha, model.r, model.c, np.array([float(y)]))
-    total = SignedLogValue.zero()
-    for k in range(model.r):
-        total = total + SignedLogValue.from_log(int(ps[k, 0]), float(pl[k, 0])) * SignedLogValue.from_log(
-            int(qs[k, 0]), float(ql[k, 0])
-        )
-    return total.to_float()
+    return pair_point(_grid(model), x, y)
 
 
 def kernel_shifted_chiral(model: ShiftedChiral, x: float, y: float) -> float:
@@ -185,18 +153,10 @@ def kernel_shifted_chiral(model: ShiftedChiral, x: float, y: float) -> float:
     if x <= 0 or y <= 0:
         raise ValueError("kernel arguments must be > 0")
     u, v = x * x, y * y
-    bsign, blog = _bulk_lue_signlog(model.m - model.r, model.alpha, np.array([u]), np.array([v]))
-    total = SignedLogValue.from_log(int(bsign[0]), float(blog[0]))
-    if model.r:
-        ps, pl, _, _ = _chiral_pq_grid(model.m, model.alpha, model.r, model.c, np.array([u]))
-        _, _, qs, ql = _chiral_pq_grid(model.m, model.alpha, model.r, model.c, np.array([v]))
-        wu = 0.5 * model.alpha * math.log(u) - 0.5 * u
-        wv = -0.5 * model.alpha * math.log(v) + 0.5 * v
-        for k in range(model.r):
-            left = SignedLogValue.from_log(int(ps[k, 0]), float(pl[k, 0] + wu))
-            right = SignedLogValue.from_log(int(qs[k, 0]), float(ql[k, 0] + wv))
-            total = total + left * right
-    return total.to_float()
+    bulk = _bulk_lue(model.m - model.r, model.alpha, np.array([u]), np.array([v]))
+    wu = 0.5 * model.alpha * math.log(u) - 0.5 * u
+    wv = -0.5 * model.alpha * math.log(v) + 0.5 * v
+    return pair_point(_grid(model), u, v, bulk, wu, wv)
 
 
 def density_shifted_chiral(model: ShiftedChiral, x):
@@ -210,17 +170,8 @@ def density_shifted_chiral(model: ShiftedChiral, x):
     xp = xv[pos]
     if xp.size:
         u = xp * xp
-        bsign, blog = _bulk_lue_signlog(model.m - model.r, model.alpha, u)
-        if model.r:
-            ps, pl, qs, ql = _chiral_pq_grid(model.m, model.alpha, model.r, model.c, u)
-            ssign, slog = pair_and_sum(ps, pl, qs, ql)
-            sign, log = slog_sum_columns(
-                np.vstack([bsign[None, :], ssign[None, :]]),
-                np.vstack([blog[None, :], slog[None, :]]),
-            )
-        else:
-            sign, log = bsign, blog
-        out[pos] = 2.0 * xp * materialize_columns(sign, log)
+        bulk = _bulk_lue(model.m - model.r, model.alpha, u)
+        out[pos] = 2.0 * xp * spiked_density(bulk, _grid(model), model.r, u)
     return float(out[0]) if x.ndim == 0 else out
 
 

@@ -17,9 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ..logspace import SignedLogValue, slog_sum_columns
+from ..logspace import SignedLogValue
 from ..specialfn import hermite_weighted_signlog
-from .common import combine_positive_logs, materialize_columns, pair_and_sum
+from .common import materialize_columns, pair_and_sum
+from .twopole import (
+    bulk_sum,
+    completing_family,
+    pair_point,
+    plain_family,
+    power_sign,
+    rising_log,
+    spiked_density,
+)
 
 __all__ = [
     "ShiftedGUE",
@@ -33,16 +42,8 @@ __all__ = [
 ]
 
 _LOG_PI = math.log(math.pi)
-_SMALL_SHIFT = 0.25  # Taylor branch when 2c falls below this (merged poles)
-
-
-def rising_log(a: int, l: int):
-    """(is_zero, log) of the rising factorial (a)_l = a(a+1)...(a+l-1), a >= 0."""
-    if l == 0:
-        return False, 0.0
-    if a == 0:
-        return True, -math.inf
-    return False, float(gammaln(a + l) - gammaln(a))
+_SMALL_SHIFT = 0.25  # merged-pole branch when 2c = |eps| falls below this
+_TAYLOR_TERMS = 120  # recurrence rows added for the merged-pole series
 
 
 @dataclass(frozen=True)
@@ -87,100 +88,56 @@ def _raw_hermite_small(k_max: int, u: np.ndarray) -> np.ndarray:
 def _incomplete_hermite_grid(n, r, c, x):
     """Sign/log stacks (r, npts) of Gtilde_j(x) and Gamma_j(x), unconjugated."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    npts = x.size
     q0 = n - r
     if q0 < 0:
         raise ValueError("need r <= N")
-    taylor = 2.0 * c < _SMALL_SHIFT
-    extra = 120 if taylor else 0
-    psign, plog = hermite_weighted_signlog(n + extra, x)
-    half_log2 = 0.5 * math.log(2.0)
-    # log of |psi_q| with the e^{x^2/2} weight stripped back off and the
-    # 1/(2^{q/2} sqrt(q!)) Hermite-coefficient normalization attached:
-    # H_q(x)/(2^q q!) = psi_q(x) e^{x^2/2} pi^{1/4} 2^{-q/2} / sqrt(q!)
-    qs = np.arange(n + extra)
-    coef_log = 0.25 * _LOG_PI - qs * half_log2 - 0.5 * gammaln(qs + 1.0)
-
-    tsign = np.zeros((r, npts), dtype=np.int8)
-    tlog = np.full((r, npts), -np.inf)
-    gsign = np.zeros((r, npts), dtype=np.int8)
-    glog = np.full((r, npts), -np.inf)
+    eps = SignedLogValue.from_float(-2.0 * c)
+    merged = 2.0 * c < _SMALL_SHIFT
+    psign, plog = hermite_weighted_signlog(n + (_TAYLOR_TERMS if merged else 0), x)
     x2half = 0.5 * x * x
+    # psi_q with the e^{-x^2/2} weight stripped back off, as coefficient lines:
+    # T_q = A_q = (-1)^q H_q(x)/(2^q q!),  S_q = (-1)^q e^{-x^2} H_q(x)/sqrt(pi),
+    # using H_q(x) = psi_q(x) e^{x^2/2} pi^{1/4} 2^{q/2} sqrt(q!)
+    qs = np.arange(psign.shape[0])
+    signs = psign * np.where(qs % 2, -1, 1).astype(np.int8)[:, None]
+    coef_log = 0.25 * _LOG_PI - qs * (0.5 * math.log(2.0)) - 0.5 * gammaln(qs + 1.0)
+    t_line = (
+        signs,
+        lambda q, log_binom, log_power: plog[q] + x2half + coef_log[q] + (log_binom + log_power),
+    )
+    s_line = (
+        signs,
+        lambda q, log_binom, log_power: plog[q] - x2half + 0.5 * q * math.log(2.0)
+        + 0.5 * gammaln(q + 1.0) - 0.25 * _LOG_PI + (log_binom + log_power),
+    )
 
-    for j in range(1, r + 1):
-        # ---- Gtilde_j ----
-        if taylor:
-            # merged-pole expansion: sum_t C(j+t-1,t) (-2c)^t A_{q0+j+t-1},
-            # A_q(x) = (-1)^q H_q(x)/(2^q q!); convergence tracked per point
-            sgs, lgs = [], []
-            best = np.full(npts, -np.inf)
-            for t in range(extra - r):
-                q = q0 + j + t - 1
-                lg = plog[q] + x2half + coef_log[q]
-                if t > 0:
-                    lg = lg + math.log(math.comb(j + t - 1, t)) + t * math.log(2.0 * c)
-                sg = ((-1) ** ((q0 + j - 1) % 2)) * psign[q]
-                sgs.append(sg)
-                lgs.append(lg)
-                if c == 0.0:
-                    break
-                cur = np.where(sg != 0, lg, -np.inf)
-                best = np.maximum(best, cur)
-                if t > 4 and np.all(cur < best - 45.0):
-                    break
-            tsign[j - 1], tlog[j - 1] = slog_sum_columns(np.array(sgs), np.array(lgs))
-        else:
-            sgs, lgs = [], []
-            # residue at -2c: e^{2cx - c^2} sum_k coef(k) H_k(x - c)
-            hsmall = _raw_hermite_small(j - 1, x - c)
-            expo = 2.0 * c * x - c * c
-            for k in range(j):
-                l_ = j - 1 - k
-                zero_rise, rise = rising_log(q0, l_)
-                if zero_rise:
-                    continue
-                base = (
-                    -k * math.log(2.0)
-                    - gammaln(k + 1.0)
-                    - gammaln(l_ + 1.0)
-                    + rise
-                    - (q0 + l_) * math.log(2.0 * c)
-                )
-                hk = hsmall[k]
-                sg = np.where(hk != 0.0, np.sign(hk), 0.0).astype(np.int8)
-                sg = (sg * ((-1) ** ((q0 + k) % 2))).astype(np.int8)
-                with np.errstate(divide="ignore"):
-                    lg = np.where(hk != 0.0, np.log(np.abs(np.where(hk != 0.0, hk, 1.0))), -np.inf)
-                sgs.append(sg)
-                lgs.append(expo + base + lg)
-            # residue at 0: sum over Hermite degrees q < q0
-            for q in range(q0):
-                p = q0 - 1 - q
-                base = (
-                    math.log(math.comb(j + p - 1, p))
-                    - (j + p) * math.log(2.0 * c)
-                )
-                sg = (psign[q] * ((-1) ** ((q0 - 1) % 2))).astype(np.int8)
-                lg = plog[q] + x2half + coef_log[q] + base
-                sgs.append(sg)
-                lgs.append(lg)
-            tsign[j - 1], tlog[j - 1] = slog_sum_columns(np.array(sgs), np.array(lgs))
+    # residue at -2c: e^{2cx - c^2} sum_k coef(k) H_k(x - c), k < r
+    hsmall = _raw_hermite_small(0 if merged else max(r - 1, 0), x - c)
+    hsign = np.sign(hsmall).astype(np.int8)
+    with np.errstate(divide="ignore"):
+        hlog = np.log(np.abs(hsmall))
+    expo = 2.0 * c * x - c * c
 
-        # ---- Gamma_j = sum_l C(j-1,l)(2c)^{j-1-l}(-1)^{q0+l} e^{-y^2} H_{q0+l}(y)/sqrt(pi)
+    def residue_at_eps(j):
         sgs, lgs = [], []
-        for l_ in range(j):
-            if c == 0.0 and l_ != j - 1:
+        for k in range(j):
+            l_ = j - 1 - k
+            zero_rise, rise = rising_log(q0, l_)
+            if zero_rise:
                 continue
-            q = q0 + l_
-            base = math.log(math.comb(j - 1, l_)) if j > 1 else 0.0
-            if j - 1 - l_ > 0:
-                base += (j - 1 - l_) * math.log(2.0 * c)
-            lg = plog[q] - x2half + 0.5 * q * math.log(2.0) + 0.5 * gammaln(q + 1.0) - 0.25 * _LOG_PI + base
-            sg = (psign[q] * ((-1) ** q)).astype(np.int8)
-            sgs.append(sg)
-            lgs.append(lg)
-        gsign[j - 1], glog[j - 1] = slog_sum_columns(np.array(sgs), np.array(lgs))
+            base = (
+                -k * math.log(2.0)
+                - gammaln(k + 1.0)
+                - gammaln(l_ + 1.0)
+                + rise
+                - (q0 + l_) * eps.log_magnitude
+            )
+            sgs.append(hsign[k] * power_sign(-1, q0 + k))
+            lgs.append(expo + base + hlog[k])
+        return sgs, lgs
 
+    tsign, tlog = completing_family(t_line, q0, r, eps, merged, residue_at_eps)
+    gsign, glog = plain_family(s_line, q0, r, eps)
     return tsign, tlog, gsign, glog
 
 
@@ -198,33 +155,16 @@ def incomplete_hermite(kind: str, j: int, x: float, n: int, r: int, c: float) ->
     raise ValueError("kind must be 'tilde' or 'plain'")
 
 
-def _bulk_kernel_signlog(n_bulk, x, y=None):
-    """(sign, log) of sum_{p<n_bulk} psi_p(x) psi_p(y) over a grid."""
-    if n_bulk == 0:
-        size = np.atleast_1d(x).size
-        return np.zeros(size, dtype=np.int8), np.full(size, -np.inf)
-    sx, lx = hermite_weighted_signlog(n_bulk, x)
-    if y is None:
-        return np.ones(lx.shape[1], dtype=np.int8), combine_positive_logs(2.0 * lx)
-    sy, ly = hermite_weighted_signlog(n_bulk, y)
-    return pair_and_sum(sx, lx, sy, ly)
+def _grid(model: ShiftedGUE):
+    return lambda x: _incomplete_hermite_grid(model.n, model.r, model.c, x)
 
 
 def density_shifted_gue(model: ShiftedGUE, x):
     """Eigenvalue density K_N(x, x) on a grid (vectorized)."""
     x = np.asarray(x, dtype=float)
     xv = np.atleast_1d(x)
-    bsign, blog = _bulk_kernel_signlog(model.n - model.r, xv)
-    if model.r == 0:
-        out = materialize_columns(bsign, blog)
-        return float(out[0]) if x.ndim == 0 else out
-    ts, tl, ps, pl = _incomplete_hermite_grid(model.n, model.r, model.c, xv)
-    ssign, slog = pair_and_sum(ts, tl, ps, pl)
-    tot_sign, tot_log = slog_sum_columns(
-        np.vstack([bsign[None, :], ssign[None, :]]),
-        np.vstack([blog[None, :], slog[None, :]]),
-    )
-    out = materialize_columns(tot_sign, tot_log)
+    bulk = bulk_sum(hermite_weighted_signlog, model.n - model.r, xv)
+    out = spiked_density(bulk, _grid(model), model.r, xv)
     return float(out[0]) if x.ndim == 0 else out
 
 
@@ -235,32 +175,13 @@ def kernel_shifted_gue(model: ShiftedGUE, x: float, y: float) -> float:
     all correlation determinants unchanged and makes the kernel a genuine
     projection, matching the K^GUE part's symmetric weighting.
     """
-    xv = np.array([float(x)])
-    yv = np.array([float(y)])
-    bsign, blog = _bulk_kernel_signlog(model.n - model.r, xv, yv)
-    total = SignedLogValue.from_log(int(bsign[0]), float(blog[0]))
-    if model.r:
-        ts, tl, ps, pl = _incomplete_hermite_grid(model.n, model.r, model.c, xv)
-        ts2, tl2, ps2, pl2 = _incomplete_hermite_grid(model.n, model.r, model.c, yv)
-        for j in range(model.r):
-            left = SignedLogValue.from_log(int(ts[j, 0]), float(tl[j, 0] - 0.5 * x * x))
-            right = SignedLogValue.from_log(int(ps2[j, 0]), float(pl2[j, 0] + 0.5 * y * y))
-            total = total + left * right
-    return total.to_float() if total.log_magnitude < 700 else math.inf
+    bulk = bulk_sum(hermite_weighted_signlog, model.n - model.r, np.array([x]), np.array([y]))
+    return pair_point(_grid(model), x, y, bulk, -0.5 * x * x, 0.5 * y * y)
 
 
 def spike_term_shifted_gue(model: ShiftedGUE, x: float, y: float) -> float:
     """Raw sum_j Gtilde_j(x) Gamma_j(y) (no conjugation), as a float."""
-    xv = np.array([float(x)])
-    yv = np.array([float(y)])
-    ts, tl, _, _ = _incomplete_hermite_grid(model.n, model.r, model.c, xv)
-    _, _, ps, pl = _incomplete_hermite_grid(model.n, model.r, model.c, yv)
-    total = SignedLogValue.zero()
-    for j in range(model.r):
-        total = total + SignedLogValue.from_log(int(ts[j, 0]), float(tl[j, 0])) * SignedLogValue.from_log(
-            int(ps[j, 0]), float(pl[j, 0])
-        )
-    return total.to_float()
+    return pair_point(_grid(model), x, y)
 
 
 def kernel_shifted_gue_asymptotic(r: int, c: float, x: float, y: float) -> float:

@@ -18,10 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ..logspace import SignedLogValue, slog_sum_columns
+from ..logspace import SignedLogValue
 from ..specialfn import laguerre_line_signlog, laguerre_weighted_signlog
 from .common import materialize_columns, pair_and_sum
-from .hermite import rising_log
+from .twopole import (
+    bulk_sum,
+    completing_family,
+    pair_point,
+    plain_family,
+    power_sign,
+    rising_log,
+    spiked_density,
+)
 
 __all__ = [
     "SpikedLUE",
@@ -32,7 +40,8 @@ __all__ = [
     "lue_spike_term",
 ]
 
-_SMALL_EPS = 0.02  # Taylor branch when |btilde - 1| falls below this
+_SMALL_EPS = 0.02  # merged-pole branch when |eps| = |btilde - 1| falls below this
+_TAYLOR_TERMS = 160  # coefficient-line rows added for the merged-pole series
 
 
 @dataclass(frozen=True)
@@ -72,10 +81,6 @@ def kernel_laguerre(n: int, a: float, x, y):
     return float(out[0]) if x.ndim == 0 and y.ndim == 0 else out
 
 
-def _sign_of_power(base_sign: int, exponent: int) -> int:
-    return 1 if (base_sign > 0 or exponent % 2 == 0) else -1
-
-
 def _incomplete_laguerre_grid(m, alpha, r, btilde, x):
     """Sign/log stacks (r, npts) of Ltilde_j(x) and Lambda_j(x), unconjugated."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -83,94 +88,53 @@ def _incomplete_laguerre_grid(m, alpha, r, btilde, x):
         raise ValueError("evaluate the incomplete Laguerre families at x > 0")
     npts = x.size
     q0 = m - r
-    eps = btilde - 1.0
+    eps = SignedLogValue.from_float(btilde - 1.0)
     big_m = m + alpha
-    taylor = abs(eps) < _SMALL_EPS
-    extra = 160 if taylor else 0
-    tline_s, tline_l = laguerre_line_signlog(max(q0 + r + extra, 1), big_m, x)
+    merged = abs(btilde - 1.0) < _SMALL_EPS
+    rows = max(q0 + r + (_TAYLOR_TERMS if merged else 0), 1)
+    tline_s, tline_l = laguerre_line_signlog(rows, big_m, x)
+    t_line = (tline_s, lambda q, log_binom, log_power: tline_l[q] + (log_binom + log_power))
     logx = np.log(x)
 
-    tsign = np.zeros((r, npts), dtype=np.int8)
-    tlog = np.full((r, npts), -np.inf)
-    lsign = np.zeros((r, npts), dtype=np.int8)
-    llog = np.full((r, npts), -np.inf)
-
-    sgn_eps = 1 if eps > 0 else -1
-    log_abs_eps = math.log(abs(eps)) if eps != 0.0 else -math.inf
-
-    for j in range(1, r + 1):
-        # ---- Ltilde_j ----
+    def residue_at_eps(j):
+        # triple Leibniz over e^{-x z}, (1+z)^{M}, z^{-q0}
         sgs, lgs = [], []
-        if taylor:
-            best = np.full(npts, -np.inf)
-            for t in range(extra - r):
-                q = q0 + j + t - 1
-                lg = tline_l[q].copy()
-                sg = tline_s[q].copy()
-                if t > 0:
-                    lg += math.log(math.comb(j + t - 1, t)) + t * log_abs_eps
-                    sg = (sg * _sign_of_power(sgn_eps, t)).astype(np.int8)
-                sgs.append(sg)
-                lgs.append(lg)
-                if eps == 0.0:
-                    break
-                cur = np.where(sg != 0, lg, -np.inf)
-                best = np.maximum(best, cur)
-                if t > 4 and np.all(cur < best - 45.0):
-                    break
-        else:
-            # residue at eps: triple Leibniz over e^{-x z}, (1+z)^{M}, z^{-q0}
-            for i in range(j):
-                for k in range(j - i):
-                    l_ = j - 1 - i - k
-                    zero_rise, rise = rising_log(q0, l_)
-                    if zero_rise:
-                        continue
-                    base = (
-                        -gammaln(i + 1.0)
-                        - gammaln(k + 1.0)
-                        - gammaln(l_ + 1.0)
-                        + gammaln(big_m + 1.0)
-                        - gammaln(big_m + 1.0 - k)
-                        + (big_m - k) * math.log(btilde)
-                        + rise
-                        - (q0 + l_) * log_abs_eps
-                    )
-                    sgn = ((-1) ** (i % 2)) * ((-1) ** (l_ % 2)) * _sign_of_power(sgn_eps, q0 + l_)
-                    lg = base - x * eps + i * logx
-                    sgs.append(np.full(npts, sgn, dtype=np.int8))
-                    lgs.append(lg)
-            # residue at 0: (-1)^j sum_p C(j+p-1,p) eps^{-(j+p)} T_{q0-1-p}
-            for p in range(q0):
-                q = q0 - 1 - p
-                base = math.log(math.comb(j + p - 1, p)) - (j + p) * log_abs_eps
-                sgn = ((-1) ** (j % 2)) * _sign_of_power(sgn_eps, j + p)
-                sgs.append((tline_s[q] * sgn).astype(np.int8))
-                lgs.append(tline_l[q] + base)
-        tsign[j - 1], tlog[j - 1] = slog_sum_columns(np.array(sgs), np.array(lgs))
+        for i in range(j):
+            for k in range(j - i):
+                l_ = j - 1 - i - k
+                zero_rise, rise = rising_log(q0, l_)
+                if zero_rise:
+                    continue
+                base = (
+                    -gammaln(i + 1.0)
+                    - gammaln(k + 1.0)
+                    - gammaln(l_ + 1.0)
+                    + gammaln(big_m + 1.0)
+                    - gammaln(big_m + 1.0 - k)
+                    + (big_m - k) * math.log(btilde)
+                    + rise
+                    - (q0 + l_) * eps.log_magnitude
+                )
+                sgn = power_sign(-1, i + l_) * power_sign(eps.sign, q0 + l_)
+                sgs.append(np.full(npts, sgn, dtype=np.int8))
+                lgs.append(base - x * (btilde - 1.0) + i * logx)
+        return sgs, lgs
 
-    # ---- Lambda_j: one shared coefficient line with parameter sum M-1 ----
+    tsign, tlog = completing_family(t_line, q0, r, eps, merged, residue_at_eps)
+    # Lambda_j's line: q!/Gamma(M) x^{alpha+r-1-l} e^{-x} times the line with
+    # parameter sum M-1, built only now so that it and the residues' terms
+    # are never held at once
     pline_s, pline_l = laguerre_line_signlog(m, big_m - 1.0, x)
-    for j in range(1, r + 1):
-        sgs, lgs = [], []
-        for l_ in range(j):
-            if eps == 0.0 and l_ != j - 1:
-                continue
-            q = q0 + l_
-            power = j - 1 - l_
-            base = (
-                math.log(math.comb(j - 1, l_))
-                + gammaln(q0 + l_ + 1.0)
-                - gammaln(big_m)
-            )
-            if power > 0:
-                base += power * log_abs_eps
-            sgn = _sign_of_power(-sgn_eps, power)
-            lg = pline_l[q] + base - x + (alpha + r - 1 - l_) * logx
-            sgs.append((pline_s[q] * sgn).astype(np.int8))
-            lgs.append(lg)
-        lsign[j - 1], llog[j - 1] = slog_sum_columns(np.array(sgs), np.array(lgs))
-
+    log_fact = gammaln(np.arange(m) + 1.0)
+    log_gm = gammaln(big_m)
+    s_line = (
+        pline_s,
+        lambda q, log_binom, log_power: pline_l[q]
+        + (log_binom + log_fact[q] - log_gm + log_power)
+        - x
+        + (alpha + r - 1 - (q - q0)) * logx,
+    )
+    lsign, llog = plain_family(s_line, q0, r, eps)
     return tsign, tlog, lsign, llog
 
 
@@ -188,16 +152,12 @@ def incomplete_laguerre(
     raise ValueError("kind must be 'tilde' or 'plain'")
 
 
-def _bulk_lue_signlog(n_bulk, a, x, y=None):
-    if n_bulk == 0:
-        size = np.atleast_1d(x).size
-        return np.zeros(size, dtype=np.int8), np.full(size, -np.inf)
-    sx, lx = laguerre_weighted_signlog(n_bulk, a, x)
-    if y is None:
-        sign, log = pair_and_sum(sx, lx, sx, lx)
-        return sign, log
-    sy, ly = laguerre_weighted_signlog(n_bulk, a, y)
-    return pair_and_sum(sx, lx, sy, ly)
+def _bulk_lue(n_bulk, a, x, y=None):
+    return bulk_sum(lambda n, v: laguerre_weighted_signlog(n, a, v), n_bulk, x, y)
+
+
+def _grid(model: SpikedLUE):
+    return lambda x: _incomplete_laguerre_grid(model.m, model.alpha, model.r, model.btilde, x)
 
 
 def density_spiked_lue(model: SpikedLUE, x):
@@ -212,36 +172,14 @@ def density_spiked_lue(model: SpikedLUE, x):
         raise ValueError("x = 0 needs alpha > 0 (density limit 0)")
     xp = xv[pos]
     if xp.size:
-        bsign, blog = _bulk_lue_signlog(model.m - model.r, model.alpha + model.r, xp)
-        if model.r:
-            ts, tl, ls, ll = _incomplete_laguerre_grid(
-                model.m, model.alpha, model.r, model.btilde, xp
-            )
-            ssign, slog = pair_and_sum(ts, tl, ls, ll)
-            sign, log = slog_sum_columns(
-                np.vstack([bsign[None, :], ssign[None, :]]),
-                np.vstack([blog[None, :], slog[None, :]]),
-            )
-        else:
-            sign, log = bsign, blog
-        out[pos] = materialize_columns(sign, log)
+        bulk = _bulk_lue(model.m - model.r, model.alpha + model.r, xp)
+        out[pos] = spiked_density(bulk, _grid(model), model.r, xp)
     return float(out[0]) if x.ndim == 0 else out
 
 
 def lue_spike_term(model: SpikedLUE, x: float, y: float) -> float:
     """Raw sum_j Ltilde_j(x) Lambda_j(y) as a float."""
-    ts, tl, _, _ = _incomplete_laguerre_grid(
-        model.m, model.alpha, model.r, model.btilde, np.array([float(x)])
-    )
-    _, _, ls, ll = _incomplete_laguerre_grid(
-        model.m, model.alpha, model.r, model.btilde, np.array([float(y)])
-    )
-    total = SignedLogValue.zero()
-    for j in range(model.r):
-        total = total + SignedLogValue.from_log(int(ts[j, 0]), float(tl[j, 0])) * SignedLogValue.from_log(
-            int(ls[j, 0]), float(ll[j, 0])
-        )
-    return total.to_float()
+    return pair_point(_grid(model), x, y)
 
 
 def kernel_spiked_lue(model: SpikedLUE, x: float, y: float) -> float:
@@ -254,15 +192,7 @@ def kernel_spiked_lue(model: SpikedLUE, x: float, y: float) -> float:
     if x <= 0 or y <= 0:
         raise ValueError("kernel arguments must be > 0")
     a_bulk = model.alpha + model.r
-    bsign, blog = _bulk_lue_signlog(model.m - model.r, a_bulk, np.array([x]), np.array([y]))
-    total = SignedLogValue.from_log(int(bsign[0]), float(blog[0]))
-    if model.r:
-        ts, tl, _, _ = _incomplete_laguerre_grid(model.m, model.alpha, model.r, model.btilde, np.array([x]))
-        _, _, ls, ll = _incomplete_laguerre_grid(model.m, model.alpha, model.r, model.btilde, np.array([y]))
-        wx = 0.5 * a_bulk * math.log(x) - 0.5 * x
-        wy = -0.5 * a_bulk * math.log(y) + 0.5 * y
-        for j in range(model.r):
-            left = SignedLogValue.from_log(int(ts[j, 0]), float(tl[j, 0] + wx))
-            right = SignedLogValue.from_log(int(ls[j, 0]), float(ll[j, 0] + wy))
-            total = total + left * right
-    return total.to_float()
+    bulk = _bulk_lue(model.m - model.r, a_bulk, np.array([x]), np.array([y]))
+    wx = 0.5 * a_bulk * math.log(x) - 0.5 * x
+    wy = -0.5 * a_bulk * math.log(y) + 0.5 * y
+    return pair_point(_grid(model), x, y, bulk, wx, wy)

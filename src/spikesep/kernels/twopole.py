@@ -1,0 +1,177 @@
+"""The two-pole completion shared by the three exact kernels.
+
+Each spiked kernel is a projection kernel plus a rank-r completion
+    K(x, y) = K_bulk(x, y) + sum_{j=1}^r Ttilde_j(x) S_j(y)
+whose families come from contour integrals around the two poles {0, eps}:
+eps = -2c (shifted GUE), eps = btilde - 1 (spiked LUE), eps = -c^2 (shifted
+chiral).  In terms of a family's coefficient lines S_q and T_q every closed
+form is one of
+    plain family   S_j      = sum_{l<j} C(j-1,l) (-eps)^{j-1-l} S_{q0+l}
+    residue at 0            (-1)^j sum_{p<q0} C(j+p-1,p) eps^{-(j+p)} T_{q0-1-p}
+    merged poles   Ttilde_j = sum_t C(j+t-1,t) eps^t T_{q0+j-1+t}   (|eps| small)
+or the residue at eps, which each family supplies itself.
+
+A coefficient line is a pair (signs, term): signs is the (q, npts) sign stack
+of T_q, and term(q, log_binom, log_power) returns log(C |eps|^k |T_q|) on the
+grid.  The family forms that log, and with it the order of the floating-point
+additions, so a term has the same bits whichever routine sums it.  eps is a
+SignedLogValue, so a family hands over log|eps| as it forms it (2 log c for
+the chiral family).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.special import gammaln
+
+from ..logspace import slog_sum_columns
+from .common import combine_positive_logs, materialize_columns, pair_and_sum
+
+__all__ = [
+    "rising_log",
+    "power_sign",
+    "bulk_sum",
+    "plain_family",
+    "residue_at_zero",
+    "merged_pole_series",
+    "completing_family",
+    "pair_point",
+    "spiked_density",
+]
+
+_CUTOFF_NATS = 45.0  # the merged-pole series stops once a term is this far below the largest
+
+
+def rising_log(a: int, l: int):
+    """(is_zero, log) of the rising factorial (a)_l = a(a+1)...(a+l-1), a >= 0."""
+    if l == 0:
+        return False, 0.0
+    if a == 0:
+        return True, -math.inf
+    return False, float(gammaln(a + l) - gammaln(a))
+
+
+def power_sign(sign: int, k: int) -> int:
+    """sign**k for sign in {-1, +1}."""
+    return -1 if sign < 0 and k % 2 else 1
+
+
+def bulk_sum(weighted, n_bulk, x, y=None):
+    """(sign, log) of the projection kernel sum_{p<n_bulk} f_p(x) f_p(y) over a grid.
+
+    `weighted(n, x)` returns the (n, npts) sign/log stack of f_0..f_{n-1};
+    y=None gives the diagonal.
+    """
+    if n_bulk == 0:
+        size = np.atleast_1d(x).size
+        return np.zeros(size, dtype=np.int8), np.full(size, -np.inf)
+    sx, lx = weighted(n_bulk, x)
+    if y is None:
+        return np.ones(lx.shape[1], dtype=np.int8), combine_positive_logs(2.0 * lx)
+    sy, ly = weighted(n_bulk, y)
+    return pair_and_sum(sx, lx, sy, ly)
+
+
+def plain_family(line, q0, r, eps):
+    """(r, npts) sign/log stacks of S_j, j = 1..r."""
+    signs, term = line
+    out_sign = np.zeros((r, signs.shape[1]), dtype=np.int8)
+    out_log = np.full(out_sign.shape, -np.inf)
+    for j in range(1, r + 1):
+        sgs, lgs = [], []
+        for l_ in range(j) if eps.sign else (j - 1,):
+            power = j - 1 - l_
+            sgs.append(signs[q0 + l_] * power_sign(-eps.sign, power))
+            log_power = power * eps.log_magnitude if power else 0.0
+            lgs.append(term(q0 + l_, math.log(math.comb(j - 1, l_)), log_power))
+        out_sign[j - 1], out_log[j - 1] = slog_sum_columns(np.array(sgs), np.array(lgs))
+    return out_sign, out_log
+
+
+def residue_at_zero(line, q0, j, eps):
+    """Terms (sign list, log list) of the residue at 0 of Ttilde_j."""
+    signs, term = line
+    sgs, lgs = [], []
+    for p in range(q0):
+        sgs.append(signs[q0 - 1 - p] * (power_sign(-1, j) * power_sign(eps.sign, j + p)))
+        lgs.append(term(q0 - 1 - p, math.log(math.comb(j + p - 1, p)), -(j + p) * eps.log_magnitude))
+    return sgs, lgs
+
+
+def merged_pole_series(line, q0, j, eps):
+    """Terms (sign list, log list) of the merged-pole series for Ttilde_j.
+
+    The series runs until, past its first five terms, the last two terms lie
+    _CUTOFF_NATS below the largest term at every point (two, because a line
+    can vanish at every other degree, as H_q(0) does for odd q); if the line
+    runs out first it raises ArithmeticError instead of returning a
+    truncated sum.
+    """
+    signs, term = line
+    sgs, lgs = [], []
+    best = prev = np.full(signs.shape[1], -np.inf)
+    for t in range(signs.shape[0] - (q0 + j - 1)):
+        q = q0 + j - 1 + t
+        sg = signs[q] * power_sign(eps.sign, t)
+        lg = term(q, math.log(math.comb(j + t - 1, t)), t * eps.log_magnitude if t else 0.0)
+        sgs.append(sg)
+        lgs.append(lg)
+        if eps.sign == 0:
+            return sgs, lgs
+        cur = np.where(sg != 0, lg, -np.inf)
+        best = np.maximum(best, cur)
+        if t > 4 and np.all(np.maximum(cur, prev) < best - _CUTOFF_NATS):
+            return sgs, lgs
+        prev = cur
+    raise ArithmeticError(
+        f"merged-pole series for family index {j} did not converge in {len(sgs)} terms"
+    )
+
+
+def completing_family(line, q0, r, eps, merged, residue_at_eps):
+    """(r, npts) sign/log stacks of Ttilde_j, j = 1..r, from the line T_q.
+
+    merged=True sums the merged-pole series; otherwise the residue at 0 is
+    added to `residue_at_eps(j)`, the family's own (sign list, log list).
+    """
+    out_sign = np.zeros((r, line[0].shape[1]), dtype=np.int8)
+    out_log = np.full(out_sign.shape, -np.inf)
+    for j in range(1, r + 1):
+        if merged:
+            sgs, lgs = merged_pole_series(line, q0, j, eps)
+        else:
+            sgs, lgs = residue_at_eps(j)
+            zs, zl = residue_at_zero(line, q0, j, eps)
+            sgs, lgs = sgs + zs, lgs + zl
+        out_sign[j - 1], out_log[j - 1] = slog_sum_columns(np.array(sgs), np.array(lgs))
+    return out_sign, out_log
+
+
+def pair_point(grid, x, y, bulk=None, wx=0.0, wy=0.0) -> float:
+    """bulk + sum_j left_j(x) right_j(y) e^{wx + wy} as a float.
+
+    `grid(points)` returns the (left sign, left log, right sign, right log)
+    stacks; `bulk` is a (sign, log) pair of one-point arrays or None.  All
+    terms go through one signed log-sum; a value beyond a double raises
+    OverflowError.
+    """
+    ls, ll, rs, rl = grid(np.array([x, y], dtype=float))
+    signs = ls[:, 0] * rs[:, 1]
+    logs = (ll[:, 0] + wx) + (rl[:, 1] + wy)
+    if bulk is not None:
+        signs = np.concatenate([bulk[0], signs])
+        logs = np.concatenate([bulk[1], logs])
+    sign, log = slog_sum_columns(signs[:, None], logs[:, None])
+    return float(materialize_columns(sign, log)[0])
+
+
+def spiked_density(bulk, grid, r, x):
+    """Diagonal bulk + sum_j left_j(x) right_j(x) on a grid, materialized."""
+    bsign, blog = bulk
+    if r == 0:
+        return materialize_columns(bsign, blog)
+    ssign, slog = pair_and_sum(*grid(x))
+    sign, log = slog_sum_columns(np.vstack([bsign, ssign]), np.vstack([blog, slog]))
+    return materialize_columns(sign, log)

@@ -123,3 +123,9 @@ def test_argument_validation():
         chiral_pq("r", 1, 1.0, 5, 1.0, 1, 1.0)
     with pytest.raises(ValueError):
         chiral_asymptotic_pq(1, 0.0, 1.0, 1.0)
+
+
+def test_merged_pole_rank_beyond_term_budget():
+    # r = 170 exceeds the 160 extra Laguerre rows of the merged-pole branch
+    vals = density_shifted_chiral(ShiftedChiral(200, 1.0, 170, 0.1), np.array([1.0, 5.0, 15.0]))
+    assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)

@@ -186,3 +186,32 @@ def test_right_lobe_is_displaced_gue():
     lobe = np.array([kernel_gue(5, x - shift, x - shift) for x in g])
     b = lobe / np.trapezoid(lobe, g)
     assert float(np.trapezoid(np.abs(a - b), g)) < 0.02
+
+
+def test_merged_pole_budget_does_not_depend_on_rank():
+    # r = 130 exceeds the 120 extra recurrence rows of the merged-pole branch
+    xs = np.linspace(-26.0, 26.0, 2601)
+    vals = density_shifted_gue(ShiftedGUE(200, 130, 0.05), xs)
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+    assert abs(np.trapezoid(vals, xs) - 200.0) < 1e-9
+
+
+def test_merged_pole_series_is_not_cut_short_at_a_single_point():
+    # at r = 116 only four terms used to fit the budget, and at x = 0 every odd
+    # Hermite term vanishes; the converged density is 6.36300
+    model = ShiftedGUE(200, 116, 0.05)
+    grid = density_shifted_gue(model, np.linspace(-26.0, 26.0, 2601))
+    assert density_shifted_gue(model, 0.0) == pytest.approx(grid[1300], rel=1e-12)
+    assert density_shifted_gue(model, 0.0) == pytest.approx(6.36300, abs=1e-5)
+
+
+def test_unconverged_merged_pole_series_raises():
+    # far out the terms (0.24 x)^t / t! peak near t = 96 and are still large
+    # when the recurrence rows run out
+    with pytest.raises(ArithmeticError):
+        incomplete_hermite("tilde", 1, 400.0, 3, 1, 0.12)
+
+
+def test_kernel_overflow_raises():
+    with pytest.raises(OverflowError):
+        kernel_shifted_gue(ShiftedGUE(15, 5, 60.0), 70.0, -5.0)

@@ -11,6 +11,7 @@ from spikesep.kernels import (
     kernel_laguerre,
     kernel_spiked_lue,
 )
+from spikesep.kernels.laguerre import lue_spike_term
 from spikesep.kernels.contour import (
     contour_incomplete_laguerre_plain,
     contour_incomplete_laguerre_tilde,
@@ -171,3 +172,18 @@ def test_invalid_models():
         SpikedLUE(5, 1.0, 6, 0.5)
     with pytest.raises(ValueError):
         SpikedLUE(5, 1.0, 1, 0.0)
+
+
+@pytest.mark.parametrize("btilde", [0.05, 0.99])  # residue branch, merged-pole branch
+def test_lue_spike_term_completes_the_bulk_on_the_diagonal(btilde):
+    model = SpikedLUE(10, 0.5, 3, btilde)
+    for x in (0.3, 2.0, 7.5, 20.0):
+        bulk = kernel_laguerre(model.m - model.r, model.alpha + model.r, x, x)
+        spike = lue_spike_term(model, x, x)
+        assert density_spiked_lue(model, x) == pytest.approx(bulk + spike, rel=1e-10)
+
+
+def test_merged_pole_rank_beyond_term_budget():
+    # r = 170 exceeds the 160 extra coefficient-line rows of the merged-pole branch
+    vals = density_spiked_lue(SpikedLUE(200, 1.0, 170, 0.99), np.array([1.0, 50.0, 300.0]))
+    assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
