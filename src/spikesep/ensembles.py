@@ -30,10 +30,11 @@ __all__ = [
     "sample_shifted_chiral",
     "draw_gaussian_hermitian",
     "draw_gaussian_rectangular",
+    "shifted_hermitian",
+    "spiked_gram",
+    "shifted_gram",
     "eigensolver_residual",
 ]
-
-DEFAULT_SEED = 1729
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,29 @@ def draw_gaussian_rectangular(gen: Generator, n: int, m: int, beta: int) -> np.n
     raise ValueError("beta must be 1 or 2")
 
 
+def shifted_hermitian(gen: Generator, n: int, spikes: np.ndarray, beta: int) -> np.ndarray:
+    """G + diag((0)^{n-r}, spikes) for r = len(spikes)."""
+    g = draw_gaussian_hermitian(gen, n, beta)
+    idx = np.arange(n - spikes.size, n)
+    g[idx, idx] += spikes
+    return g
+
+
+def spiked_gram(gen: Generator, n: int, sqrt_sigma: np.ndarray, beta: int) -> np.ndarray:
+    """Sigma^{1/2} Y^dag Y Sigma^{1/2} for an n x m Y, m = len(sqrt_sigma)."""
+    y = draw_gaussian_rectangular(gen, n, sqrt_sigma.size, beta)
+    x = y * sqrt_sigma[None, :]
+    return x.conj().T @ x
+
+
+def shifted_gram(gen: Generator, n: int, m: int, spikes: np.ndarray, beta: int) -> np.ndarray:
+    """(Y + X0)^dag (Y + X0), (X0)_{jj} = spikes[j] for j < r = len(spikes)."""
+    y = draw_gaussian_rectangular(gen, n, m, beta)
+    idx = np.arange(spikes.size)
+    y[idx, idx] += spikes
+    return y.conj().T @ y
+
+
 def sample_shifted_gaussian(
     model: GaussianShift, spike_values, stream: SeedStream, trial: int
 ) -> SpectrumSample:
@@ -134,12 +158,7 @@ def sample_shifted_gaussian(
     spike_values = np.asarray(spike_values, dtype=float)
     if spike_values.size != model.r:
         raise ValueError("need one spike value per unit of rank")
-    if model.r > model.n:
-        raise ValueError("spike rank exceeds matrix dimension")
-    gen = stream.generator(trial)
-    g = draw_gaussian_hermitian(gen, model.n, model.beta)
-    idx = np.arange(model.n - model.r, model.n)
-    g[idx, idx] += spike_values
+    g = shifted_hermitian(stream.generator(trial), model.n, spike_values, model.beta)
     eig = np.linalg.eigvalsh(g)
     return SpectrumSample(eig, model, stream.master_seed, trial)
 
@@ -153,12 +172,9 @@ def sample_spiked_wishart(model, stream: SeedStream, trial: int) -> SpectrumSamp
         n = int(round(model.gamma * model.m))
     else:
         raise TypeError("expected a WishartSpike or WishartSpikeGamma model")
-    gen = stream.generator(trial)
-    y = draw_gaussian_rectangular(gen, n, m, model.beta)
     sqrt_sigma = np.ones(m)
     sqrt_sigma[:model.r] = math.sqrt(model.s)
-    x = y * sqrt_sigma[None, :]
-    gram = x.conj().T @ x
+    gram = spiked_gram(stream.generator(trial), n, sqrt_sigma, model.beta)
     eig = np.linalg.eigvalsh(gram)
     return SpectrumSample(eig, model, stream.master_seed, trial)
 
@@ -175,15 +191,9 @@ def sample_shifted_chiral(
     spike_singulars = np.asarray(spike_singulars, dtype=float)
     if spike_singulars.size != model.r:
         raise ValueError("need one spike singular value per unit of rank")
-    if model.r > model.m:
-        raise ValueError("spike rank exceeds the smaller dimension")
     if np.any(spike_singulars < 0):
         raise ValueError("spike singular values must be >= 0")
-    gen = stream.generator(trial)
-    y = draw_gaussian_rectangular(gen, model.n, model.m, model.beta)
-    idx = np.arange(model.r)
-    y[idx, idx] += spike_singulars
-    gram = y.conj().T @ y
+    gram = shifted_gram(stream.generator(trial), model.n, model.m, spike_singulars, model.beta)
     sq = np.linalg.eigvalsh(gram)
     sing = np.sqrt(np.clip(sq, 0.0, None))
     eig = np.concatenate([-sing[::-1], np.zeros(model.n - model.m), sing])

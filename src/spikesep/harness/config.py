@@ -4,15 +4,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..kernels import ShiftedChiral, ShiftedGUE, SpikedLUE
-
 __all__ = ["GridSpec", "ExperimentConfig", "ComparisonReport", "worker_count"]
-
-KernelModel = Union[ShiftedGUE, SpikedLUE, ShiftedChiral]
 
 WORKERS_ENV = "SPIKESEP_WORKERS"
 
@@ -52,18 +48,17 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str  # density | mc | scan | verify | figure
-    model: KernelModel
+    kind: str  # density | mc | scan
+    model: object  # a spikesep.kernels model: ShiftedGUE, SpikedLUE or ShiftedChiral
     grid: GridSpec
     trials: int = 1
     bins: Optional[int] = None  # None -> auto
     master_seed: int = 1729
     beta: int = 2
     spikes: Sequence[float] = ()
-    outputs: Sequence[str] = ()
 
     def __post_init__(self):
-        if self.kind not in ("density", "mc", "scan", "verify", "figure"):
+        if self.kind not in ("density", "mc", "scan"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")

@@ -9,29 +9,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..ensembles import (
-    SeedStream,
-    draw_gaussian_hermitian,
-    draw_gaussian_rectangular,
-)
-from ..kernels import (
-    ShiftedChiral,
-    ShiftedGUE,
-    SpikedLUE,
-    density_shifted_chiral,
-    density_shifted_gue,
-    density_spiked_lue,
-)
-from ..secular import (
-    ChiralShift,
-    GaussianShift,
-    WishartSpike,
-    separation_predictor,
-)
+from ..ensembles import SeedStream
 from ..spectra import DensityCurve
 from .config import ComparisonReport, ExperimentConfig, worker_count
 
@@ -40,7 +22,6 @@ __all__ = [
     "empirical_density_curve",
     "run_density_experiment",
     "run_onset_scan",
-    "bulk_edge",
     "find_separated_peaks",
     "sample_batch",
 ]
@@ -48,97 +29,15 @@ __all__ = [
 _NEGATIVE_CLAMP = -1e-10  # roundoff-negative densities below this are an error
 
 
-def _density_fn(model) -> Callable:
-    if isinstance(model, ShiftedGUE):
-        return lambda x: density_shifted_gue(model, x)
-    if isinstance(model, SpikedLUE):
-        return lambda x: density_spiked_lue(model, x)
-    if isinstance(model, ShiftedChiral):
-        return lambda x: density_shifted_chiral(model, x)
-    raise TypeError(f"no exact density for {model!r}")
-
-
-def bulk_edge(model) -> float:
-    """Upper edge of the unspiked bulk for the model's eigenvalue variable."""
-    if isinstance(model, ShiftedGUE):
-        return math.sqrt(2.0 * model.n)
-    if isinstance(model, SpikedLUE):
-        return 4.0 * model.m
-    if isinstance(model, ShiftedChiral):
-        return 2.0 * math.sqrt(model.m)
-    raise TypeError(f"no bulk edge for {model!r}")
-
-
 def exact_density_curve(model, grid: np.ndarray) -> DensityCurve:
     """Exact beta=2 density on the grid; tiny roundoff negatives clamped to 0."""
     grid = np.asarray(grid, dtype=float)
-    values = np.asarray(_density_fn(model)(grid), dtype=float)
+    values = np.asarray(model.density(grid), dtype=float)
     if np.any(values < _NEGATIVE_CLAMP):
         raise ArithmeticError("exact density went negative beyond roundoff tolerance")
     values = np.clip(values, 0.0, None)
-    meta = {"model": _model_tag(model), "mass": _model_mass(model), "kind": "exact"}
+    meta = {"model": model.tag, "mass": model.mass, "kind": "exact"}
     return DensityCurve(grid, values, meta)
-
-
-def _model_tag(model) -> str:
-    if isinstance(model, ShiftedGUE):
-        return f"shifted-gue n={model.n} r={model.r} c={model.c:g}"
-    if isinstance(model, SpikedLUE):
-        return f"spiked-lue m={model.m} alpha={model.alpha:g} r={model.r} btilde={model.btilde:g}"
-    if isinstance(model, ShiftedChiral):
-        return f"shifted-chiral m={model.m} alpha={model.alpha:g} r={model.r} c={model.c:g}"
-    return repr(model)
-
-
-def _model_mass(model) -> float:
-    """Declared integral of the model's density over its full support."""
-    return float(model.n if isinstance(model, ShiftedGUE) else model.m)
-
-
-def _trial_matrix_plan(model, beta: int):
-    """(dimension, dtype, build(stream, trial) -> matrix, post(eigs) -> eigs).
-
-    `post` maps the stacked ascending eigenvalues of the built Hermitian
-    matrix to the quantity the exact density counts (singular values for the
-    chiral family).
-    """
-    dtype = complex if beta == 2 else float
-    if isinstance(model, ShiftedGUE):
-        spikes = np.full(model.r, model.c)
-        idx = np.arange(model.n - model.r, model.n)
-
-        def build(stream: SeedStream, trial: int) -> np.ndarray:
-            g = draw_gaussian_hermitian(stream.generator(trial), model.n, beta)
-            g[idx, idx] += spikes
-            return g
-
-        return model.n, dtype, build, lambda e: e
-    if isinstance(model, SpikedLUE):
-        if abs(model.alpha - round(model.alpha)) > 1e-12:
-            raise ValueError("Monte Carlo needs integer alpha = n - m")
-        n = model.m + int(round(model.alpha))
-        sqrt_sigma = np.ones(model.m)
-        sqrt_sigma[: model.r] = math.sqrt(1.0 / model.btilde)
-
-        def build(stream: SeedStream, trial: int) -> np.ndarray:
-            y = draw_gaussian_rectangular(stream.generator(trial), n, model.m, beta)
-            x = y * sqrt_sigma[None, :]
-            return x.conj().T @ x
-
-        return model.m, dtype, build, lambda e: e
-    if isinstance(model, ShiftedChiral):
-        if abs(model.alpha - round(model.alpha)) > 1e-12:
-            raise ValueError("Monte Carlo needs integer alpha = n - m")
-        n = model.m + int(round(model.alpha))
-        idx = np.arange(model.r)
-
-        def build(stream: SeedStream, trial: int) -> np.ndarray:
-            y = draw_gaussian_rectangular(stream.generator(trial), n, model.m, beta)
-            y[idx, idx] += model.c
-            return y.conj().T @ y
-
-        return model.m, dtype, build, lambda e: np.sqrt(np.clip(e, 0.0, None))
-    raise TypeError(f"no sampler for {model!r}")
 
 
 def sample_batch(model, beta: int, trials: int, master_seed: int, edges: np.ndarray,
@@ -150,7 +49,8 @@ def sample_batch(model, beta: int, trials: int, master_seed: int, edges: np.ndar
     exact and independent of chunking and worker count.
     """
     stream = SeedStream(master_seed)
-    dim, dtype, build, post = _trial_matrix_plan(model, beta)
+    dim, build, post = model.trial_plan(beta)
+    dtype = complex if beta == 2 else float
     edges = np.asarray(edges, dtype=float)
     workers = workers or worker_count()
     itemsize = np.dtype(dtype).itemsize
@@ -162,7 +62,7 @@ def sample_batch(model, beta: int, trials: int, master_seed: int, edges: np.ndar
         lo, hi = bounds
         mats = np.empty((hi - lo, dim, dim), dtype=dtype)
         for t in range(lo, hi):
-            mats[t - lo] = build(stream, t)
+            mats[t - lo] = build(stream.generator(t))
         eigs = post(np.linalg.eigvalsh(mats))
         counts = np.histogram(eigs.ravel(), bins=edges)[0]
         return counts, eigs[:, -1]
@@ -188,8 +88,8 @@ def empirical_density_curve(model, config: ExperimentConfig) -> DensityCurve:
     values = counts / (config.trials * width)
     centers = 0.5 * (edges[:-1] + edges[1:])
     meta = {
-        "model": _model_tag(model),
-        "mass": _model_mass(model),
+        "model": model.tag,
+        "mass": model.mass,
         "kind": "empirical",
         "seed": config.master_seed,
         "trials": config.trials,
@@ -221,25 +121,18 @@ def compare_curves(exact: DensityCurve, empirical: DensityCurve) -> ComparisonRe
 
 def run_density_experiment(config: ExperimentConfig):
     """Exact curve, empirical curve (if kind='mc'), and a comparison report."""
-    grid = config.grid.points()
-    exact = exact_density_curve(config.model, grid) if config.beta == 2 else None
-    if config.kind == "density":
-        if exact is None:
-            raise ValueError("exact curves need beta = 2")
-        report = ComparisonReport(trace_exact=exact.mass())
-        declared = _model_mass(config.model)
-        report.pass_flags["grid_covers_support"] = bool(
-            abs(report.trace_exact - declared) <= 0.01 * declared
-        )
-        return exact, None, report
-    if config.kind != "mc":
+    if config.kind not in ("density", "mc"):
         raise ValueError("run_density_experiment handles kinds 'density' and 'mc'")
-    empirical = empirical_density_curve(config.model, config)
+    if config.kind == "density" and config.beta != 2:
+        raise ValueError("exact curves need beta = 2")
+    exact = exact_density_curve(config.model, config.grid.points()) if config.beta == 2 else None
+    empirical = empirical_density_curve(config.model, config) if config.kind == "mc" else None
     if exact is None:
         return None, empirical, ComparisonReport(trace_empirical=empirical.mass())
-    report = compare_curves(exact, empirical)
-    declared = _model_mass(config.model)
-    report.pass_flags["grid_covers_support"] = (
+    report = (compare_curves(exact, empirical) if empirical is not None
+              else ComparisonReport(trace_exact=exact.mass()))
+    declared = config.model.mass
+    report.pass_flags["grid_covers_support"] = bool(
         abs(report.trace_exact - declared) <= 0.01 * declared
     )
     return exact, empirical, report
@@ -271,45 +164,17 @@ def _golden_refine(fn, lo, hi, iters=60):
 def find_separated_peaks(model, grid: np.ndarray, values: Optional[np.ndarray] = None,
                          edge_factor: float = 1.05) -> list:
     """Strict grid local maxima beyond edge_factor * bulk edge, golden-refined."""
-    fn = _density_fn(model)
     grid = np.asarray(grid, dtype=float)
-    vals = np.asarray(values if values is not None else fn(grid), dtype=float)
-    cut = edge_factor * bulk_edge(model)
+    vals = np.asarray(values if values is not None else model.density(grid), dtype=float)
+    cut = edge_factor * model.bulk_edge
     peaks = []
     for i in range(1, grid.size - 1):
         if grid[i] <= cut:
             continue
         if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]:
-            scalar = lambda x: float(fn(np.array([x]))[0])
+            scalar = lambda x: float(model.density(np.array([x]))[0])
             peaks.append(_golden_refine(scalar, grid[i - 1], grid[i + 1]))
     return peaks
-
-
-def _spiked_model(base, spike: float):
-    """Model for one scan point; spikes are in threshold units (c) or btilde."""
-    if isinstance(base, ShiftedGUE):
-        shift = spike * math.sqrt(2.0 * base.n) / 2.0
-        return (ShiftedGUE(base.n, base.r, shift) if spike > 0
-                else ShiftedGUE(base.n, 0, 0.0))
-    if isinstance(base, SpikedLUE):
-        return SpikedLUE(base.m, base.alpha, base.r, spike)
-    if isinstance(base, ShiftedChiral):
-        shift = spike * math.sqrt(base.m)
-        return (ShiftedChiral(base.m, base.alpha, base.r, shift) if spike > 0
-                else ShiftedChiral(base.m, base.alpha, 0, 0.0))
-    raise TypeError(f"cannot scan {base!r}")
-
-
-def _predictor_for(model, spike: float):
-    if isinstance(model, ShiftedGUE):
-        return separation_predictor(GaussianShift(2, model.n, spike, max(model.r, 1)))
-    if isinstance(model, SpikedLUE):
-        n = model.m + int(round(model.alpha))
-        return separation_predictor(WishartSpike(2, model.m, n, 1.0 / spike, max(model.r, 1)))
-    if isinstance(model, ShiftedChiral):
-        n = model.m + int(round(model.alpha))
-        return separation_predictor(ChiralShift(2, model.m, n, spike, max(model.r, 1)))
-    raise TypeError(f"no predictor for {model!r}")
 
 
 def run_onset_scan(config: ExperimentConfig) -> dict:
@@ -325,12 +190,12 @@ def run_onset_scan(config: ExperimentConfig) -> dict:
     grid = config.grid.points()
     out = {}
     for spike in config.spikes:
-        model = _spiked_model(config.model, spike)
+        model = config.model.respike(spike)
         curve = exact_density_curve(model, grid)
         peaks = find_separated_peaks(model, grid, curve.values)
         report = ComparisonReport(trace_exact=curve.mass())
         report.peak_locations = peaks
-        pred = _predictor_for(config.model, spike)
+        pred = config.model.predictor(spike)
         report.predictor_location = pred.location
         if pred.above_threshold and pred.location is not None:
             report.pass_flags["peak_found"] = bool(peaks)

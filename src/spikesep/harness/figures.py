@@ -22,7 +22,6 @@ from ..spectra import DensityCurve
 from .config import ComparisonReport, ExperimentConfig, GridSpec
 from .emit import emit_csv, emit_svg
 from .experiments import (
-    _spiked_model,
     compare_curves,
     empirical_density_curve,
     exact_density_curve,
@@ -44,19 +43,23 @@ def _window_l1(curve_a: DensityCurve, curve_b: DensityCurve, lo: float, hi: floa
 
 
 def _gue_curve(order: int, grid: np.ndarray, center: float = 0.0, tag: str = "") -> DensityCurve:
-    vals = np.array([kernel_gue(order, x - center, x - center) for x in grid])
+    u = grid - center
+    vals = kernel_gue(order, u, u)
     return DensityCurve(grid, np.clip(vals, 0.0, None), {"model": tag or f"gue n={order}", "kind": "exact"})
 
 
 def _lue_curve(order: int, a: float, grid: np.ndarray, scale: float = 1.0, tag: str = "") -> DensityCurve:
     """Density of the order x order LUE with parameter a, eigenvalues scaled by 1/scale."""
     u = np.maximum(scale * grid, 1e-300)
-    vals = scale * np.array([kernel_laguerre(order, a, ui, ui) for ui in u])
+    vals = scale * kernel_laguerre(order, a, u, u)
     return DensityCurve(grid, np.clip(vals, 0.0, None), {"model": tag or f"lue n={order} a={a:g}", "kind": "exact"})
 
 
 def _chiral_curve(order: int, a: float, grid: np.ndarray, tag: str = "") -> DensityCurve:
-    vals = np.array([2.0 * x * kernel_laguerre(order, a, x * x, x * x) if x > 0 else 0.0 for x in grid])
+    vals = np.zeros(grid.shape)
+    pos = grid > 0
+    x = grid[pos]
+    vals[pos] = 2.0 * x * kernel_laguerre(order, a, x * x, x * x)
     return DensityCurve(grid, np.clip(vals, 0.0, None), {"model": tag or f"chiral m={order} a={a:g}", "kind": "exact"})
 
 
@@ -93,10 +96,10 @@ def _onset_figure(base_model, spikes, grid_spec, name, outdir, master_seed, inse
     grid = grid_spec.points()
     curves = []
     for spike in spikes:
-        curve = exact_density_curve(_spiked_model(base_model, spike), grid)
+        curve = exact_density_curve(base_model.respike(spike), grid)
         curve.meta["spike"] = spike
         curves.append(curve)
-    inset = exact_density_curve(_spiked_model(base_model, spikes[0]), inset_grid.points())
+    inset = exact_density_curve(base_model.respike(spikes[0]), inset_grid.points())
     files = [
         emit_csv(curves, None, outdir / f"{name}_edge.csv"),
         emit_csv([inset], None, outdir / f"{name}_inset.csv"),

@@ -9,6 +9,7 @@ CLI.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -75,8 +76,16 @@ class CheckResult:
     detail: str = ""
 
 
-def _gl_nodes(lo, hi, n):
+@functools.lru_cache(maxsize=None)
+def _leggauss(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per n (read-only)."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gl_nodes(lo, hi, n):
+    x, w = _leggauss(n)
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 

@@ -17,8 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from ..ensembles import shifted_gram
 from ..logspace import SignedLogValue
+from ..secular import ChiralShift, separation_predictor
 from ..specialfn import laguerre_weighted_signlog, log_0f1
+from .common import sampled_rows
 from .hermite import kernel_gue
 from .laguerre import _bulk_lue
 from .twopole import (
@@ -45,6 +48,8 @@ _TAYLOR_TERMS = 160  # Laguerre rows added for the merged-pole series
 
 @dataclass(frozen=True)
 class ShiftedChiral:
+    """Chiral ensemble of an (m + alpha) x m Gaussian plus a rank-r singular shift c."""
+
     m: int
     alpha: float
     r: int
@@ -59,6 +64,38 @@ class ShiftedChiral:
             raise ValueError("rank must satisfy 0 <= r <= m")
         if self.c < 0:
             raise ValueError("shift must be nonnegative")
+
+    @property
+    def mass(self) -> float:
+        return float(self.m)
+
+    @property
+    def bulk_edge(self) -> float:
+        return 2.0 * math.sqrt(self.m)
+
+    @property
+    def tag(self) -> str:
+        return f"shifted-chiral m={self.m} alpha={self.alpha:g} r={self.r} c={self.c:g}"
+
+    def density(self, x):
+        return density_shifted_chiral(self, x)
+
+    def respike(self, spike: float) -> ShiftedChiral:
+        """Scan model at `spike` threshold units (shift spike*J/2; rank 0 at spike 0)."""
+        if spike > 0:
+            return ShiftedChiral(self.m, self.alpha, self.r, spike * self.bulk_edge / 2.0)
+        return ShiftedChiral(self.m, self.alpha, 0, 0.0)
+
+    def predictor(self, spike: float):
+        n = self.m + int(round(self.alpha))
+        return separation_predictor(ChiralShift(2, self.m, n, spike, max(self.r, 1)))
+
+    def trial_plan(self, beta: int):
+        """(dimension, build(generator) -> Gram matrix, post -> singular values)."""
+        n = sampled_rows(self.m, self.alpha)
+        spikes = np.full(self.r, self.c)
+        return (self.m, lambda gen: shifted_gram(gen, n, self.m, spikes, beta),
+                lambda e: np.sqrt(np.clip(e, 0.0, None)))
 
 
 def _laguerre_fixed_param_logs(n, alpha, x):

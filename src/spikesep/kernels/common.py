@@ -6,7 +6,7 @@ import numpy as np
 
 from ..logspace import slog_sum_columns
 
-__all__ = ["pair_and_sum", "materialize_columns", "combine_positive_logs"]
+__all__ = ["pair_and_sum", "materialize_columns", "combine_positive_logs", "sampled_rows"]
 
 
 def pair_and_sum(s_left, l_left, s_right, l_right):
@@ -40,3 +40,10 @@ def combine_positive_logs(logs):
     if np.any(live):
         out[live] = m[live] + np.log(np.sum(np.exp(logs[:, live] - m[live]), axis=0))
     return out
+
+
+def sampled_rows(m: int, alpha: float) -> int:
+    """Row count n = m + alpha of the sampled n x m matrix; alpha must be an integer."""
+    if abs(alpha - round(alpha)) > 1e-12:
+        raise ValueError("Monte Carlo needs integer alpha = n - m")
+    return m + int(round(alpha))

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from ..ensembles import shifted_hermitian
 from ..logspace import SignedLogValue
+from ..secular import GaussianShift, separation_predictor
 from ..specialfn import hermite_weighted_signlog
 from .common import materialize_columns, pair_and_sum
 from .twopole import (
@@ -48,6 +50,8 @@ _TAYLOR_TERMS = 120  # recurrence rows added for the merged-pole series
 
 @dataclass(frozen=True)
 class ShiftedGUE:
+    """n x n GUE plus a rank-r mean shift c on the last r diagonal entries."""
+
     n: int
     r: int
     c: float
@@ -59,6 +63,35 @@ class ShiftedGUE:
             raise ValueError("rank must satisfy 0 <= r <= n")
         if self.c < 0:
             raise ValueError("shift must be nonnegative")
+
+    @property
+    def mass(self) -> float:
+        return float(self.n)
+
+    @property
+    def bulk_edge(self) -> float:
+        return math.sqrt(2.0 * self.n)
+
+    @property
+    def tag(self) -> str:
+        return f"shifted-gue n={self.n} r={self.r} c={self.c:g}"
+
+    def density(self, x):
+        return density_shifted_gue(self, x)
+
+    def respike(self, spike: float) -> ShiftedGUE:
+        """Scan model at `spike` threshold units (shift spike*J/2; rank 0 at spike 0)."""
+        if spike > 0:
+            return ShiftedGUE(self.n, self.r, spike * self.bulk_edge / 2.0)
+        return ShiftedGUE(self.n, 0, 0.0)
+
+    def predictor(self, spike: float):
+        return separation_predictor(GaussianShift(2, self.n, spike, max(self.r, 1)))
+
+    def trial_plan(self, beta: int):
+        """(dimension, build(generator) -> matrix, post(eigenvalues) -> eigenvalues)."""
+        spikes = np.full(self.r, self.c)
+        return self.n, lambda gen: shifted_hermitian(gen, self.n, spikes, beta), lambda e: e
 
 
 def kernel_gue(n: int, x, y):

@@ -18,9 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from ..ensembles import spiked_gram
 from ..logspace import SignedLogValue
+from ..secular import WishartSpike, separation_predictor
 from ..specialfn import laguerre_line_signlog, laguerre_weighted_signlog
-from .common import materialize_columns, pair_and_sum
+from .common import materialize_columns, pair_and_sum, sampled_rows
 from .twopole import (
     bulk_sum,
     completing_family,
@@ -46,6 +48,8 @@ _TAYLOR_TERMS = 160  # coefficient-line rows added for the merged-pole series
 
 @dataclass(frozen=True)
 class SpikedLUE:
+    """m x m LUE with parameter alpha and a rank-r inverse-covariance spike btilde."""
+
     m: int
     alpha: float
     r: int
@@ -60,6 +64,36 @@ class SpikedLUE:
             raise ValueError("rank must satisfy 0 <= r <= m")
         if self.btilde <= 0:
             raise ValueError("inverse-covariance spike btilde must be > 0")
+
+    @property
+    def mass(self) -> float:
+        return float(self.m)
+
+    @property
+    def bulk_edge(self) -> float:
+        return 4.0 * self.m
+
+    @property
+    def tag(self) -> str:
+        return f"spiked-lue m={self.m} alpha={self.alpha:g} r={self.r} btilde={self.btilde:g}"
+
+    def density(self, x):
+        return density_spiked_lue(self, x)
+
+    def respike(self, spike: float) -> SpikedLUE:
+        """Scan model with btilde = spike."""
+        return SpikedLUE(self.m, self.alpha, self.r, spike)
+
+    def predictor(self, spike: float):
+        n = self.m + int(round(self.alpha))
+        return separation_predictor(WishartSpike(2, self.m, n, 1.0 / spike, max(self.r, 1)))
+
+    def trial_plan(self, beta: int):
+        """(dimension, build(generator) -> matrix, post(eigenvalues) -> eigenvalues)."""
+        n = sampled_rows(self.m, self.alpha)
+        sqrt_sigma = np.ones(self.m)
+        sqrt_sigma[: self.r] = math.sqrt(1.0 / self.btilde)
+        return self.m, lambda gen: spiked_gram(gen, n, sqrt_sigma, beta), lambda e: e
 
 
 def kernel_laguerre(n: int, a: float, x, y):

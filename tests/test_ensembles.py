@@ -12,6 +12,8 @@ from spikesep.ensembles import (
     sample_shifted_gaussian,
     sample_spiked_wishart,
 )
+from spikesep.harness.experiments import sample_batch
+from spikesep.kernels import ShiftedChiral, ShiftedGUE, SpikedLUE
 from spikesep.secular import ChiralShift, GaussianShift, WishartSpike
 
 
@@ -175,3 +177,26 @@ def test_dimension_errors():
         WishartSpike(2, 5, 4, 1.0)
     with pytest.raises(ValueError):
         WishartSpike(2, 5, 6, -1.0)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("family", ["gaussian", "wishart", "chiral"])
+def test_sample_batch_matches_per_trial_samplers(family, beta):
+    """The harness sampler and the per-trial samplers draw the same matrices."""
+    stream = SeedStream(17)
+    if family == "gaussian":
+        model = ShiftedGUE(12, 2, 3.0)
+        spiked = GaussianShift(beta, 12, 3.0, r=2)
+        sample = lambda t: sample_shifted_gaussian(spiked, [3.0] * 2, stream, t)
+    elif family == "wishart":
+        model = SpikedLUE(10, 3.0, 2, 0.25)
+        spiked = WishartSpike(beta, 10, 13, 4.0, r=2)
+        sample = lambda t: sample_spiked_wishart(spiked, stream, t)
+    else:
+        model = ShiftedChiral(12, 3.0, 3, 4.0)
+        spiked = ChiralShift(beta, 12, 15, 4.0, r=3)
+        sample = lambda t: sample_shifted_chiral(spiked, [4.0] * 3, stream, t)
+    edges = np.linspace(-10.0, 100.0, 23)
+    _, largest = sample_batch(model, beta, 20, 17, edges)
+    top = np.array([sample(t).eigenvalues[-1] for t in range(20)])
+    assert np.array_equal(largest, top)

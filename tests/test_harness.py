@@ -1,14 +1,16 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from spikesep.harness.cli import main
 from spikesep.harness.config import ComparisonReport, ExperimentConfig, GridSpec
 from spikesep.harness.emit import emit_csv, emit_svg, parse_csv
 from spikesep.harness.experiments import (
-    bulk_edge,
     exact_density_curve,
     run_density_experiment,
     run_onset_scan,
@@ -17,6 +19,8 @@ from spikesep.harness.experiments import (
 from spikesep.harness.verify import run_verify
 from spikesep.kernels import ShiftedChiral, ShiftedGUE, SpikedLUE
 from spikesep.spectra import DensityCurve
+
+FIGURE_DIGESTS = Path(__file__).resolve().parent / "data" / "figure_digests.json"
 
 
 def _small_mc_config(trials=400, seed=11, bins=41):
@@ -96,9 +100,9 @@ def test_onset_scan_small_case():
 
 
 def test_bulk_edges():
-    assert bulk_edge(ShiftedGUE(50, 1, 0.0)) == pytest.approx(10.0)
-    assert bulk_edge(SpikedLUE(50, 1.0, 1, 0.5)) == pytest.approx(200.0)
-    assert bulk_edge(ShiftedChiral(25, 1.0, 1, 0.0)) == pytest.approx(10.0)
+    assert ShiftedGUE(50, 1, 0.0).bulk_edge == pytest.approx(10.0)
+    assert SpikedLUE(50, 1.0, 1, 0.5).bulk_edge == pytest.approx(200.0)
+    assert ShiftedChiral(25, 1.0, 1, 0.0).bulk_edge == pytest.approx(10.0)
 
 
 def test_exact_density_curve_meta():
@@ -188,6 +192,15 @@ def test_all_figure_presets_emit_csv_and_svg(tmp_path):
         assert ".csv" in suffixes and ".svg" in suffixes, name
         for p in res["files"]:
             assert p.exists() and p.stat().st_size > 0
+    # every emitted file must match, byte for byte, the recorded output
+    recorded = json.loads(FIGURE_DIGESTS.read_text())
+    emitted = sorted(p.name for res in results.values() for p in res["files"])
+    assert emitted == sorted(recorded["sha256"])
+    versions = (f"recorded with numpy {recorded['numpy']}, scipy {recorded['scipy']}; "
+                f"running numpy {np.__version__}, scipy {scipy.__version__}")
+    for name in emitted:
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == recorded["sha256"][name], f"{name} differs from its recorded digest ({versions})"
 
 
 def test_grid_spec_validation():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -19,9 +20,17 @@ from spikesep.spectra import (
 ALL_LAWS = [Semicircle(9), MarchenkoPasturFixedDiff(6), MarchenkoPasturGamma(2.5)]
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per node count (read-only)."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _quad_density(law, f, nodes=4000):
     """Gauss-Legendre after an edge-flattening substitution."""
-    x_, w_ = np.polynomial.legendre.leggauss(nodes)
+    x_, w_ = _leggauss(nodes)
     lo, hi = support(law)
     if isinstance(law, Semicircle):
         th = 0.5 * math.pi * x_
