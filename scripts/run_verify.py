@@ -28,7 +28,7 @@ def main():
             fh.write(text + "\n")
     for check in report["checks"]:
         mark = "PASS" if check["passed"] else "FAIL"
-        print(f"{mark} {check['suite']}.{check['name']}: "
+        print(f"{mark} {check['suite']}.{check['name']} ({check['seconds']:.1f}s): "
               f"measured {check['measured']:.3e} (tol {check['tolerance']:.0e}) {check['detail']}")
     print(f"{report['n_checks'] - report['n_failed']}/{report['n_checks']} checks passed "
           f"in {report['elapsed_seconds']}s")

@@ -177,6 +177,27 @@ def find_separated_peaks(model, grid: np.ndarray, values: Optional[np.ndarray] =
     return peaks
 
 
+def _scan_point(config: ExperimentConfig, spike: float, grid: np.ndarray):
+    """(exact curve, ComparisonReport) of one scan spike on the grid."""
+    model = config.model.respike(spike)
+    curve = exact_density_curve(model, grid)
+    peaks = find_separated_peaks(model, grid, curve.values)
+    report = ComparisonReport(trace_exact=curve.mass())
+    report.peak_locations = peaks
+    pred = config.model.predictor(spike)
+    report.predictor_location = pred.location
+    if pred.above_threshold and pred.location is not None:
+        report.pass_flags["peak_found"] = bool(peaks)
+        if peaks:
+            nearest = min(peaks, key=lambda p: abs(p - pred.location))
+            report.pass_flags["peak_near_predictor"] = bool(
+                abs(nearest - pred.location) <= 0.05 * pred.location
+            )
+    else:
+        report.pass_flags["no_peak_expected"] = bool(not peaks)
+    return curve, report
+
+
 def run_onset_scan(config: ExperimentConfig) -> dict:
     """Exact-density peak search beyond the bulk edge for each spike value.
 
@@ -188,23 +209,4 @@ def run_onset_scan(config: ExperimentConfig) -> dict:
     if not config.spikes:
         raise ValueError("scan needs at least one spike value")
     grid = config.grid.points()
-    out = {}
-    for spike in config.spikes:
-        model = config.model.respike(spike)
-        curve = exact_density_curve(model, grid)
-        peaks = find_separated_peaks(model, grid, curve.values)
-        report = ComparisonReport(trace_exact=curve.mass())
-        report.peak_locations = peaks
-        pred = config.model.predictor(spike)
-        report.predictor_location = pred.location
-        if pred.above_threshold and pred.location is not None:
-            report.pass_flags["peak_found"] = bool(peaks)
-            if peaks:
-                nearest = min(peaks, key=lambda p: abs(p - pred.location))
-                report.pass_flags["peak_near_predictor"] = bool(
-                    abs(nearest - pred.location) <= 0.05 * pred.location
-                )
-        else:
-            report.pass_flags["no_peak_expected"] = bool(not peaks)
-        out[spike] = report
-    return out
+    return {spike: _scan_point(config, spike, grid)[1] for spike in config.spikes}

@@ -22,10 +22,10 @@ from ..spectra import DensityCurve
 from .config import ComparisonReport, ExperimentConfig, GridSpec
 from .emit import emit_csv, emit_svg
 from .experiments import (
+    _scan_point,
     compare_curves,
     empirical_density_curve,
     exact_density_curve,
-    run_onset_scan,
 )
 
 __all__ = ["FIGURE_PRESETS", "run_figure"]
@@ -89,23 +89,28 @@ def fig1(outdir: Path, master_seed: int, trials: int = 200_000) -> dict:
     return {"files": files, "reports": {"fig1": report}}
 
 
+def _scan_curves(config, label):
+    """The scan's exact curves (meta 'spike' set) and its reports keyed '<label>=<spike>'."""
+    grid = config.grid.points()
+    curves, reports = [], {}
+    for spike in config.spikes:
+        curve, reports[f"{label}={spike:g}"] = _scan_point(config, spike, grid)
+        curve.meta["spike"] = spike
+        curves.append(curve)
+    return curves, reports
+
+
 def _onset_figure(base_model, spikes, grid_spec, name, outdir, master_seed, inset_grid):
     config = ExperimentConfig(kind="scan", model=base_model, grid=grid_spec,
                               master_seed=master_seed, spikes=spikes)
-    reports = run_onset_scan(config)
-    grid = grid_spec.points()
-    curves = []
-    for spike in spikes:
-        curve = exact_density_curve(base_model.respike(spike), grid)
-        curve.meta["spike"] = spike
-        curves.append(curve)
+    curves, reports = _scan_curves(config, f"{name} spike")
     inset = exact_density_curve(base_model.respike(spikes[0]), inset_grid.points())
     files = [
         emit_csv(curves, None, outdir / f"{name}_edge.csv"),
         emit_csv([inset], None, outdir / f"{name}_inset.csv"),
         emit_svg(curves, outdir / f"{name}.svg"),
     ]
-    return {"files": files, "reports": {f"{name} spike={s:g}": r for s, r in reports.items()}}
+    return {"files": files, "reports": reports}
 
 
 def fig2(outdir: Path, master_seed: int) -> dict:
@@ -147,21 +152,16 @@ def fig4(outdir: Path, master_seed: int) -> dict:
     grid = GridSpec(1700.0, 2950.0, 501)
     config = ExperimentConfig(kind="scan", model=model, grid=grid, master_seed=master_seed,
                               spikes=spikes)
-    reports = run_onset_scan(config)
-    pts = grid.points()
-    curves = [exact_density_curve(SpikedLUE(500, 0.5, 0, 1.0), pts)]
-    curves[0].meta["spike"] = "none"
-    for s in spikes:
-        c = exact_density_curve(SpikedLUE(500, 0.5, 1, s), pts)
-        c.meta["spike"] = s
-        curves.append(c)
+    curves, reports = _scan_curves(config, "fig4 btilde")
+    null = exact_density_curve(SpikedLUE(500, 0.5, 0, 1.0), grid.points())
+    null.meta["spike"] = "none"
     inset = exact_density_curve(SpikedLUE(500, 0.5, 0, 1.0), np.linspace(1.0, 2100.0, 501))
     files = [
-        emit_csv(curves, None, outdir / "fig4_edge.csv"),
+        emit_csv([null] + curves, None, outdir / "fig4_edge.csv"),
         emit_csv([inset], None, outdir / "fig4_inset.csv"),
-        emit_svg(curves, outdir / "fig4.svg"),
+        emit_svg([null] + curves, outdir / "fig4.svg"),
     ]
-    return {"files": files, "reports": {f"fig4 btilde={s:g}": r for s, r in reports.items()}}
+    return {"files": files, "reports": reports}
 
 
 def fig5(outdir: Path, master_seed: int) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ from ..kernels import (
     kernel_spiked_lue,
     spike_term_shifted_gue,
 )
+from ..kernels.common import materialize_columns
 from ..kernels.contour import (
     contour_chiral_q,
     contour_incomplete_hermite_plain,
@@ -74,6 +76,7 @@ class CheckResult:
     measured: float
     tolerance: float
     detail: str = ""
+    seconds: float = 0.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -371,70 +374,48 @@ def _check_kernel_traces():
     return worst < 1e-6, worst, 1e-6, "trace = dimension for the three families"
 
 
+def _projection_gap(kernel, model, nodes, weights, lo, hi, rng):
+    """Largest |int K(x,t)K(t,y) dt - K(x,y)| over 5 random (x, y) in [lo, hi]."""
+    worst = 0.0
+    for _ in range(5):
+        x, y = rng.uniform(lo, hi, 2)
+        lhs = float(np.sum(weights * kernel(model, x, nodes) * kernel(model, nodes, y)))
+        worst = max(worst, abs(lhs - kernel(model, x, y)))
+    return worst
+
+
 def _check_kernel_projection():
     rng = np.random.default_rng(19)
-    worst = 0.0
-    model = ShiftedGUE(6, 2, 2.0)
     xs, ws = _gl_nodes(-8.0, 9.0, 700)
-    kt = {}
-    for _ in range(5):
-        x, y = rng.uniform(-2.0, 4.0, 2)
-        kxt = np.array([kernel_shifted_gue(model, x, t) for t in xs])
-        kty = np.array([kernel_shifted_gue(model, t, y) for t in xs])
-        lhs = float(np.sum(ws * kxt * kty))
-        rhs = kernel_shifted_gue(model, x, y)
-        worst = max(worst, abs(lhs - rhs))
-    lue = SpikedLUE(5, 1.0, 2, 0.4)
+    worst = _projection_gap(kernel_shifted_gue, ShiftedGUE(6, 2, 2.0), xs, ws, -2.0, 4.0, rng)
     us, ws = _gl_nodes(1e-6, 10.5, 900)
-    ts = us * us
-    for _ in range(5):
-        x, y = rng.uniform(0.3, 8.0, 2)
-        kxt = np.array([kernel_spiked_lue(lue, x, t) for t in ts])
-        kty = np.array([kernel_spiked_lue(lue, t, y) for t in ts])
-        lhs = float(np.sum(2.0 * us * ws * kxt * kty))
-        rhs = kernel_spiked_lue(lue, x, y)
-        worst = max(worst, abs(lhs - rhs))
-    ch = ShiftedChiral(5, 1.0, 2, 2.0)
+    worst = max(worst, _projection_gap(
+        kernel_spiked_lue, SpikedLUE(5, 1.0, 2, 0.4), us * us, 2.0 * us * ws, 0.3, 8.0, rng
+    ))
     us, ws = _gl_nodes(1e-6, 9.0, 700)
-    for _ in range(5):
-        x, y = rng.uniform(0.5, 4.0, 2)
-        kxt = np.array([kernel_shifted_chiral(ch, x, t) for t in us])
-        kty = np.array([kernel_shifted_chiral(ch, t, y) for t in us])
-        lhs = float(np.sum(2.0 * us * ws * kxt * kty))
-        rhs = kernel_shifted_chiral(ch, x, y)
-        worst = max(worst, abs(lhs - rhs))
+    worst = max(worst, _projection_gap(
+        kernel_shifted_chiral, ShiftedChiral(5, 1.0, 2, 2.0), us, 2.0 * us * ws, 0.5, 4.0, rng
+    ))
     return worst < 1e-6, worst, 1e-6, "int K(x,t)K(t,y) dt = K(x,y), 5 pairs per family"
 
 
+def _biorthogonality_gap(model, nodes, weights):
+    """Largest |int left_j right_k - delta_jk| over the model's two families."""
+    ls, ll, rs, rl = model.families(nodes)
+    left, right = materialize_columns(ls, ll), materialize_columns(rs, rl)
+    return max(
+        abs(float(np.sum(weights * left[j] * right[k])) - (1.0 if j == k else 0.0))
+        for j in range(model.r) for k in range(model.r)
+    )
+
+
 def _check_biorthogonality():
-    worst = 0.0
-    n, r, c = 7, 2, 1.5
     xs, ws = _gl_nodes(-9.0, 9.0, 800)
-    fams = [
-        [np.array([incomplete_hermite("tilde", j, x, n, r, c).to_float() for x in xs]) for j in (1, 2)],
-        [np.array([incomplete_hermite("plain", j, x, n, r, c).to_float() for x in xs]) for j in (1, 2)],
-    ]
-    for j in range(2):
-        for k in range(2):
-            val = float(np.sum(ws * fams[0][j] * fams[1][k]))
-            worst = max(worst, abs(val - (1.0 if j == k else 0.0)))
-    m, a, r, bt = 6, 1.0, 2, 0.4
+    worst = _biorthogonality_gap(ShiftedGUE(7, 2, 1.5), xs, ws)
     us, ws = _gl_nodes(1e-6, 11.5, 1100)
-    ts = us * us
-    jac = 2.0 * us * ws
-    lt = [np.array([incomplete_laguerre("tilde", j, t, m, a, r, bt).to_float() for t in ts]) for j in (1, 2)]
-    lp = [np.array([incomplete_laguerre("plain", j, t, m, a, r, bt).to_float() for t in ts]) for j in (1, 2)]
-    for j in range(2):
-        for k in range(2):
-            val = float(np.sum(jac * lt[j] * lp[k]))
-            worst = max(worst, abs(val - (1.0 if j == k else 0.0)))
-    m, a, r, c = 6, 2.0, 2, 1.5
-    ps = [np.array([chiral_pq("p", k, t, m, a, r, c).to_float() for t in ts]) for k in (1, 2)]
-    qs = [np.array([chiral_pq("q", k, t, m, a, r, c).to_float() for t in ts]) for k in (1, 2)]
-    for j in range(2):
-        for k in range(2):
-            val = float(np.sum(jac * ps[j] * qs[k]))
-            worst = max(worst, abs(val - (1.0 if j == k else 0.0)))
+    ts, jac = us * us, 2.0 * us * ws
+    worst = max(worst, _biorthogonality_gap(SpikedLUE(6, 1.0, 2, 0.4), ts, jac))
+    worst = max(worst, _biorthogonality_gap(ShiftedChiral(6, 2.0, 2, 1.5), ts, jac))
     return worst < 1e-6, worst, 1e-6, "(Gtilde,Gamma), (Ltilde,Lambda), (p,q) pairs"
 
 
@@ -710,8 +691,11 @@ def run_verify(suite: str = "all") -> dict:
     checks = []
     for sname in names:
         for cname, fn in SUITES[sname]:
+            start = time.perf_counter()
             passed, measured, tol, detail = fn()
-            checks.append(CheckResult(sname, cname, bool(passed), float(measured), float(tol), detail))
+            seconds = time.perf_counter() - start
+            checks.append(CheckResult(sname, cname, bool(passed), float(measured), float(tol),
+                                      detail, seconds))
     report = {
         "suite": suite,
         "passed": all(c.passed for c in checks),

@@ -21,16 +21,16 @@ from ..ensembles import shifted_gram
 from ..logspace import SignedLogValue
 from ..secular import ChiralShift, separation_predictor
 from ..specialfn import laguerre_weighted_signlog, log_0f1
-from .common import sampled_rows
+from .common import pairwise, sampled_rows
 from .hermite import kernel_gue
 from .laguerre import _bulk_lue
 from .twopole import (
     completing_family,
-    pair_point,
+    family_value,
     plain_family,
     power_sign,
     rising_log,
-    spiked_density,
+    spiked_kernel,
 )
 
 __all__ = [
@@ -97,6 +97,62 @@ class ShiftedChiral:
         return (self.m, lambda gen: shifted_gram(gen, n, self.m, spikes, beta),
                 lambda e: np.sqrt(np.clip(e, 0.0, None)))
 
+    def families(self, x):
+        """Sign/log stacks (r, npts) of p_k(x) and q_k(x) over a grid (x > 0)."""
+        m, alpha, r, c = self.m, self.alpha, self.r, self.c
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.any(x <= 0):
+            raise ValueError("evaluate the p/q families at x > 0")
+        npts = x.size
+        q0 = m - r
+        csq = c * c
+        eps = SignedLogValue.from_log(-1, 2.0 * math.log(c)) if c > 0 else SignedLogValue.zero()
+        merged = csq < _SMALL_CSQ
+        ls, ll = _laguerre_fixed_param_logs(m + (_TAYLOR_TERMS if merged else 0), alpha, x)
+        logx = np.log(x)
+        wlog = alpha * logx - x  # x^alpha e^{-x}
+        # p_k's line q! L^alpha_q(x); q_k's line x^alpha e^{-x} L^alpha_q(x) / Gamma(q+alpha+1)
+        qs = np.arange(ls.shape[0])
+        log_fact = gammaln(qs + 1.0)
+        log_gamma_a = gammaln(qs + 1.0 + alpha)
+        s_line = (ls, lambda q, log_binom, log_power: ll[q] + (log_binom + log_fact[q] + log_power))
+        t_line = (
+            ls,
+            lambda q, log_binom, log_power: ll[q] + wlog + (log_binom + log_power - log_gamma_a[q]),
+        )
+
+        # residue at -c^2: triple Leibniz over e^v, 0F1(a+1;-xv), v^{-q0}
+        f1log = [] if merged else [
+            np.array([log_0f1(alpha + 1.0 + i, xi * csq) for xi in x]) for i in range(r)
+        ]
+
+        def residue_at_eps(k):
+            sgs, lgs = [], []
+            for i in range(k):
+                for l_ in range(k - i):
+                    s_ = k - 1 - i - l_
+                    zero_rise, rise = rising_log(q0, l_)
+                    if zero_rise:
+                        continue
+                    poch_a = gammaln(alpha + 1.0 + i) - gammaln(alpha + 1.0)
+                    base = (
+                        -gammaln(i + 1.0)
+                        - gammaln(l_ + 1.0)
+                        - gammaln(s_ + 1.0)
+                        - poch_a
+                        - gammaln(alpha + 1.0)
+                        + rise
+                        - csq
+                        - 2.0 * (q0 + l_) * math.log(c)
+                    )
+                    sgs.append(np.full(npts, power_sign(-1, i + q0), dtype=np.int8))
+                    lgs.append(base + i * logx + f1log[i] + wlog)
+            return sgs, lgs
+
+        psign, plog = plain_family(s_line, q0, r, eps)
+        qsign, qlog = completing_family(t_line, q0, r, eps, merged, residue_at_eps)
+        return psign, plog, qsign, qlog
+
 
 def _laguerre_fixed_param_logs(n, alpha, x):
     """Sign/log of plain L_q^alpha(x) for q < n, from the weighted recurrence."""
@@ -108,92 +164,34 @@ def _laguerre_fixed_param_logs(n, alpha, x):
     return ps, logs
 
 
-def _chiral_pq_grid(m, alpha, r, c, x):
-    """Sign/log stacks (r, npts) of p_k(x) and q_k(x) over a grid (x > 0)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x <= 0):
-        raise ValueError("evaluate the p/q families at x > 0")
-    npts = x.size
-    q0 = m - r
-    csq = c * c
-    eps = SignedLogValue.from_log(-1, 2.0 * math.log(c)) if c > 0 else SignedLogValue.zero()
-    merged = csq < _SMALL_CSQ
-    ls, ll = _laguerre_fixed_param_logs(m + (_TAYLOR_TERMS if merged else 0), alpha, x)
-    logx = np.log(x)
-    wlog = alpha * logx - x  # x^alpha e^{-x}
-    # p_k's line q! L^alpha_q(x); q_k's line x^alpha e^{-x} L^alpha_q(x) / Gamma(q+alpha+1)
-    qs = np.arange(ls.shape[0])
-    log_fact = gammaln(qs + 1.0)
-    log_gamma_a = gammaln(qs + 1.0 + alpha)
-    s_line = (ls, lambda q, log_binom, log_power: ll[q] + (log_binom + log_fact[q] + log_power))
-    t_line = (
-        ls,
-        lambda q, log_binom, log_power: ll[q] + wlog + (log_binom + log_power - log_gamma_a[q]),
-    )
-
-    # residue at -c^2: triple Leibniz over e^v, 0F1(a+1;-xv), v^{-q0}
-    f1log = [] if merged else [
-        np.array([log_0f1(alpha + 1.0 + i, xi * csq) for xi in x]) for i in range(r)
-    ]
-
-    def residue_at_eps(k):
-        sgs, lgs = [], []
-        for i in range(k):
-            for l_ in range(k - i):
-                s_ = k - 1 - i - l_
-                zero_rise, rise = rising_log(q0, l_)
-                if zero_rise:
-                    continue
-                poch_a = gammaln(alpha + 1.0 + i) - gammaln(alpha + 1.0)
-                base = (
-                    -gammaln(i + 1.0)
-                    - gammaln(l_ + 1.0)
-                    - gammaln(s_ + 1.0)
-                    - poch_a
-                    - gammaln(alpha + 1.0)
-                    + rise
-                    - csq
-                    - 2.0 * (q0 + l_) * math.log(c)
-                )
-                sgs.append(np.full(npts, power_sign(-1, i + q0), dtype=np.int8))
-                lgs.append(base + i * logx + f1log[i] + wlog)
-        return sgs, lgs
-
-    psign, plog = plain_family(s_line, q0, r, eps)
-    qsign, qlog = completing_family(t_line, q0, r, eps, merged, residue_at_eps)
-    return psign, plog, qsign, qlog
-
-
 def chiral_pq(kind: str, k: int, x: float, m: int, alpha: float, r: int, c: float) -> SignedLogValue:
     """p_k(x) (kind='p') or q_k(x) (kind='q') as a SignedLogValue; x is the squared variable."""
     if not 1 <= k <= r:
         raise ValueError("family index must satisfy 1 <= k <= r")
-    ps, pl, qs, ql = _chiral_pq_grid(m, alpha, r, c, np.array([float(x)]))
-    if kind == "p":
-        return SignedLogValue.from_log(int(ps[k - 1, 0]), float(pl[k - 1, 0]))
-    if kind == "q":
-        return SignedLogValue.from_log(int(qs[k - 1, 0]), float(ql[k - 1, 0]))
-    raise ValueError("kind must be 'p' or 'q'")
+    return family_value(ShiftedChiral(m, alpha, r, c).families, ("p", "q"), kind, k, x)
 
 
-def _grid(model: ShiftedChiral):
-    return lambda u: _chiral_pq_grid(model.m, model.alpha, model.r, model.c, u)
+def chiral_spike_term(model: ShiftedChiral, x, y):
+    """Raw sum_k p_k(x) q_k(y) in the squared variable, pointwise like the kernel."""
+    return pairwise(lambda xs, ys: spiked_kernel(None, model.families, model.r, xs, ys), x, y)
 
 
-def chiral_spike_term(model: ShiftedChiral, x: float, y: float) -> float:
-    """Raw sum_k p_k(x) q_k(y) in the squared variable, as a float."""
-    return pair_point(_grid(model), x, y)
+def kernel_shifted_chiral(model: ShiftedChiral, x, y):
+    """K_m(x^2, y^2) for positive-eigenvalue arguments x, y > 0 (symmetric convention).
 
+    Pointwise over the broadcast of x and y; scalars give a float.
+    """
 
-def kernel_shifted_chiral(model: ShiftedChiral, x: float, y: float) -> float:
-    """K_m(x^2, y^2) for positive-eigenvalue arguments x, y > 0 (symmetric convention)."""
-    if x <= 0 or y <= 0:
-        raise ValueError("kernel arguments must be > 0")
-    u, v = x * x, y * y
-    bulk = _bulk_lue(model.m - model.r, model.alpha, np.array([u]), np.array([v]))
-    wu = 0.5 * model.alpha * math.log(u) - 0.5 * u
-    wv = -0.5 * model.alpha * math.log(v) + 0.5 * v
-    return pair_point(_grid(model), u, v, bulk, wu, wv)
+    def evaluate(xs, ys):
+        if np.any(xs <= 0) or np.any(ys <= 0):
+            raise ValueError("kernel arguments must be > 0")
+        u, v = xs * xs, ys * ys
+        bulk = _bulk_lue(model.m - model.r, model.alpha, u, v)
+        wu = 0.5 * model.alpha * np.log(u) - 0.5 * u
+        wv = -0.5 * model.alpha * np.log(v) + 0.5 * v
+        return spiked_kernel(bulk, model.families, model.r, u, v, wu, wv)
+
+    return pairwise(evaluate, x, y)
 
 
 def density_shifted_chiral(model: ShiftedChiral, x):
@@ -208,7 +206,7 @@ def density_shifted_chiral(model: ShiftedChiral, x):
     if xp.size:
         u = xp * xp
         bulk = _bulk_lue(model.m - model.r, model.alpha, u)
-        out[pos] = 2.0 * xp * spiked_density(bulk, _grid(model), model.r, u)
+        out[pos] = 2.0 * xp * spiked_kernel(bulk, model.families, model.r, u)
     return float(out[0]) if x.ndim == 0 else out
 
 

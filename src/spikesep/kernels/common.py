@@ -6,7 +6,23 @@ import numpy as np
 
 from ..logspace import slog_sum_columns
 
-__all__ = ["pair_and_sum", "materialize_columns", "combine_positive_logs", "sampled_rows"]
+__all__ = [
+    "pairwise",
+    "pair_and_sum",
+    "materialize_columns",
+    "combine_positive_logs",
+    "sampled_rows",
+]
+
+
+def pairwise(evaluate, x, y):
+    """evaluate(xs, ys) on the flattened broadcast of x and y, in their shape.
+
+    Column i of xs is paired with column i of ys; scalar x and y give a float.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    out = evaluate(x.ravel(), y.ravel())
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def pair_and_sum(s_left, l_left, s_right, l_right):

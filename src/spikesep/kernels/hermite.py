@@ -21,15 +21,15 @@ from ..ensembles import shifted_hermitian
 from ..logspace import SignedLogValue
 from ..secular import GaussianShift, separation_predictor
 from ..specialfn import hermite_weighted_signlog
-from .common import materialize_columns, pair_and_sum
+from .common import materialize_columns, pairwise
 from .twopole import (
     bulk_sum,
     completing_family,
-    pair_point,
+    family_value,
     plain_family,
     power_sign,
     rising_log,
-    spiked_density,
+    spiked_kernel,
 )
 
 __all__ = [
@@ -93,18 +93,68 @@ class ShiftedGUE:
         spikes = np.full(self.r, self.c)
         return self.n, lambda gen: shifted_hermitian(gen, self.n, spikes, beta), lambda e: e
 
+    def families(self, x):
+        """Sign/log stacks (r, npts) of Gtilde_j(x) and Gamma_j(x), unconjugated."""
+        n, r, c = self.n, self.r, self.c
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        q0 = n - r
+        eps = SignedLogValue.from_float(-2.0 * c)
+        merged = 2.0 * c < _SMALL_SHIFT
+        psign, plog = hermite_weighted_signlog(n + (_TAYLOR_TERMS if merged else 0), x)
+        x2half = 0.5 * x * x
+        # psi_q with the e^{-x^2/2} weight stripped back off, as coefficient lines:
+        # T_q = A_q = (-1)^q H_q(x)/(2^q q!),  S_q = (-1)^q e^{-x^2} H_q(x)/sqrt(pi),
+        # using H_q(x) = psi_q(x) e^{x^2/2} pi^{1/4} 2^{q/2} sqrt(q!)
+        qs = np.arange(psign.shape[0])
+        signs = psign * np.where(qs % 2, -1, 1).astype(np.int8)[:, None]
+        coef_log = 0.25 * _LOG_PI - qs * (0.5 * math.log(2.0)) - 0.5 * gammaln(qs + 1.0)
+        t_line = (
+            signs,
+            lambda q, log_binom, log_power: plog[q] + x2half + coef_log[q] + (log_binom + log_power),
+        )
+        s_line = (
+            signs,
+            lambda q, log_binom, log_power: plog[q] - x2half + 0.5 * q * math.log(2.0)
+            + 0.5 * gammaln(q + 1.0) - 0.25 * _LOG_PI + (log_binom + log_power),
+        )
+
+        # residue at -2c: e^{2cx - c^2} sum_k coef(k) H_k(x - c), k < r
+        hsmall = _raw_hermite_small(0 if merged else max(r - 1, 0), x - c)
+        hsign = np.sign(hsmall).astype(np.int8)
+        with np.errstate(divide="ignore"):
+            hlog = np.log(np.abs(hsmall))
+        expo = 2.0 * c * x - c * c
+
+        def residue_at_eps(j):
+            sgs, lgs = [], []
+            for k in range(j):
+                l_ = j - 1 - k
+                zero_rise, rise = rising_log(q0, l_)
+                if zero_rise:
+                    continue
+                base = (
+                    -k * math.log(2.0)
+                    - gammaln(k + 1.0)
+                    - gammaln(l_ + 1.0)
+                    + rise
+                    - (q0 + l_) * eps.log_magnitude
+                )
+                sgs.append(hsign[k] * power_sign(-1, q0 + k))
+                lgs.append(expo + base + hlog[k])
+            return sgs, lgs
+
+        tsign, tlog = completing_family(t_line, q0, r, eps, merged, residue_at_eps)
+        gsign, glog = plain_family(s_line, q0, r, eps)
+        return tsign, tlog, gsign, glog
+
 
 def kernel_gue(n: int, x, y):
     """K_n^GUE(x,y) = sum_{p<n} psi_p(x) psi_p(y) (weighted-Hermite form)."""
     if n < 1:
         raise ValueError("order must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sx, lx = hermite_weighted_signlog(n, np.atleast_1d(x))
-    sy, ly = hermite_weighted_signlog(n, np.atleast_1d(y))
-    sign, log = pair_and_sum(sx, lx, sy, ly)
-    out = materialize_columns(sign, log)
-    return float(out[0]) if x.ndim == 0 and y.ndim == 0 else out
+    return pairwise(
+        lambda xs, ys: materialize_columns(*bulk_sum(hermite_weighted_signlog, n, xs, ys)), x, y
+    )
 
 
 def _raw_hermite_small(k_max: int, u: np.ndarray) -> np.ndarray:
@@ -118,78 +168,11 @@ def _raw_hermite_small(k_max: int, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _incomplete_hermite_grid(n, r, c, x):
-    """Sign/log stacks (r, npts) of Gtilde_j(x) and Gamma_j(x), unconjugated."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    q0 = n - r
-    if q0 < 0:
-        raise ValueError("need r <= N")
-    eps = SignedLogValue.from_float(-2.0 * c)
-    merged = 2.0 * c < _SMALL_SHIFT
-    psign, plog = hermite_weighted_signlog(n + (_TAYLOR_TERMS if merged else 0), x)
-    x2half = 0.5 * x * x
-    # psi_q with the e^{-x^2/2} weight stripped back off, as coefficient lines:
-    # T_q = A_q = (-1)^q H_q(x)/(2^q q!),  S_q = (-1)^q e^{-x^2} H_q(x)/sqrt(pi),
-    # using H_q(x) = psi_q(x) e^{x^2/2} pi^{1/4} 2^{q/2} sqrt(q!)
-    qs = np.arange(psign.shape[0])
-    signs = psign * np.where(qs % 2, -1, 1).astype(np.int8)[:, None]
-    coef_log = 0.25 * _LOG_PI - qs * (0.5 * math.log(2.0)) - 0.5 * gammaln(qs + 1.0)
-    t_line = (
-        signs,
-        lambda q, log_binom, log_power: plog[q] + x2half + coef_log[q] + (log_binom + log_power),
-    )
-    s_line = (
-        signs,
-        lambda q, log_binom, log_power: plog[q] - x2half + 0.5 * q * math.log(2.0)
-        + 0.5 * gammaln(q + 1.0) - 0.25 * _LOG_PI + (log_binom + log_power),
-    )
-
-    # residue at -2c: e^{2cx - c^2} sum_k coef(k) H_k(x - c), k < r
-    hsmall = _raw_hermite_small(0 if merged else max(r - 1, 0), x - c)
-    hsign = np.sign(hsmall).astype(np.int8)
-    with np.errstate(divide="ignore"):
-        hlog = np.log(np.abs(hsmall))
-    expo = 2.0 * c * x - c * c
-
-    def residue_at_eps(j):
-        sgs, lgs = [], []
-        for k in range(j):
-            l_ = j - 1 - k
-            zero_rise, rise = rising_log(q0, l_)
-            if zero_rise:
-                continue
-            base = (
-                -k * math.log(2.0)
-                - gammaln(k + 1.0)
-                - gammaln(l_ + 1.0)
-                + rise
-                - (q0 + l_) * eps.log_magnitude
-            )
-            sgs.append(hsign[k] * power_sign(-1, q0 + k))
-            lgs.append(expo + base + hlog[k])
-        return sgs, lgs
-
-    tsign, tlog = completing_family(t_line, q0, r, eps, merged, residue_at_eps)
-    gsign, glog = plain_family(s_line, q0, r, eps)
-    return tsign, tlog, gsign, glog
-
-
 def incomplete_hermite(kind: str, j: int, x: float, n: int, r: int, c: float) -> SignedLogValue:
     """Gtilde_j(x) (kind='tilde') or Gamma_j(x) (kind='plain') as a SignedLogValue."""
     if not 1 <= j <= r:
         raise ValueError("family index must satisfy 1 <= j <= r")
-    if c < 0:
-        raise ValueError("shift must be nonnegative")
-    ts, tl, ps, pl = _incomplete_hermite_grid(n, r, c, np.array([float(x)]))
-    if kind == "tilde":
-        return SignedLogValue.from_log(int(ts[j - 1, 0]), float(tl[j - 1, 0]))
-    if kind == "plain":
-        return SignedLogValue.from_log(int(ps[j - 1, 0]), float(pl[j - 1, 0]))
-    raise ValueError("kind must be 'tilde' or 'plain'")
-
-
-def _grid(model: ShiftedGUE):
-    return lambda x: _incomplete_hermite_grid(model.n, model.r, model.c, x)
+    return family_value(ShiftedGUE(n, r, c).families, ("tilde", "plain"), kind, j, x)
 
 
 def density_shifted_gue(model: ShiftedGUE, x):
@@ -197,24 +180,29 @@ def density_shifted_gue(model: ShiftedGUE, x):
     x = np.asarray(x, dtype=float)
     xv = np.atleast_1d(x)
     bulk = bulk_sum(hermite_weighted_signlog, model.n - model.r, xv)
-    out = spiked_density(bulk, _grid(model), model.r, xv)
+    out = spiked_kernel(bulk, model.families, model.r, xv)
     return float(out[0]) if x.ndim == 0 else out
 
 
-def kernel_shifted_gue(model: ShiftedGUE, x: float, y: float) -> float:
+def kernel_shifted_gue(model: ShiftedGUE, x, y):
     """Shifted-GUE kernel in the symmetric (Gaussian-conjugated) convention.
 
     Conjugating the spike term by e^{-x^2/2}/e^{-y^2/2} leaves the diagonal and
     all correlation determinants unchanged and makes the kernel a genuine
-    projection, matching the K^GUE part's symmetric weighting.
+    projection, matching the K^GUE part's symmetric weighting.  Pointwise
+    over the broadcast of x and y; scalars give a float.
     """
-    bulk = bulk_sum(hermite_weighted_signlog, model.n - model.r, np.array([x]), np.array([y]))
-    return pair_point(_grid(model), x, y, bulk, -0.5 * x * x, 0.5 * y * y)
+
+    def evaluate(xs, ys):
+        bulk = bulk_sum(hermite_weighted_signlog, model.n - model.r, xs, ys)
+        return spiked_kernel(bulk, model.families, model.r, xs, ys, -0.5 * xs * xs, 0.5 * ys * ys)
+
+    return pairwise(evaluate, x, y)
 
 
-def spike_term_shifted_gue(model: ShiftedGUE, x: float, y: float) -> float:
-    """Raw sum_j Gtilde_j(x) Gamma_j(y) (no conjugation), as a float."""
-    return pair_point(_grid(model), x, y)
+def spike_term_shifted_gue(model: ShiftedGUE, x, y):
+    """Raw sum_j Gtilde_j(x) Gamma_j(y) (no conjugation), pointwise like the kernel."""
+    return pairwise(lambda xs, ys: spiked_kernel(None, model.families, model.r, xs, ys), x, y)
 
 
 def kernel_shifted_gue_asymptotic(r: int, c: float, x: float, y: float) -> float:
@@ -233,5 +221,4 @@ def kernel_shifted_gue_asymptotic(r: int, c: float, x: float, y: float) -> float
 def correl_n(model: ShiftedGUE, points) -> float:
     """n-point correlation det[K(x_i, x_j)] using the symmetric kernel."""
     pts = np.asarray(points, dtype=float)
-    k = np.array([[kernel_shifted_gue(model, xi, xj) for xj in pts] for xi in pts])
-    return float(np.linalg.det(k))
+    return float(np.linalg.det(kernel_shifted_gue(model, pts[:, None], pts[None, :])))

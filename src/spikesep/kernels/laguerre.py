@@ -22,15 +22,15 @@ from ..ensembles import spiked_gram
 from ..logspace import SignedLogValue
 from ..secular import WishartSpike, separation_predictor
 from ..specialfn import laguerre_line_signlog, laguerre_weighted_signlog
-from .common import materialize_columns, pair_and_sum, sampled_rows
+from .common import materialize_columns, pairwise, sampled_rows
 from .twopole import (
     bulk_sum,
     completing_family,
-    pair_point,
+    family_value,
     plain_family,
     power_sign,
     rising_log,
-    spiked_density,
+    spiked_kernel,
 )
 
 __all__ = [
@@ -95,6 +95,63 @@ class SpikedLUE:
         sqrt_sigma[: self.r] = math.sqrt(1.0 / self.btilde)
         return self.m, lambda gen: spiked_gram(gen, n, sqrt_sigma, beta), lambda e: e
 
+    def families(self, x):
+        """Sign/log stacks (r, npts) of Ltilde_j(x) and Lambda_j(x), unconjugated."""
+        m, alpha, r, btilde = self.m, self.alpha, self.r, self.btilde
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.any(x <= 0):
+            raise ValueError("evaluate the incomplete Laguerre families at x > 0")
+        npts = x.size
+        q0 = m - r
+        eps = SignedLogValue.from_float(btilde - 1.0)
+        big_m = m + alpha
+        merged = abs(btilde - 1.0) < _SMALL_EPS
+        rows = max(q0 + r + (_TAYLOR_TERMS if merged else 0), 1)
+        tline_s, tline_l = laguerre_line_signlog(rows, big_m, x)
+        t_line = (tline_s, lambda q, log_binom, log_power: tline_l[q] + (log_binom + log_power))
+        logx = np.log(x)
+
+        def residue_at_eps(j):
+            # triple Leibniz over e^{-x z}, (1+z)^{M}, z^{-q0}
+            sgs, lgs = [], []
+            for i in range(j):
+                for k in range(j - i):
+                    l_ = j - 1 - i - k
+                    zero_rise, rise = rising_log(q0, l_)
+                    if zero_rise:
+                        continue
+                    base = (
+                        -gammaln(i + 1.0)
+                        - gammaln(k + 1.0)
+                        - gammaln(l_ + 1.0)
+                        + gammaln(big_m + 1.0)
+                        - gammaln(big_m + 1.0 - k)
+                        + (big_m - k) * math.log(btilde)
+                        + rise
+                        - (q0 + l_) * eps.log_magnitude
+                    )
+                    sgn = power_sign(-1, i + l_) * power_sign(eps.sign, q0 + l_)
+                    sgs.append(np.full(npts, sgn, dtype=np.int8))
+                    lgs.append(base - x * (btilde - 1.0) + i * logx)
+            return sgs, lgs
+
+        tsign, tlog = completing_family(t_line, q0, r, eps, merged, residue_at_eps)
+        # Lambda_j's line: q!/Gamma(M) x^{alpha+r-1-l} e^{-x} times the line with
+        # parameter sum M-1, built only now so that it and the residues' terms
+        # are never held at once
+        pline_s, pline_l = laguerre_line_signlog(m, big_m - 1.0, x)
+        log_fact = gammaln(np.arange(m) + 1.0)
+        log_gm = gammaln(big_m)
+        s_line = (
+            pline_s,
+            lambda q, log_binom, log_power: pline_l[q]
+            + (log_binom + log_fact[q] - log_gm + log_power)
+            - x
+            + (alpha + r - 1 - (q - q0)) * logx,
+        )
+        lsign, llog = plain_family(s_line, q0, r, eps)
+        return tsign, tlog, lsign, llog
+
 
 def kernel_laguerre(n: int, a: float, x, y):
     """Symmetrized Laguerre kernel sum_{p<n} phi_p(x) phi_p(y).
@@ -104,72 +161,15 @@ def kernel_laguerre(n: int, a: float, x, y):
     """
     if n < 1:
         raise ValueError("order must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(np.atleast_1d(x) < 0) or np.any(np.atleast_1d(y) < 0):
-        raise ValueError("Laguerre kernel arguments must be >= 0")
-    sx, lx = laguerre_weighted_signlog(n, a, np.maximum(np.atleast_1d(x), 1e-300))
-    sy, ly = laguerre_weighted_signlog(n, a, np.maximum(np.atleast_1d(y), 1e-300))
-    sign, log = pair_and_sum(sx, lx, sy, ly)
-    out = materialize_columns(sign, log)
-    return float(out[0]) if x.ndim == 0 and y.ndim == 0 else out
 
+    def evaluate(xs, ys):
+        if np.any(xs < 0) or np.any(ys < 0):
+            raise ValueError("Laguerre kernel arguments must be >= 0")
+        return materialize_columns(
+            *_bulk_lue(n, a, np.maximum(xs, 1e-300), np.maximum(ys, 1e-300))
+        )
 
-def _incomplete_laguerre_grid(m, alpha, r, btilde, x):
-    """Sign/log stacks (r, npts) of Ltilde_j(x) and Lambda_j(x), unconjugated."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x <= 0):
-        raise ValueError("evaluate the incomplete Laguerre families at x > 0")
-    npts = x.size
-    q0 = m - r
-    eps = SignedLogValue.from_float(btilde - 1.0)
-    big_m = m + alpha
-    merged = abs(btilde - 1.0) < _SMALL_EPS
-    rows = max(q0 + r + (_TAYLOR_TERMS if merged else 0), 1)
-    tline_s, tline_l = laguerre_line_signlog(rows, big_m, x)
-    t_line = (tline_s, lambda q, log_binom, log_power: tline_l[q] + (log_binom + log_power))
-    logx = np.log(x)
-
-    def residue_at_eps(j):
-        # triple Leibniz over e^{-x z}, (1+z)^{M}, z^{-q0}
-        sgs, lgs = [], []
-        for i in range(j):
-            for k in range(j - i):
-                l_ = j - 1 - i - k
-                zero_rise, rise = rising_log(q0, l_)
-                if zero_rise:
-                    continue
-                base = (
-                    -gammaln(i + 1.0)
-                    - gammaln(k + 1.0)
-                    - gammaln(l_ + 1.0)
-                    + gammaln(big_m + 1.0)
-                    - gammaln(big_m + 1.0 - k)
-                    + (big_m - k) * math.log(btilde)
-                    + rise
-                    - (q0 + l_) * eps.log_magnitude
-                )
-                sgn = power_sign(-1, i + l_) * power_sign(eps.sign, q0 + l_)
-                sgs.append(np.full(npts, sgn, dtype=np.int8))
-                lgs.append(base - x * (btilde - 1.0) + i * logx)
-        return sgs, lgs
-
-    tsign, tlog = completing_family(t_line, q0, r, eps, merged, residue_at_eps)
-    # Lambda_j's line: q!/Gamma(M) x^{alpha+r-1-l} e^{-x} times the line with
-    # parameter sum M-1, built only now so that it and the residues' terms
-    # are never held at once
-    pline_s, pline_l = laguerre_line_signlog(m, big_m - 1.0, x)
-    log_fact = gammaln(np.arange(m) + 1.0)
-    log_gm = gammaln(big_m)
-    s_line = (
-        pline_s,
-        lambda q, log_binom, log_power: pline_l[q]
-        + (log_binom + log_fact[q] - log_gm + log_power)
-        - x
-        + (alpha + r - 1 - (q - q0)) * logx,
-    )
-    lsign, llog = plain_family(s_line, q0, r, eps)
-    return tsign, tlog, lsign, llog
+    return pairwise(evaluate, x, y)
 
 
 def incomplete_laguerre(
@@ -178,20 +178,11 @@ def incomplete_laguerre(
     """Ltilde_j(x) (kind='tilde') or Lambda_j(x) (kind='plain') as a SignedLogValue."""
     if not 1 <= j <= r:
         raise ValueError("family index must satisfy 1 <= j <= r")
-    ts, tl, ps, pl = _incomplete_laguerre_grid(m, alpha, r, btilde, np.array([float(x)]))
-    if kind == "tilde":
-        return SignedLogValue.from_log(int(ts[j - 1, 0]), float(tl[j - 1, 0]))
-    if kind == "plain":
-        return SignedLogValue.from_log(int(ps[j - 1, 0]), float(pl[j - 1, 0]))
-    raise ValueError("kind must be 'tilde' or 'plain'")
+    return family_value(SpikedLUE(m, alpha, r, btilde).families, ("tilde", "plain"), kind, j, x)
 
 
 def _bulk_lue(n_bulk, a, x, y=None):
     return bulk_sum(lambda n, v: laguerre_weighted_signlog(n, a, v), n_bulk, x, y)
-
-
-def _grid(model: SpikedLUE):
-    return lambda x: _incomplete_laguerre_grid(model.m, model.alpha, model.r, model.btilde, x)
 
 
 def density_spiked_lue(model: SpikedLUE, x):
@@ -207,26 +198,31 @@ def density_spiked_lue(model: SpikedLUE, x):
     xp = xv[pos]
     if xp.size:
         bulk = _bulk_lue(model.m - model.r, model.alpha + model.r, xp)
-        out[pos] = spiked_density(bulk, _grid(model), model.r, xp)
+        out[pos] = spiked_kernel(bulk, model.families, model.r, xp)
     return float(out[0]) if x.ndim == 0 else out
 
 
-def lue_spike_term(model: SpikedLUE, x: float, y: float) -> float:
-    """Raw sum_j Ltilde_j(x) Lambda_j(y) as a float."""
-    return pair_point(_grid(model), x, y)
+def lue_spike_term(model: SpikedLUE, x, y):
+    """Raw sum_j Ltilde_j(x) Lambda_j(y), pointwise like the kernel."""
+    return pairwise(lambda xs, ys: spiked_kernel(None, model.families, model.r, xs, ys), x, y)
 
 
-def kernel_spiked_lue(model: SpikedLUE, x: float, y: float) -> float:
+def kernel_spiked_lue(model: SpikedLUE, x, y):
     """Spiked-LUE kernel in the symmetric (weight-conjugated) convention.
 
     The spike term is conjugated by (x/y)^{(alpha+r)/2} e^{-(x-y)/2} so that it
     shares the bulk part's symmetric weighting; diagonal values and all
-    correlation determinants are unchanged.
+    correlation determinants are unchanged.  Pointwise over the broadcast of
+    x and y; scalars give a float.
     """
-    if x <= 0 or y <= 0:
-        raise ValueError("kernel arguments must be > 0")
     a_bulk = model.alpha + model.r
-    bulk = _bulk_lue(model.m - model.r, a_bulk, np.array([x]), np.array([y]))
-    wx = 0.5 * a_bulk * math.log(x) - 0.5 * x
-    wy = -0.5 * a_bulk * math.log(y) + 0.5 * y
-    return pair_point(_grid(model), x, y, bulk, wx, wy)
+
+    def evaluate(xs, ys):
+        if np.any(xs <= 0) or np.any(ys <= 0):
+            raise ValueError("kernel arguments must be > 0")
+        bulk = _bulk_lue(model.m - model.r, a_bulk, xs, ys)
+        wx = 0.5 * a_bulk * np.log(xs) - 0.5 * xs
+        wy = -0.5 * a_bulk * np.log(ys) + 0.5 * ys
+        return spiked_kernel(bulk, model.families, model.r, xs, ys, wx, wy)
+
+    return pairwise(evaluate, x, y)

@@ -17,6 +17,9 @@ grid.  The family forms that log, and with it the order of the floating-point
 additions, so a term has the same bits whichever routine sums it.  eps is a
 SignedLogValue, so a family hands over log|eps| as it forms it (2 log c for
 the chiral family).
+
+`spiked_kernel` is the one pairing of the two families: off the diagonal for
+the kernels and spike terms, on it for the densities.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from ..logspace import slog_sum_columns
+from ..logspace import SignedLogValue, slog_sum_columns
 from .common import combine_positive_logs, materialize_columns, pair_and_sum
 
 __all__ = [
@@ -37,8 +40,8 @@ __all__ = [
     "residue_at_zero",
     "merged_pole_series",
     "completing_family",
-    "pair_point",
-    "spiked_density",
+    "family_value",
+    "spiked_kernel",
 ]
 
 _CUTOFF_NATS = 45.0  # the merged-pole series stops once a term is this far below the largest
@@ -62,16 +65,18 @@ def bulk_sum(weighted, n_bulk, x, y=None):
     """(sign, log) of the projection kernel sum_{p<n_bulk} f_p(x) f_p(y) over a grid.
 
     `weighted(n, x)` returns the (n, npts) sign/log stack of f_0..f_{n-1};
-    y=None gives the diagonal.
+    y=None gives the diagonal, otherwise one recurrence on [x; y] pairs
+    column i of x with column i of y.
     """
     if n_bulk == 0:
         size = np.atleast_1d(x).size
         return np.zeros(size, dtype=np.int8), np.full(size, -np.inf)
-    sx, lx = weighted(n_bulk, x)
     if y is None:
+        _, lx = weighted(n_bulk, x)
         return np.ones(lx.shape[1], dtype=np.int8), combine_positive_logs(2.0 * lx)
-    sy, ly = weighted(n_bulk, y)
-    return pair_and_sum(sx, lx, sy, ly)
+    npts = x.size
+    s, lg = weighted(n_bulk, np.concatenate([x, y]))
+    return pair_and_sum(s[:, :npts], lg[:, :npts], s[:, npts:], lg[:, npts:])
 
 
 def plain_family(line, q0, r, eps):
@@ -149,29 +154,34 @@ def completing_family(line, q0, r, eps, merged, residue_at_eps):
     return out_sign, out_log
 
 
-def pair_point(grid, x, y, bulk=None, wx=0.0, wy=0.0) -> float:
-    """bulk + sum_j left_j(x) right_j(y) e^{wx + wy} as a float.
+def family_value(families, kinds, kind, j, x) -> SignedLogValue:
+    """Row j of the family `kind` (one of the pair `kinds`) at the point x."""
+    if kind not in kinds:
+        raise ValueError(f"kind must be {kinds[0]!r} or {kinds[1]!r}")
+    stacks = families(np.array([float(x)]))
+    at = 2 * kinds.index(kind)
+    return SignedLogValue.from_log(int(stacks[at][j - 1, 0]), float(stacks[at + 1][j - 1, 0]))
 
-    `grid(points)` returns the (left sign, left log, right sign, right log)
-    stacks; `bulk` is a (sign, log) pair of one-point arrays or None.  All
-    terms go through one signed log-sum; a value beyond a double raises
-    OverflowError.
+
+def spiked_kernel(bulk, families, r, x, y=None, wx=0.0, wy=0.0):
+    """bulk + sum_j left_j(x) right_j(y) e^{wx + wy}, materialized point by point.
+
+    `families(points)` returns the (left sign, left log, right sign, right
+    log) (r, npts) stacks; y=None gives the diagonal from one call, otherwise
+    one call on [x; y] pairs column i of x with column i of y.  `bulk` is the
+    (sign, log) pair of the projection kernel at the same points, or None; it
+    is added to the family sum in a second signed log-sum.  A value beyond a
+    double raises OverflowError.
     """
-    ls, ll, rs, rl = grid(np.array([x, y], dtype=float))
-    signs = ls[:, 0] * rs[:, 1]
-    logs = (ll[:, 0] + wx) + (rl[:, 1] + wy)
+    if bulk is not None and r == 0:
+        return materialize_columns(*bulk)
+    if y is None:
+        ls, ll, rs, rl = families(x)
+    else:
+        npts = x.size
+        ls, ll, rs, rl = families(np.concatenate([x, y]))
+        ls, ll, rs, rl = ls[:, :npts], ll[:, :npts], rs[:, npts:], rl[:, npts:]
+    sign, log = pair_and_sum(ls, ll + wx, rs, rl + wy)
     if bulk is not None:
-        signs = np.concatenate([bulk[0], signs])
-        logs = np.concatenate([bulk[1], logs])
-    sign, log = slog_sum_columns(signs[:, None], logs[:, None])
-    return float(materialize_columns(sign, log)[0])
-
-
-def spiked_density(bulk, grid, r, x):
-    """Diagonal bulk + sum_j left_j(x) right_j(x) on a grid, materialized."""
-    bsign, blog = bulk
-    if r == 0:
-        return materialize_columns(bsign, blog)
-    ssign, slog = pair_and_sum(*grid(x))
-    sign, log = slog_sum_columns(np.vstack([bsign, ssign]), np.vstack([blog, slog]))
+        sign, log = slog_sum_columns(np.vstack([bulk[0], sign]), np.vstack([bulk[1], log]))
     return materialize_columns(sign, log)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, ive
+from scipy.special import gammaln, ive
 
 __all__ = [
     "hermite_weighted",
@@ -286,7 +286,3 @@ def narayana_generating_closed_form(p: float, q: float, t: float) -> float:
     if disc < 0:
         raise ValueError("outside the convergence region of the generating function")
     return 0.5 * (1.0 - u - v - math.sqrt(disc))
-
-
-def gamma_sign(x: float) -> float:
-    return float(gammasgn(x))

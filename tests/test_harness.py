@@ -121,6 +121,7 @@ def test_sample_batch_chiral_counts_positive_only():
 def test_verify_report_shape():
     report = run_verify("spectra")
     assert report["passed"] and report["n_checks"] == 2
+    assert all(check["seconds"] >= 0 for check in report["checks"])
     with pytest.raises(ValueError):
         run_verify("nonsense")
 

@@ -129,3 +129,33 @@ def test_merged_pole_rank_beyond_term_budget():
     # r = 170 exceeds the 160 extra Laguerre rows of the merged-pole branch
     vals = density_shifted_chiral(ShiftedChiral(200, 1.0, 170, 0.1), np.array([1.0, 5.0, 15.0]))
     assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
+
+
+@pytest.mark.parametrize("model", [ShiftedChiral(5, 1.0, 2, 2.0), ShiftedChiral(5, 1.0, 2, 0.1)])
+def test_kernel_and_spike_term_are_pointwise_over_arrays(model):
+    # residue branch and merged-pole branch (c^2 < 0.02)
+    x = np.linspace(0.2, 4.5, 41)
+    y = 0.9 * x[::-1] + 0.1
+    for fn in (kernel_shifted_chiral, chiral_spike_term):
+        got = fn(model, x, y)
+        assert got.shape == (41,)
+        assert np.array_equal(got, [fn(model, a, b) for a, b in zip(x, y)])
+
+
+def test_kernel_matrix_is_a_broadcast_call():
+    model = ShiftedChiral(5, 1.0, 2, 2.0)
+    pts = np.array([0.6, 1.8, 3.1])
+    k = kernel_shifted_chiral(model, pts[:, None], pts[None, :])
+    assert k.shape == (3, 3)
+    assert np.array_equal(k, [[kernel_shifted_chiral(model, a, b) for b in pts] for a in pts])
+
+
+@pytest.mark.parametrize("model", [ShiftedChiral(5, 1.0, 2, 2.0), ShiftedChiral(5, 1.0, 2, 0.1)])
+def test_families_rows_match_chiral_pq(model):
+    x = np.linspace(0.2, 12.0, 41)
+    ps, pl, qs, ql = model.families(x)
+    for k in range(1, model.r + 1):
+        for kind, sign, log in (("p", ps, pl), ("q", qs, ql)):
+            vals = [chiral_pq(kind, k, xi, model.m, model.alpha, model.r, model.c) for xi in x]
+            assert np.array_equal(sign[k - 1], [v.sign for v in vals])
+            assert np.array_equal(log[k - 1], [v.log_magnitude for v in vals])

@@ -215,3 +215,34 @@ def test_unconverged_merged_pole_series_raises():
 def test_kernel_overflow_raises():
     with pytest.raises(OverflowError):
         kernel_shifted_gue(ShiftedGUE(15, 5, 60.0), 70.0, -5.0)
+
+
+@pytest.mark.parametrize("model", [ShiftedGUE(6, 2, 2.0), ShiftedGUE(8, 3, 0.05)])
+def test_kernel_and_spike_term_are_pointwise_over_arrays(model):
+    # residue branch and merged-pole branch (2c < 0.25)
+    x = np.linspace(-3.0, 5.0, 41)
+    y = x[::-1] + 0.3
+    for fn in (kernel_shifted_gue, spike_term_shifted_gue):
+        got = fn(model, x, y)
+        assert got.shape == (41,)
+        assert np.array_equal(got, [fn(model, a, b) for a, b in zip(x, y)])
+
+
+def test_kernel_matrix_is_a_broadcast_call():
+    model = ShiftedGUE(6, 2, 2.0)
+    pts = np.array([0.3, -1.1, 1.7])
+    k = kernel_shifted_gue(model, pts[:, None], pts[None, :])
+    assert k.shape == (3, 3)
+    assert k[1, 2] == kernel_shifted_gue(model, -1.1, 1.7)
+    assert float(np.linalg.det(k)) == correl_n(model, pts)
+
+
+@pytest.mark.parametrize("model", [ShiftedGUE(6, 2, 2.0), ShiftedGUE(8, 3, 0.05)])
+def test_families_rows_match_incomplete_hermite(model):
+    x = np.linspace(-3.0, 5.0, 41)
+    ts, tl, ps, pl = model.families(x)
+    for j in range(1, model.r + 1):
+        for kind, sign, log in (("tilde", ts, tl), ("plain", ps, pl)):
+            vals = [incomplete_hermite(kind, j, xi, model.n, model.r, model.c) for xi in x]
+            assert np.array_equal(sign[j - 1], [v.sign for v in vals])
+            assert np.array_equal(log[j - 1], [v.log_magnitude for v in vals])

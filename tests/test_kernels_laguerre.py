@@ -187,3 +187,34 @@ def test_merged_pole_rank_beyond_term_budget():
     # r = 170 exceeds the 160 extra coefficient-line rows of the merged-pole branch
     vals = density_spiked_lue(SpikedLUE(200, 1.0, 170, 0.99), np.array([1.0, 50.0, 300.0]))
     assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
+
+
+@pytest.mark.parametrize("model", [SpikedLUE(5, 1.0, 2, 0.4), SpikedLUE(5, 1.0, 2, 0.99)])
+def test_kernel_and_spike_term_are_pointwise_over_arrays(model):
+    # residue branch and merged-pole branch (|btilde - 1| < 0.02)
+    x = np.linspace(0.2, 12.0, 41)
+    y = 0.9 * x[::-1] + 0.1
+    for fn in (kernel_spiked_lue, lue_spike_term):
+        got = fn(model, x, y)
+        assert got.shape == (41,)
+        assert np.array_equal(got, [fn(model, a, b) for a, b in zip(x, y)])
+
+
+def test_kernel_matrix_is_a_broadcast_call():
+    model = SpikedLUE(5, 1.0, 2, 0.4)
+    pts = np.array([0.7, 2.5, 6.0])
+    k = kernel_spiked_lue(model, pts[:, None], pts[None, :])
+    assert k.shape == (3, 3)
+    assert np.array_equal(k, [[kernel_spiked_lue(model, a, b) for b in pts] for a in pts])
+
+
+@pytest.mark.parametrize("model", [SpikedLUE(5, 1.0, 2, 0.4), SpikedLUE(5, 1.0, 2, 0.99)])
+def test_families_rows_match_incomplete_laguerre(model):
+    x = np.linspace(0.2, 12.0, 41)
+    ts, tl, ps, pl = model.families(x)
+    for j in range(1, model.r + 1):
+        for kind, sign, log in (("tilde", ts, tl), ("plain", ps, pl)):
+            vals = [incomplete_laguerre(kind, j, xi, model.m, model.alpha, model.r, model.btilde)
+                    for xi in x]
+            assert np.array_equal(sign[j - 1], [v.sign for v in vals])
+            assert np.array_equal(log[j - 1], [v.log_magnitude for v in vals])
