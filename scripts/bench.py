@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Run the perfbench workloads once each and write the results to BENCH_<tag>.json.
+
+    python3 scripts/bench.py --tag after --seed 1
+    python3 scripts/bench.py --tag before --root ../parent-checkout
+
+Every workload runs for perfbench's default 16 s with --trace 0 (end-to-end
+metrics), and exact-n500 runs again with --trace 1 (per-layer metrics).
+perfbench/run.py runs from the checkout at --root (default: this
+repository), so the same script measures the tree before and after a
+change; the file is always written to this repository's root.  Each run
+keeps perfbench's result line, notes and provenance as printed.  Nothing
+under perfbench/ is written; traced runs leave their span file in
+.bench_out/, as perfbench does.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+WORKLOADS = ("exact-n500", "mc-small", "mc-large", "pointwise")
+TRACED = ("exact-n500",)
+
+
+def run_one(root: Path, workload: str, seed: int, trace: int) -> dict:
+    """One perfbench run; its result, notes and provenance lines parsed from stdout."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    run = {"workload": workload, "trace": trace, "command": cmd[1:], "returncode": proc.returncode}
+    lines = proc.stdout.strip().splitlines()
+    for line in lines:
+        for key in ("notes", "provenance"):
+            if line.startswith(key + " "):
+                run[key] = json.loads(line[len(key) + 1:])
+    if proc.returncode == 0 and lines:
+        run["result"] = json.loads(lines[-1])
+    else:
+        run["stderr"] = proc.stderr.strip().splitlines()[-20:]
+    return run
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tag", required=True, help="the output is BENCH_<tag>.json")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--root", type=Path, default=REPO, help="checkout whose perfbench runs")
+    args = parser.parse_args(argv)
+
+    root = args.root.resolve()
+    if not (root / "perfbench" / "run.py").is_file():
+        parser.error(f"no perfbench/run.py under {root}")
+    runs = []
+    for workload in WORKLOADS:
+        for trace in (0, 1) if workload in TRACED else (0,):
+            run = run_one(root, workload, args.seed, trace)
+            ok = run.get("result", {}).get("correct", False)
+            print(f"{workload} trace {trace}: {'correct' if ok else 'FAILED'}", flush=True)
+            runs.append(run)
+    out = REPO / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps({"tag": args.tag, "seed": args.seed, "runs": runs}, indent=1) + "\n")
+    print(f"wrote {out.relative_to(REPO)}")
+    return 0 if all(run.get("result", {}).get("correct", False) for run in runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

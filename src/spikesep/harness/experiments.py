@@ -7,7 +7,6 @@ integer counts merged by chunk index, which makes full runs bit-reproducible.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
@@ -141,40 +140,36 @@ def run_density_experiment(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 # separation-onset scans
 
-def _golden_refine(fn, lo, hi, iters=60):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c_ = b - invphi * (b - a)
-    d_ = a + invphi * (b - a)
-    fc, fd = fn(c_), fn(d_)
-    for _ in range(iters):
-        if fc > fd:
-            b, d_, fd = d_, c_, fc
-            c_ = b - invphi * (b - a)
-            fc = fn(c_)
-        else:
-            a, c_, fc = c_, d_, fd
-            d_ = a + invphi * (b - a)
-            fd = fn(d_)
-        if b - a < 1e-10 * max(1.0, abs(b)):
-            break
-    return 0.5 * (a + b)
+_REFINE_POINTS = 65  # evenly spaced samples per bracket and round: a round shrinks it 32x
+
+
+def _refine_peaks(density, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Argmax of `density` in every bracket [lo, hi]: each round samples all live
+    brackets in one density call and keeps the two cells around each largest sample."""
+    lo, hi = lo.astype(float), hi.astype(float)
+    while (live := hi - lo >= 1e-10 * np.maximum(1.0, np.abs(hi))).any():
+        xs = np.linspace(lo[live], hi[live], _REFINE_POINTS, axis=1)
+        vals = np.asarray(density(xs.ravel()), dtype=float).reshape(xs.shape)
+        k = np.clip(np.argmax(vals, axis=1), 1, _REFINE_POINTS - 2)  # endpoint: its inner cells
+        rows = np.arange(xs.shape[0])
+        lo[live], hi[live] = xs[rows, k - 1], xs[rows, k + 1]
+    return 0.5 * (lo + hi)
 
 
 def find_separated_peaks(model, grid: np.ndarray, values: Optional[np.ndarray] = None,
                          edge_factor: float = 1.05) -> list:
-    """Strict grid local maxima beyond edge_factor * bulk edge, golden-refined."""
+    """Strict grid local maxima beyond edge_factor * bulk edge, refined by _refine_peaks.
+
+    `values`, when given, is the density on `grid` and must have its shape.
+    """
     grid = np.asarray(grid, dtype=float)
     vals = np.asarray(values if values is not None else model.density(grid), dtype=float)
-    cut = edge_factor * model.bulk_edge
-    peaks = []
-    for i in range(1, grid.size - 1):
-        if grid[i] <= cut:
-            continue
-        if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]:
-            scalar = lambda x: float(model.density(np.array([x]))[0])
-            peaks.append(_golden_refine(scalar, grid[i - 1], grid[i + 1]))
-    return peaks
+    if vals.shape != grid.shape:
+        raise ValueError(f"values shape {vals.shape} does not match grid shape {grid.shape}")
+    mid = vals[1:-1]
+    beyond = grid[1:-1] > edge_factor * model.bulk_edge
+    i = 1 + np.flatnonzero(beyond & (mid > vals[:-2]) & (mid > vals[2:]))
+    return _refine_peaks(model.density, grid[i - 1], grid[i + 1]).tolist()
 
 
 def _scan_point(config: ExperimentConfig, spike: float, grid: np.ndarray):

@@ -3,7 +3,7 @@
 Weighted orthonormal Hermite and Laguerre functions are evaluated by
 three-term recurrences on the weighted functions themselves; the raw
 polynomials H_p, L_p^a overflow doubles long before the sizes used here
-(p up to ~2000), so they are exposed only at small degree for testing.
+(p up to ~2000).
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ __all__ = [
     "hermite_weighted_signlog",
     "laguerre_weighted_signlog",
     "laguerre_line_signlog",
-    "hermite_raw",
-    "laguerre_raw",
     "bessel_i_scaled",
     "log_0f1",
     "hyp0f1_complex",
@@ -37,7 +35,6 @@ _RESCALE_HI = 1e250
 _RESCALE_LOG = 600.0
 _RESCALE_UP = math.exp(_RESCALE_LOG)
 _RESCALE_DOWN = math.exp(-_RESCALE_LOG)
-_MAX_RAW_DEGREE = 30
 
 
 def log_gamma(x: float) -> float:
@@ -176,32 +173,6 @@ def laguerre_line_signlog(n: int, big_m: float, x) -> tuple[np.ndarray, np.ndarr
         return ((big_m - xs - q) * v - xs * v1) / (q + 1.0)
 
     return _signlog_store(n, x, log0, step)
-
-
-def hermite_raw(p: int, x):
-    """Raw Hermite polynomial H_p(x); restricted to p <= 30 (testing only)."""
-    if p > _MAX_RAW_DEGREE:
-        raise ValueError(f"raw Hermite polynomials capped at degree {_MAX_RAW_DEGREE}")
-    x = np.asarray(x, dtype=float)
-    h_prev, h = np.ones_like(x), 2.0 * x
-    if p == 0:
-        return h_prev
-    for q in range(1, p):
-        h_prev, h = h, 2.0 * x * h - 2.0 * q * h_prev
-    return h
-
-
-def laguerre_raw(p: int, a: float, x):
-    """Raw generalized Laguerre L_p^a(x); restricted to p <= 30 (testing only)."""
-    if p > _MAX_RAW_DEGREE:
-        raise ValueError(f"raw Laguerre polynomials capped at degree {_MAX_RAW_DEGREE}")
-    x = np.asarray(x, dtype=float)
-    l_prev, l = np.ones_like(x), 1.0 + a - x
-    if p == 0:
-        return l_prev
-    for q in range(1, p):
-        l_prev, l = l, ((2 * q + a + 1 - x) * l - (q + a) * l_prev) / (q + 1.0)
-    return l
 
 
 def bessel_i_scaled(a: float, x: float) -> float:

@@ -12,6 +12,7 @@ from spikesep.harness.config import ComparisonReport, ExperimentConfig, GridSpec
 from spikesep.harness.emit import emit_csv, emit_svg, parse_csv
 from spikesep.harness.experiments import (
     exact_density_curve,
+    find_separated_peaks,
     run_density_experiment,
     run_onset_scan,
     sample_batch,
@@ -97,6 +98,133 @@ def test_onset_scan_small_case():
     pred = reports[2.5].predictor_location
     peak = reports[2.5].peak_locations[0]
     assert abs(peak - pred) < 0.05 * pred
+
+
+# The perfbench exact-n500 scan models at 2 threshold units (btilde = 0.275
+# for the LUE), on that workload's grids.
+_J500 = math.sqrt(1000.0)
+_N500_SCANS = {
+    "gue": (ShiftedGUE(500, 1, 0.0).respike(2.0), GridSpec(0.85 * _J500, 1.42 * _J500, 401)),
+    "lue": (SpikedLUE(500, 0.5, 1, 0.5).respike(0.275), GridSpec(1700.0, 2950.0, 501)),
+    "chiral": (ShiftedChiral(500, 2.0, 1, 0.0).respike(2.0),
+               GridSpec(1.7 * math.sqrt(500.0), 2.9 * math.sqrt(500.0), 401)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_N500_SCANS))
+def n500_scan(request):
+    """(model, grid, density on the grid) of one exact-n500 scan."""
+    model, spec = _N500_SCANS[request.param]
+    grid = spec.points()
+    return model, grid, model.density(grid)
+
+
+class _Counted:
+    """Scan model wrapper that records the point count of every density call."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, []
+
+    @property
+    def bulk_edge(self):
+        return self.model.bulk_edge
+
+    def density(self, x):
+        self.calls.append(np.size(x))
+        return self.model.density(x)
+
+
+def _golden_peak(fn, lo, hi):
+    """Golden-section maximum of a scalar fn on [lo, hi], to the refinement's stop rule."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a >= 1e-10 * max(1.0, abs(b)):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
+
+
+def test_peak_refinement_makes_few_density_calls(n500_scan):
+    model, grid, values = n500_scan
+    counted = _Counted(model)
+    peaks = find_separated_peaks(counted, grid, values)
+    assert len(peaks) == 1
+    assert 1 <= len(counted.calls) <= 6, counted.calls
+
+
+def test_peak_refinement_matches_golden_section(n500_scan):
+    model, grid, values = n500_scan
+    cut = 1.05 * model.bulk_edge
+    scalar = lambda x: float(model.density(np.array([x]))[0])
+    expected = [_golden_peak(scalar, grid[i - 1], grid[i + 1]) for i in range(1, grid.size - 1)
+                if grid[i] > cut and values[i - 1] < values[i] > values[i + 1]]
+    peaks = find_separated_peaks(model, grid, values)
+    assert len(peaks) == len(expected) == 1
+    assert peaks[0] == pytest.approx(expected[0], rel=1e-7, abs=0.0)
+
+
+class _TwoPeaks:
+    """Laplace mixture with exact maxima at 3 and 7, beyond its bulk edge 1."""
+
+    bulk_edge = 1.0
+
+    def __init__(self):
+        self.calls = []
+
+    def density(self, x):
+        x = np.asarray(x, dtype=float)
+        self.calls.append(x.size)
+        return np.exp(-np.abs(x - 3.0)) + 0.5 * np.exp(-np.abs(x - 7.0))
+
+
+def test_two_peaks_are_refined_in_the_same_calls():
+    stub = _TwoPeaks()
+    grid = np.linspace(0.0, 10.0, 37)  # neither maximum is a grid point or a bracket centre
+    values = stub.density(grid)
+    stub.calls.clear()
+    peaks = find_separated_peaks(stub, grid, values)
+    assert len(peaks) == 2
+    assert abs(peaks[0] - 3.0) <= 1e-9 and abs(peaks[1] - 7.0) <= 1e-9
+    # one call per round: both brackets share the first call, and the slower
+    # one (its stop rule is tighter at 3 than at 7) finishes alone
+    assert len(stub.calls) <= 8
+    assert stub.calls[0] == 2 * stub.calls[-1]
+    assert all(size % stub.calls[-1] == 0 for size in stub.calls)
+
+
+class _Line:
+    """Density increasing (slope 1) or decreasing (slope -1) in x."""
+
+    bulk_edge = 0.0
+
+    def __init__(self, slope):
+        self.slope = slope
+
+    def density(self, x):
+        return self.slope * np.asarray(x, dtype=float)
+
+
+@pytest.mark.parametrize("slope, end", [(1.0, 3.0), (-1.0, 1.0)])
+def test_peak_refinement_converges_to_a_bracket_endpoint(slope, end):
+    # the grid values claim a peak at 2; the density keeps its maximum on an endpoint of [1, 3]
+    grid = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    peaks = find_separated_peaks(_Line(slope), grid, np.array([0.0, 1.0, 2.0, 1.0, 0.0]))
+    assert len(peaks) == 1
+    assert abs(peaks[0] - end) <= 1e-9
+
+
+@pytest.mark.parametrize("values", [np.zeros(40), np.zeros((41, 1))])
+def test_find_separated_peaks_checks_values_shape(values):
+    with pytest.raises(ValueError, match="shape"):
+        find_separated_peaks(ShiftedGUE(6, 1, 3.0), np.linspace(-5.0, 9.0, 41), values)
 
 
 def test_bulk_edges():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from raw_polynomials import hermite_raw
 from spikesep.kernels import (
     ShiftedGUE,
     correl_n,
@@ -17,7 +18,6 @@ from spikesep.kernels.contour import (
     contour_incomplete_hermite_plain,
     contour_incomplete_hermite_tilde,
 )
-from spikesep.specialfn import hermite_raw
 
 
 def _gl(lo, hi, n):

@@ -7,14 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
+from raw_polynomials import hermite_raw, laguerre_raw
 from spikesep.specialfn import (
     bessel_i_scaled,
     catalan,
-    hermite_raw,
     hermite_weighted,
     hermite_weighted_signlog,
     laguerre_line_signlog,
-    laguerre_raw,
     laguerre_weighted,
     laguerre_weighted_signlog,
     log_0f1,
