@@ -9,9 +9,11 @@ metrics), and exact-n500 runs again with --trace 1 (per-layer metrics).
 perfbench/run.py runs from the checkout at --root (default: this
 repository), so the same script measures the tree before and after a
 change; the file is always written to this repository's root.  Each run
-keeps perfbench's result line, notes and provenance as printed.  Nothing
-under perfbench/ is written; traced runs leave their span file in
-.bench_out/, as perfbench does.
+keeps perfbench's result line, notes and provenance as printed.  The file
+also records the --root tree's commit and whether its src/ differs from
+that commit ("dirty"), so a run of an uncommitted tree is not taken for its
+parent.  Nothing under perfbench/ is written; traced runs leave their span
+file in .bench_out/, as perfbench does.
 """
 
 import argparse
@@ -43,6 +45,23 @@ def run_one(root: Path, workload: str, seed: int, trace: int) -> dict:
     return run
 
 
+def tree_state(root: Path) -> dict:
+    """The commit checked out at root and whether src/ has changes git reports against it."""
+
+    def git(*args):
+        try:
+            proc = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
+                                  timeout=30)
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return proc.stdout if proc.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--", "src")
+    return {"commit": head.strip() if head else None,
+            "dirty": None if status is None else bool(status.strip())}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True, help="the output is BENCH_<tag>.json")
@@ -61,7 +80,8 @@ def main(argv=None) -> int:
             print(f"{workload} trace {trace}: {'correct' if ok else 'FAILED'}", flush=True)
             runs.append(run)
     out = REPO / f"BENCH_{args.tag}.json"
-    out.write_text(json.dumps({"tag": args.tag, "seed": args.seed, "runs": runs}, indent=1) + "\n")
+    record = {"tag": args.tag, "seed": args.seed, "root": tree_state(root), "runs": runs}
+    out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out.relative_to(REPO)}")
     return 0 if all(run.get("result", {}).get("correct", False) for run in runs) else 1
 

@@ -23,8 +23,8 @@ from ..secular import ChiralShift, separation_predictor
 from ..specialfn import laguerre_weighted_signlog, log_0f1
 from .common import pairwise, sampled_rows
 from .hermite import kernel_gue
-from .laguerre import _bulk_lue
 from .twopole import (
+    bulk_sum,
     completing_family,
     family_value,
     plain_family,
@@ -99,16 +99,30 @@ class ShiftedChiral:
 
     def families(self, x):
         """Sign/log stacks (r, npts) of p_k(x) and q_k(x) over a grid (x > 0)."""
-        m, alpha, r, c = self.m, self.alpha, self.r, self.c
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        return self._families(x, self._weighted(x))
+
+    def _weighted(self, x):
+        """phi_p^alpha(x), p < m: the rows the bulk and the families share, plus
+        the merged-pole series' rows when the families take that branch."""
         if np.any(x <= 0):
             raise ValueError("evaluate the p/q families at x > 0")
+        extra = _TAYLOR_TERMS if self.r and self._merged else 0
+        return laguerre_weighted_signlog(self.m + extra, self.alpha, x)
+
+    @property
+    def _merged(self) -> bool:
+        return self.c * self.c < _SMALL_CSQ
+
+    def _families(self, x, stack):
+        """families(x) from the `_weighted` stack on x."""
+        m, alpha, r, c = self.m, self.alpha, self.r, self.c
         npts = x.size
         q0 = m - r
         csq = c * c
         eps = SignedLogValue.from_log(-1, 2.0 * math.log(c)) if c > 0 else SignedLogValue.zero()
-        merged = csq < _SMALL_CSQ
-        ls, ll = _laguerre_fixed_param_logs(m + (_TAYLOR_TERMS if merged else 0), alpha, x)
+        merged = self._merged
+        ls, ll = _fixed_param_logs(stack, alpha, x)
         logx = np.log(x)
         wlog = alpha * logx - x  # x^alpha e^{-x}
         # p_k's line q! L^alpha_q(x); q_k's line x^alpha e^{-x} L^alpha_q(x) / Gamma(q+alpha+1)
@@ -154,10 +168,10 @@ class ShiftedChiral:
         return psign, plog, qsign, qlog
 
 
-def _laguerre_fixed_param_logs(n, alpha, x):
-    """Sign/log of plain L_q^alpha(x) for q < n, from the weighted recurrence."""
-    ps, pl = laguerre_weighted_signlog(n, alpha, x)
-    qs = np.arange(n)
+def _fixed_param_logs(stack, alpha, x):
+    """Sign/log of plain L_q^alpha(x) from the weighted stack of phi_q^alpha(x)."""
+    ps, pl = stack
+    qs = np.arange(ps.shape[0])
     # L_q^a = phi_q * x^{-a/2} e^{x/2} sqrt(Gamma(q+a+1)/q!)
     adj = 0.5 * (gammaln(qs + alpha + 1.0) - gammaln(qs + 1.0))
     logs = pl + adj[:, None] - 0.5 * alpha * np.log(x)[None, :] + 0.5 * x[None, :]
@@ -171,9 +185,18 @@ def chiral_pq(kind: str, k: int, x: float, m: int, alpha: float, r: int, c: floa
     return family_value(ShiftedChiral(m, alpha, r, c).families, ("p", "q"), kind, k, x)
 
 
+def _shifted_chiral(model: ShiftedChiral, u, v=None, wu=0.0, wv=0.0, bulk=True):
+    """Bulk (bulk=True) plus spike term at the squared-variable pairs (u, v), v=None
+    the diagonal, from one weighted stack on u or [u; v]: the bulk reads its first m - r rows."""
+    points = u if v is None else np.concatenate([u, v])
+    stack = model._weighted(points)
+    terms = bulk_sum(stack, model.m - model.r, u.size) if bulk else None
+    return spiked_kernel(terms, lambda: model._families(points, stack), model.r, u.size, wu, wv)
+
+
 def chiral_spike_term(model: ShiftedChiral, x, y):
     """Raw sum_k p_k(x) q_k(y) in the squared variable, pointwise like the kernel."""
-    return pairwise(lambda xs, ys: spiked_kernel(None, model.families, model.r, xs, ys), x, y)
+    return pairwise(lambda xs, ys: _shifted_chiral(model, xs, ys, bulk=False), x, y)
 
 
 def kernel_shifted_chiral(model: ShiftedChiral, x, y):
@@ -186,10 +209,9 @@ def kernel_shifted_chiral(model: ShiftedChiral, x, y):
         if np.any(xs <= 0) or np.any(ys <= 0):
             raise ValueError("kernel arguments must be > 0")
         u, v = xs * xs, ys * ys
-        bulk = _bulk_lue(model.m - model.r, model.alpha, u, v)
         wu = 0.5 * model.alpha * np.log(u) - 0.5 * u
         wv = -0.5 * model.alpha * np.log(v) + 0.5 * v
-        return spiked_kernel(bulk, model.families, model.r, u, v, wu, wv)
+        return _shifted_chiral(model, u, v, wu, wv)
 
     return pairwise(evaluate, x, y)
 
@@ -204,9 +226,7 @@ def density_shifted_chiral(model: ShiftedChiral, x):
     pos = xv > 0
     xp = xv[pos]
     if xp.size:
-        u = xp * xp
-        bulk = _bulk_lue(model.m - model.r, model.alpha, u)
-        out[pos] = 2.0 * xp * spiked_kernel(bulk, model.families, model.r, u)
+        out[pos] = 2.0 * xp * _shifted_chiral(model, xp * xp)
     return float(out[0]) if x.ndim == 0 else out
 
 

@@ -95,12 +95,26 @@ class ShiftedGUE:
 
     def families(self, x):
         """Sign/log stacks (r, npts) of Gtilde_j(x) and Gamma_j(x), unconjugated."""
-        n, r, c = self.n, self.r, self.c
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        return self._families(x, self._weighted(x))
+
+    def _weighted(self, x):
+        """psi_p(x), p < n: the rows the bulk and the families share, plus the
+        merged-pole series' rows when the families take that branch."""
+        extra = _TAYLOR_TERMS if self.r and self._merged else 0
+        return hermite_weighted_signlog(self.n + extra, x)
+
+    @property
+    def _merged(self) -> bool:
+        return 2.0 * self.c < _SMALL_SHIFT
+
+    def _families(self, x, stack):
+        """families(x) from the `_weighted` stack on x."""
+        n, r, c = self.n, self.r, self.c
         q0 = n - r
         eps = SignedLogValue.from_float(-2.0 * c)
-        merged = 2.0 * c < _SMALL_SHIFT
-        psign, plog = hermite_weighted_signlog(n + (_TAYLOR_TERMS if merged else 0), x)
+        merged = self._merged
+        psign, plog = stack
         x2half = 0.5 * x * x
         # psi_q with the e^{-x^2/2} weight stripped back off, as coefficient lines:
         # T_q = A_q = (-1)^q H_q(x)/(2^q q!),  S_q = (-1)^q e^{-x^2} H_q(x)/sqrt(pi),
@@ -152,9 +166,12 @@ def kernel_gue(n: int, x, y):
     """K_n^GUE(x,y) = sum_{p<n} psi_p(x) psi_p(y) (weighted-Hermite form)."""
     if n < 1:
         raise ValueError("order must be positive")
-    return pairwise(
-        lambda xs, ys: materialize_columns(*bulk_sum(hermite_weighted_signlog, n, xs, ys)), x, y
-    )
+
+    def evaluate(xs, ys):
+        stack = hermite_weighted_signlog(n, np.concatenate([xs, ys]))
+        return materialize_columns(*bulk_sum(stack, n, xs.size))
+
+    return pairwise(evaluate, x, y)
 
 
 def _raw_hermite_small(k_max: int, u: np.ndarray) -> np.ndarray:
@@ -175,12 +192,19 @@ def incomplete_hermite(kind: str, j: int, x: float, n: int, r: int, c: float) ->
     return family_value(ShiftedGUE(n, r, c).families, ("tilde", "plain"), kind, j, x)
 
 
+def _shifted_gue(model: ShiftedGUE, x, y=None, wx=0.0, wy=0.0, bulk=True):
+    """Bulk (bulk=True) plus spike term at the pairs (x, y), y=None the diagonal,
+    from one weighted stack on x or [x; y]: the bulk reads its first n - r rows."""
+    points = x if y is None else np.concatenate([x, y])
+    stack = model._weighted(points)
+    terms = bulk_sum(stack, model.n - model.r, x.size) if bulk else None
+    return spiked_kernel(terms, lambda: model._families(points, stack), model.r, x.size, wx, wy)
+
+
 def density_shifted_gue(model: ShiftedGUE, x):
     """Eigenvalue density K_N(x, x) on a grid (vectorized)."""
     x = np.asarray(x, dtype=float)
-    xv = np.atleast_1d(x)
-    bulk = bulk_sum(hermite_weighted_signlog, model.n - model.r, xv)
-    out = spiked_kernel(bulk, model.families, model.r, xv)
+    out = _shifted_gue(model, np.atleast_1d(x))
     return float(out[0]) if x.ndim == 0 else out
 
 
@@ -192,17 +216,12 @@ def kernel_shifted_gue(model: ShiftedGUE, x, y):
     projection, matching the K^GUE part's symmetric weighting.  Pointwise
     over the broadcast of x and y; scalars give a float.
     """
-
-    def evaluate(xs, ys):
-        bulk = bulk_sum(hermite_weighted_signlog, model.n - model.r, xs, ys)
-        return spiked_kernel(bulk, model.families, model.r, xs, ys, -0.5 * xs * xs, 0.5 * ys * ys)
-
-    return pairwise(evaluate, x, y)
+    return pairwise(lambda xs, ys: _shifted_gue(model, xs, ys, -0.5 * xs * xs, 0.5 * ys * ys), x, y)
 
 
 def spike_term_shifted_gue(model: ShiftedGUE, x, y):
     """Raw sum_j Gtilde_j(x) Gamma_j(y) (no conjugation), pointwise like the kernel."""
-    return pairwise(lambda xs, ys: spiked_kernel(None, model.families, model.r, xs, ys), x, y)
+    return pairwise(lambda xs, ys: _shifted_gue(model, xs, ys, bulk=False), x, y)
 
 
 def kernel_shifted_gue_asymptotic(r: int, c: float, x: float, y: float) -> float:

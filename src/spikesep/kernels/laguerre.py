@@ -165,9 +165,8 @@ def kernel_laguerre(n: int, a: float, x, y):
     def evaluate(xs, ys):
         if np.any(xs < 0) or np.any(ys < 0):
             raise ValueError("Laguerre kernel arguments must be >= 0")
-        return materialize_columns(
-            *_bulk_lue(n, a, np.maximum(xs, 1e-300), np.maximum(ys, 1e-300))
-        )
+        points = np.maximum(np.concatenate([xs, ys]), 1e-300)
+        return materialize_columns(*_bulk_lue(n, a, points, xs.size))
 
     return pairwise(evaluate, x, y)
 
@@ -181,8 +180,19 @@ def incomplete_laguerre(
     return family_value(SpikedLUE(m, alpha, r, btilde).families, ("tilde", "plain"), kind, j, x)
 
 
-def _bulk_lue(n_bulk, a, x, y=None):
-    return bulk_sum(lambda n, v: laguerre_weighted_signlog(n, a, v), n_bulk, x, y)
+def _bulk_lue(n_bulk, a, points, npts):
+    """bulk_sum of the Laguerre projection kernel, from its own recurrence on the points."""
+    stack = laguerre_weighted_signlog(n_bulk, a, points) if n_bulk else None
+    return bulk_sum(stack, n_bulk, npts)
+
+
+def _spiked_lue(model: SpikedLUE, x, y=None, wx=0.0, wy=0.0, bulk=True):
+    """Bulk (bulk=True) plus spike term at the pairs (x, y), y=None the diagonal.
+    The bulk (parameter alpha + r) runs its own recurrence before the families' lines."""
+    points = x if y is None else np.concatenate([x, y])
+    n_bulk, a_bulk = model.m - model.r, model.alpha + model.r
+    terms = _bulk_lue(n_bulk, a_bulk, points, x.size) if bulk else None
+    return spiked_kernel(terms, lambda: model.families(points), model.r, x.size, wx, wy)
 
 
 def density_spiked_lue(model: SpikedLUE, x):
@@ -197,14 +207,13 @@ def density_spiked_lue(model: SpikedLUE, x):
         raise ValueError("x = 0 needs alpha > 0 (density limit 0)")
     xp = xv[pos]
     if xp.size:
-        bulk = _bulk_lue(model.m - model.r, model.alpha + model.r, xp)
-        out[pos] = spiked_kernel(bulk, model.families, model.r, xp)
+        out[pos] = _spiked_lue(model, xp)
     return float(out[0]) if x.ndim == 0 else out
 
 
 def lue_spike_term(model: SpikedLUE, x, y):
     """Raw sum_j Ltilde_j(x) Lambda_j(y), pointwise like the kernel."""
-    return pairwise(lambda xs, ys: spiked_kernel(None, model.families, model.r, xs, ys), x, y)
+    return pairwise(lambda xs, ys: _spiked_lue(model, xs, ys, bulk=False), x, y)
 
 
 def kernel_spiked_lue(model: SpikedLUE, x, y):
@@ -220,9 +229,8 @@ def kernel_spiked_lue(model: SpikedLUE, x, y):
     def evaluate(xs, ys):
         if np.any(xs <= 0) or np.any(ys <= 0):
             raise ValueError("kernel arguments must be > 0")
-        bulk = _bulk_lue(model.m - model.r, a_bulk, xs, ys)
         wx = 0.5 * a_bulk * np.log(xs) - 0.5 * xs
         wy = -0.5 * a_bulk * np.log(ys) + 0.5 * ys
-        return spiked_kernel(bulk, model.families, model.r, xs, ys, wx, wy)
+        return _spiked_lue(model, xs, ys, wx, wy)
 
     return pairwise(evaluate, x, y)

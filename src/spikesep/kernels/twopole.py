@@ -61,22 +61,19 @@ def power_sign(sign: int, k: int) -> int:
     return -1 if sign < 0 and k % 2 else 1
 
 
-def bulk_sum(weighted, n_bulk, x, y=None):
-    """(sign, log) of the projection kernel sum_{p<n_bulk} f_p(x) f_p(y) over a grid.
+def bulk_sum(stack, n_bulk, npts):
+    """(sign, log) of the projection kernel sum_{p<n_bulk} f_p(x) f_p(y) at npts pairs.
 
-    `weighted(n, x)` returns the (n, npts) sign/log stack of f_0..f_{n-1};
-    y=None gives the diagonal, otherwise one recurrence on [x; y] pairs
-    column i of x with column i of y.
+    `stack` is the (rows, points) sign/log stack of f_0, f_1, ... on the
+    points x (the diagonal, npts columns) or [x; y] (2 npts columns, column i
+    of x paired with column i of y); the sum reads its first n_bulk rows.
     """
     if n_bulk == 0:
-        size = np.atleast_1d(x).size
-        return np.zeros(size, dtype=np.int8), np.full(size, -np.inf)
-    if y is None:
-        _, lx = weighted(n_bulk, x)
-        return np.ones(lx.shape[1], dtype=np.int8), combine_positive_logs(2.0 * lx)
-    npts = x.size
-    s, lg = weighted(n_bulk, np.concatenate([x, y]))
-    return pair_and_sum(s[:, :npts], lg[:, :npts], s[:, npts:], lg[:, npts:])
+        return np.zeros(npts, dtype=np.int8), np.full(npts, -np.inf)
+    s, lg = stack
+    if lg.shape[1] == npts:
+        return np.ones(npts, dtype=np.int8), combine_positive_logs(2.0 * lg[:n_bulk])
+    return pair_and_sum(s[:n_bulk, :npts], lg[:n_bulk, :npts], s[:n_bulk, npts:], lg[:n_bulk, npts:])
 
 
 def plain_family(line, q0, r, eps):
@@ -163,23 +160,21 @@ def family_value(families, kinds, kind, j, x) -> SignedLogValue:
     return SignedLogValue.from_log(int(stacks[at][j - 1, 0]), float(stacks[at + 1][j - 1, 0]))
 
 
-def spiked_kernel(bulk, families, r, x, y=None, wx=0.0, wy=0.0):
-    """bulk + sum_j left_j(x) right_j(y) e^{wx + wy}, materialized point by point.
+def spiked_kernel(bulk, families, r, npts, wx=0.0, wy=0.0):
+    """bulk + sum_j left_j(x) right_j(y) e^{wx + wy} at npts pairs, materialized.
 
-    `families(points)` returns the (left sign, left log, right sign, right
-    log) (r, npts) stacks; y=None gives the diagonal from one call, otherwise
-    one call on [x; y] pairs column i of x with column i of y.  `bulk` is the
-    (sign, log) pair of the projection kernel at the same points, or None; it
-    is added to the family sum in a second signed log-sum.  A value beyond a
+    `families()` returns the (left sign, left log, right sign, right log)
+    (r, points) stacks on the points x (npts columns: the diagonal) or
+    [x; y] (2 npts columns, column i of x paired with column i of y).
+    `bulk` is the (sign, log) pair of the projection kernel at the same
+    pairs, or None; it is added to the family sum in a second signed
+    log-sum, and with r == 0 the families are not built.  A value beyond a
     double raises OverflowError.
     """
     if bulk is not None and r == 0:
         return materialize_columns(*bulk)
-    if y is None:
-        ls, ll, rs, rl = families(x)
-    else:
-        npts = x.size
-        ls, ll, rs, rl = families(np.concatenate([x, y]))
+    ls, ll, rs, rl = families()
+    if ls.shape[1] != npts:
         ls, ll, rs, rl = ls[:, :npts], ll[:, :npts], rs[:, npts:], rl[:, npts:]
     sign, log = pair_and_sum(ls, ll + wx, rs, rl + wy)
     if bulk is not None:

@@ -140,11 +140,16 @@ def slog_sum_columns(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, n
     live = np.isfinite(m)
     if not np.any(live):
         return out_sign, out_log
-    scaled = np.zeros_like(logs)
-    scaled[:, live] = signs[:, live] * np.exp(eff[:, live] - m[live])
-    for idx in np.nonzero(live)[0]:
-        total = math.fsum(scaled[:, idx])
+    if np.all(live):
+        scaled = signs * np.exp(eff - m)
+    else:
+        scaled = np.zeros_like(logs)
+        scaled[:, live] = signs[:, live] * np.exp(eff[:, live] - m[live])
+    tops = m.tolist()
+    for idx in np.nonzero(live)[0].tolist():
+        # a list of Python floats: fsum reads it far faster than a numpy column
+        total = math.fsum(scaled[:, idx].tolist())
         if total != 0.0:
             out_sign[idx] = 1 if total > 0 else -1
-            out_log[idx] = math.log(abs(total)) + m[idx]
+            out_log[idx] = math.log(abs(total)) + tops[idx]
     return out_sign, out_log

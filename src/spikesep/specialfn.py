@@ -90,34 +90,48 @@ def _signlog_store(n, x, log0, step):
 
     `step(p, v_p, v_pm1, x)` returns v_{p+1} for carriers scaled by a common
     running offset; the offset is adjusted whenever the carriers leave
-    [1e-250, 1e250], so no degree or argument underflows silently.
+    [1e-250, 1e250], so no degree or argument underflows silently.  Each row
+    stores its carrier, and each rescale the columns it moved, so signs and
+    logs are taken once over the whole stack at the end, with the offsets
+    accumulated in the same order as the carriers were rescaled.  One
+    min/max test per row (NaN-blind, like the masks) keeps the masked
+    rescale off the common path.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    npts = x.size
-    signs = np.zeros((n, npts), dtype=np.int8)
-    logs = np.full((n, npts), -np.inf)
+    vals = np.empty((n, x.size))
+    vals[0] = 1.0
+    rescales = []  # (first row of the new offset, columns scaled up, columns scaled down)
+    v_prev = np.zeros(x.size)
+    abs_prev = vals[0]
+    for p in range(n - 1):
+        v_curr = vals[p]
+        vals[p + 1] = step(p, v_curr, v_prev, x)
+        abs_next = np.abs(vals[p + 1])
+        mag = np.maximum(abs_next, abs_prev)
+        lo, hi = np.fmin.reduce(mag, initial=1.0), np.fmax.reduce(mag, initial=1.0)
+        if lo < _RESCALE_LO or hi > _RESCALE_HI:
+            v_curr = v_curr.copy()  # row p is stored as it was; only its carrier moves
+            up = np.flatnonzero((mag > 0) & (mag < _RESCALE_LO))
+            down = np.flatnonzero(mag > _RESCALE_HI)
+            vals[p + 1, up] *= _RESCALE_UP
+            v_curr[up] *= _RESCALE_UP
+            vals[p + 1, down] *= _RESCALE_DOWN
+            v_curr[down] *= _RESCALE_DOWN
+            rescales.append((p + 1, up, down))
+            abs_next = np.abs(vals[p + 1])
+        v_prev, abs_prev = v_curr, abs_next
+    signs = np.sign(vals, out=np.empty(vals.shape, dtype=np.int8), casting="unsafe")
+    logs = np.abs(vals, out=vals)
+    with np.errstate(divide="ignore"):
+        np.log(logs, out=logs)
     offset = np.array(log0, dtype=float)
-    v_prev = np.zeros(npts)
-    v_curr = np.ones(npts)
-    for p in range(n):
-        nz = v_curr != 0.0
-        signs[p, nz] = np.sign(v_curr[nz]).astype(np.int8)
-        logs[p, nz] = np.log(np.abs(v_curr[nz])) + offset[nz]
-        if p == n - 1:
-            break
-        v_next = step(p, v_curr, v_prev, x)
-        v_prev, v_curr = v_curr, v_next
-        mag = np.maximum(np.abs(v_curr), np.abs(v_prev))
-        small = (mag > 0) & (mag < _RESCALE_LO)
-        if np.any(small):
-            v_curr[small] *= _RESCALE_UP
-            v_prev[small] *= _RESCALE_UP
-            offset[small] -= _RESCALE_LOG
-        big = mag > _RESCALE_HI
-        if np.any(big):
-            v_curr[big] *= _RESCALE_DOWN
-            v_prev[big] *= _RESCALE_DOWN
-            offset[big] += _RESCALE_LOG
+    first = 0
+    for row, up, down in rescales:
+        logs[first:row] += offset
+        offset[up] -= _RESCALE_LOG
+        offset[down] += _RESCALE_LOG
+        first = row
+    logs[first:] += offset
     return signs, logs
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
+from spikesep.kernels import chiral as chiral_module
+from spikesep.kernels import laguerre as laguerre_module
 from spikesep.kernels import (
     ShiftedChiral,
     chiral_asymptotic_pq,
@@ -159,3 +161,23 @@ def test_families_rows_match_chiral_pq(model):
             vals = [chiral_pq(kind, k, xi, model.m, model.alpha, model.r, model.c) for xi in x]
             assert np.array_equal(sign[k - 1], [v.sign for v in vals])
             assert np.array_equal(log[k - 1], [v.log_magnitude for v in vals])
+
+
+@pytest.mark.parametrize("model", [ShiftedChiral(12, 2.0, 3, 2.0), ShiftedChiral(12, 2.0, 3, 0.1)])
+def test_density_and_kernel_run_one_recurrence(monkeypatch, model):
+    # residue branch and merged-pole branch: the bulk reads the families' stack
+    calls = []
+    recurrence = chiral_module.laguerre_weighted_signlog
+
+    def counted(n, a, x):
+        calls.append(np.size(x))
+        return recurrence(n, a, x)
+
+    for module in (chiral_module, laguerre_module):
+        monkeypatch.setattr(module, "laguerre_weighted_signlog", counted)
+    x = np.linspace(0.2, 9.0, 23)
+    density_shifted_chiral(model, x)
+    assert calls == [23]
+    calls.clear()
+    kernel_shifted_chiral(model, x, x[::-1])
+    assert calls == [46]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from raw_polynomials import hermite_raw
+from spikesep.kernels import hermite as hermite_module
 from spikesep.kernels import (
     ShiftedGUE,
     correl_n,
@@ -246,3 +247,22 @@ def test_families_rows_match_incomplete_hermite(model):
             vals = [incomplete_hermite(kind, j, xi, model.n, model.r, model.c) for xi in x]
             assert np.array_equal(sign[j - 1], [v.sign for v in vals])
             assert np.array_equal(log[j - 1], [v.log_magnitude for v in vals])
+
+
+@pytest.mark.parametrize("model", [ShiftedGUE(12, 3, 2.0), ShiftedGUE(12, 3, 0.05)])
+def test_density_and_kernel_run_one_recurrence(monkeypatch, model):
+    # residue branch and merged-pole branch: the bulk reads the families' stack
+    calls = []
+    recurrence = hermite_module.hermite_weighted_signlog
+
+    def counted(n, x):
+        calls.append(np.size(x))
+        return recurrence(n, x)
+
+    monkeypatch.setattr(hermite_module, "hermite_weighted_signlog", counted)
+    x = np.linspace(-5.0, 6.0, 23)
+    density_shifted_gue(model, x)
+    assert calls == [23]
+    calls.clear()
+    kernel_shifted_gue(model, x, x[::-1])
+    assert calls == [46]

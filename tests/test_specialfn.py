@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 from raw_polynomials import hermite_raw, laguerre_raw
+from reference_recurrence import reference_signlog_store
+from spikesep import specialfn
 from spikesep.specialfn import (
     bessel_i_scaled,
     catalan,
@@ -128,6 +131,43 @@ def test_laguerre_line_matches_genlaguerre():
         ref = eval_genlaguerre(q, big_m - q, x)
         got = signs[q] * np.exp(logs[q])
         assert np.allclose(got, ref, rtol=1e-11)
+
+
+@pytest.mark.parametrize(
+    "recurrence, fired",
+    [
+        # |x| = 45 lies past the oscillatory edge: the carriers grow by ~e^1000;
+        # x = 0 makes every odd row exactly zero
+        (lambda: hermite_weighted_signlog(
+            600, np.array([-45.0, -44.5, -3.0, 0.0, 1e-300, 0.5, 30.0, 45.0])), {"down"}),
+        # a NaN column must not hide the rescale another column needs
+        (lambda: hermite_weighted_signlog(600, np.array([np.nan, 45.0, 1.0])), {"down"}),
+        (lambda: laguerre_weighted_signlog(
+            400, 2.5, np.array([1e-6, 0.3, 40.0, 900.0, 2500.0, 4000.0])), {"down"}),
+        # past its degree 20 the line at integer M falls like x^(q-20): at
+        # x = 1e-300 below 1e-250 within two rows, and at x = 0 it is exactly
+        # zero from q = 21 on
+        (lambda: laguerre_line_signlog(
+            300, 20.0, np.array([0.0, 1e-300, 1e-280, 0.5, 7.0, 60.0, 2500.0])), {"up", "down"}),
+    ],
+)
+def test_recurrence_matches_per_row_reference(monkeypatch, recurrence, fired):
+    with np.errstate(invalid="ignore"):  # the NaN grid point
+        signs, logs = recurrence()
+        events = []
+        monkeypatch.setattr(
+            specialfn, "_signlog_store", partial(reference_signlog_store, events=events)
+        )
+        ref_signs, ref_logs = recurrence()
+    assert fired <= set(events)
+    assert signs.dtype == ref_signs.dtype and logs.dtype == ref_logs.dtype
+    assert np.array_equal(signs, ref_signs)
+    assert np.array_equal(logs, ref_logs, equal_nan=True)
+
+
+def test_recurrence_on_an_empty_grid():
+    signs, logs = hermite_weighted_signlog(5, np.array([]))
+    assert signs.shape == logs.shape == (5, 0)
 
 
 def test_raw_polynomials_capped():
