@@ -5,7 +5,7 @@
     python3 scripts/bench.py --tag before --root ../parent-checkout
 
 Every workload runs for perfbench's default 16 s with --trace 0 (end-to-end
-metrics), and exact-n500 runs again with --trace 1 (per-layer metrics).
+metrics) and again with --trace 1 (per-layer metrics).
 perfbench/run.py runs from the checkout at --root (default: this
 repository), so the same script measures the tree before and after a
 change; the file is always written to this repository's root.  Each run
@@ -24,7 +24,6 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("exact-n500", "mc-small", "mc-large", "pointwise")
-TRACED = ("exact-n500",)
 
 
 def run_one(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -74,7 +73,7 @@ def main(argv=None) -> int:
         parser.error(f"no perfbench/run.py under {root}")
     runs = []
     for workload in WORKLOADS:
-        for trace in (0, 1) if workload in TRACED else (0,):
+        for trace in (0, 1):
             run = run_one(root, workload, args.seed, trace)
             ok = run.get("result", {}).get("correct", False)
             print(f"{workload} trace {trace}: {'correct' if ok else 'FAILED'}", flush=True)

@@ -10,6 +10,11 @@ Entry variances are fixed by the defining matrix weights:
 Reproducibility: each trial draws from a counter-based Philox stream keyed by
 (master_seed, trial_index), so trials are order- and thread-independent, and
 normals come from a fixed-consumption Box-Muller transform of uniforms.
+
+Batches: `SeedStream.trials(lo, hi)` stacks the uniforms of trials lo..hi-1,
+one row per trial, bit-identical to their own generators.  The draws and the
+family builders take one `Generator` or such a batch, and then build a
+(hi - lo, dim, dim) stack equal to the stacked per-trial matrices.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .secular import ChiralShift, GaussianShift, SpikeModel, WishartSpike, Wisha
 
 __all__ = [
     "SeedStream",
+    "TrialStreams",
     "SpectrumSample",
     "sample_shifted_gaussian",
     "sample_spiked_wishart",
@@ -53,6 +59,43 @@ class SeedStream:
         key = np.array([self.master_seed, trial], dtype=np.uint64)
         return Generator(Philox(key=key))
 
+    def trials(self, lo: int, hi: int) -> "TrialStreams":
+        """The streams of trials lo..hi-1 as one batch source."""
+        if not 0 <= lo < hi <= 2**64:
+            raise ValueError("trial range must be non-empty and fit in 64 unsigned bits")
+        return TrialStreams(self.generator(lo), self.master_seed, lo, hi)
+
+
+class TrialStreams:
+    """Uniforms of consecutive trials, one row per trial.
+
+    Row i of `random(count)` equals `SeedStream.generator(lo + i).random(count)`
+    bit for bit.  One Philox bit generator is re-keyed per trial through its
+    public state (key (master_seed, t), counter 0, empty buffer), which is the
+    state `Philox(key=...)` starts in, without a fresh generator per trial.
+    Every row starts its trial's stream, so a source serves a single draw.
+    """
+
+    def __init__(self, gen: Generator, master_seed: int, lo: int, hi: int):
+        self._gen, self._master_seed, self._lo, self._hi = gen, master_seed, lo, hi
+
+    def random(self, count: int) -> np.ndarray:
+        if self._gen is None:
+            raise RuntimeError("a trial batch serves one draw; ask the stream for a new batch")
+        gen, self._gen = self._gen, None
+        out = np.empty((self._hi - self._lo, count))
+        gen.random(count, out=out[0])
+        key = np.array([self._master_seed, self._lo], dtype=np.uint64)
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+                 "buffer": np.zeros(4, dtype=np.uint64),
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for i in range(1, out.shape[0]):
+            key[1] = self._lo + i
+            gen.bit_generator.state = state
+            gen.random(count, out=out[i])
+        return out
+
 
 @dataclass
 class SpectrumSample:
@@ -79,76 +122,80 @@ def _triu_plan(n: int):
     return plan
 
 
-def _normals(gen: Generator, count: int) -> np.ndarray:
-    """count standard normals via Box-Muller (fixed uniform consumption:
-    one block of 2*ceil(count/2) uniforms per call)."""
+def _normals(source, count: int) -> np.ndarray:
+    """count standard normals per trial via Box-Muller (fixed uniform
+    consumption: one block of 2*ceil(count/2) uniforms per call); the result
+    has the source's batch shape, (count,) for a Generator."""
     pairs = (count + 1) // 2
-    u = gen.random(2 * pairs)
-    u1 = u[:pairs]
-    u2 = u[pairs:]
+    u = source.random(2 * pairs)
+    u1 = u[..., :pairs]
+    u2 = u[..., pairs:]
     u1 = np.where(u1 > 0.0, u1, 5e-324)
     radius = np.sqrt(-2.0 * np.log(u1))
     angle = (2.0 * math.pi) * u2
-    z = np.empty(2 * pairs)
-    np.multiply(radius, np.cos(angle), out=z[:pairs])
-    np.multiply(radius, np.sin(angle), out=z[pairs:])
-    return z[:count]
+    z = np.empty(u.shape)
+    np.multiply(radius, np.cos(angle), out=z[..., :pairs])
+    np.multiply(radius, np.sin(angle), out=z[..., pairs:])
+    return z[..., :count]
 
 
-def draw_gaussian_hermitian(gen: Generator, n: int, beta: int) -> np.ndarray:
-    """Zero-mean Gaussian symmetric (beta=1) / Hermitian (beta=2) matrix."""
+def draw_gaussian_hermitian(source, n: int, beta: int) -> np.ndarray:
+    """Zero-mean Gaussian symmetric (beta=1) / Hermitian (beta=2) matrices,
+    shape (..., n, n) over the source's batch axis."""
     iu, il, di = _triu_plan(n)
     n_off = iu[0].size
     if beta == 1:
-        z = _normals(gen, n + n_off)
-        g = np.zeros((n, n))
-        g[di] = z[:n]
-        off = z[n:] / math.sqrt(2.0)
-        g[iu] = off
-        g[il] = off
+        z = _normals(source, n + n_off)
+        g = np.zeros(z.shape[:-1] + (n, n))
+        g[..., di[0], di[1]] = z[..., :n]
+        off = z[..., n:] / math.sqrt(2.0)
+        g[..., iu[0], iu[1]] = off
+        g[..., il[0], il[1]] = off
         return g
     if beta == 2:
-        z = _normals(gen, n + 2 * n_off)
-        g = np.zeros((n, n), dtype=complex)
-        g[di] = z[:n] / math.sqrt(2.0)
-        off = (z[n : n + n_off] + 1j * z[n + n_off :]) / 2.0
-        g[iu] = off
-        g[il] = off.conj()
+        z = _normals(source, n + 2 * n_off)
+        g = np.zeros(z.shape[:-1] + (n, n), dtype=complex)
+        g[..., di[0], di[1]] = z[..., :n] / math.sqrt(2.0)
+        off = (z[..., n : n + n_off] + 1j * z[..., n + n_off :]) / 2.0
+        g[..., iu[0], iu[1]] = off
+        g[..., il[0], il[1]] = off.conj()
         return g
     raise ValueError("beta must be 1 or 2")
 
 
-def draw_gaussian_rectangular(gen: Generator, n: int, m: int, beta: int) -> np.ndarray:
-    """n x m Gaussian matrix with the rectangular weight's entry variances."""
+def draw_gaussian_rectangular(source, n: int, m: int, beta: int) -> np.ndarray:
+    """(..., n, m) Gaussian matrices with the rectangular weight's entry variances."""
     if beta == 1:
-        return _normals(gen, n * m).reshape(n, m)
+        z = _normals(source, n * m)
+        return z.reshape(z.shape[:-1] + (n, m))
     if beta == 2:
-        z = _normals(gen, 2 * n * m)
-        return (z[: n * m].reshape(n, m) + 1j * z[n * m :].reshape(n, m)) / math.sqrt(2.0)
+        z = _normals(source, 2 * n * m)
+        z = z.reshape(z.shape[:-1] + (2, n, m))
+        return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)
     raise ValueError("beta must be 1 or 2")
 
 
-def shifted_hermitian(gen: Generator, n: int, spikes: np.ndarray, beta: int) -> np.ndarray:
-    """G + diag((0)^{n-r}, spikes) for r = len(spikes)."""
-    g = draw_gaussian_hermitian(gen, n, beta)
+def shifted_hermitian(source, n: int, spikes: np.ndarray, beta: int) -> np.ndarray:
+    """G + diag((0)^{n-r}, spikes) for r = len(spikes), shape (..., n, n)."""
+    g = draw_gaussian_hermitian(source, n, beta)
     idx = np.arange(n - spikes.size, n)
-    g[idx, idx] += spikes
+    g[..., idx, idx] += spikes
     return g
 
 
-def spiked_gram(gen: Generator, n: int, sqrt_sigma: np.ndarray, beta: int) -> np.ndarray:
-    """Sigma^{1/2} Y^dag Y Sigma^{1/2} for an n x m Y, m = len(sqrt_sigma)."""
-    y = draw_gaussian_rectangular(gen, n, sqrt_sigma.size, beta)
-    x = y * sqrt_sigma[None, :]
-    return x.conj().T @ x
+def spiked_gram(source, n: int, sqrt_sigma: np.ndarray, beta: int) -> np.ndarray:
+    """Sigma^{1/2} Y^dag Y Sigma^{1/2} for n x m Y, m = len(sqrt_sigma); (..., m, m)."""
+    y = draw_gaussian_rectangular(source, n, sqrt_sigma.size, beta)
+    x = y * sqrt_sigma
+    return np.swapaxes(x.conj(), -1, -2) @ x
 
 
-def shifted_gram(gen: Generator, n: int, m: int, spikes: np.ndarray, beta: int) -> np.ndarray:
-    """(Y + X0)^dag (Y + X0), (X0)_{jj} = spikes[j] for j < r = len(spikes)."""
-    y = draw_gaussian_rectangular(gen, n, m, beta)
+def shifted_gram(source, n: int, m: int, spikes: np.ndarray, beta: int) -> np.ndarray:
+    """(Y + X0)^dag (Y + X0), (X0)_{jj} = spikes[j] for j < r = len(spikes); (..., m, m)."""
+    y = draw_gaussian_rectangular(source, n, m, beta)
     idx = np.arange(spikes.size)
-    y[idx, idx] += spikes
-    return y.conj().T @ y
+    y[..., idx, idx] += spikes
+    return np.swapaxes(y.conj(), -1, -2) @ y
 
 
 def sample_shifted_gaussian(

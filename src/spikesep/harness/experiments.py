@@ -43,9 +43,10 @@ def sample_batch(model, beta: int, trials: int, master_seed: int, edges: np.ndar
                  workers: Optional[int] = None):
     """Histogram counts plus per-trial largest eigenvalues, reproducibly parallel.
 
-    Matrices in a chunk are built trial-by-trial from keyed streams, then
-    eigendecomposed in one stacked call; counts are integers, so merging is
-    exact and independent of chunking and worker count.
+    A chunk's matrices are built a sub-batch of at most 256 KiB at a time from
+    the keyed streams of its trials, into one stack that is eigendecomposed in
+    one call; counts are integers, so merging is exact and independent of
+    chunking and worker count.
     """
     stream = SeedStream(master_seed)
     dim, build, post = model.trial_plan(beta)
@@ -54,14 +55,16 @@ def sample_batch(model, beta: int, trials: int, master_seed: int, edges: np.ndar
     workers = workers or worker_count()
     itemsize = np.dtype(dtype).itemsize
     chunk = int(max(1, min(2048, 6.4e7 // (dim * dim * itemsize))))
+    sub = max(1, (1 << 18) // (dim * dim * itemsize))
     ranges = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     largest = np.empty(trials)
 
     def work(bounds):
         lo, hi = bounds
         mats = np.empty((hi - lo, dim, dim), dtype=dtype)
-        for t in range(lo, hi):
-            mats[t - lo] = build(stream.generator(t))
+        for start in range(lo, hi, sub):
+            stop = min(start + sub, hi)
+            mats[start - lo : stop - lo] = build(stream.trials(start, stop))
         eigs = post(np.linalg.eigvalsh(mats))
         counts = np.histogram(eigs.ravel(), bins=edges)[0]
         return counts, eigs[:, -1]

@@ -91,10 +91,11 @@ class ShiftedChiral:
         return separation_predictor(ChiralShift(2, self.m, n, spike, max(self.r, 1)))
 
     def trial_plan(self, beta: int):
-        """(dimension, build(generator) -> Gram matrix, post -> singular values)."""
+        """(dimension, build(source) -> (..., dim, dim) Gram matrices, post ->
+        singular values); source is a Generator or a `SeedStream.trials` batch."""
         n = sampled_rows(self.m, self.alpha)
         spikes = np.full(self.r, self.c)
-        return (self.m, lambda gen: shifted_gram(gen, n, self.m, spikes, beta),
+        return (self.m, lambda source: shifted_gram(source, n, self.m, spikes, beta),
                 lambda e: np.sqrt(np.clip(e, 0.0, None)))
 
     def families(self, x):

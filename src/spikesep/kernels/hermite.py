@@ -89,9 +89,10 @@ class ShiftedGUE:
         return separation_predictor(GaussianShift(2, self.n, spike, max(self.r, 1)))
 
     def trial_plan(self, beta: int):
-        """(dimension, build(generator) -> matrix, post(eigenvalues) -> eigenvalues)."""
+        """(dimension, build(source) -> (..., dim, dim) matrices, post(eigenvalues)
+        -> eigenvalues); source is a Generator or a `SeedStream.trials` batch."""
         spikes = np.full(self.r, self.c)
-        return self.n, lambda gen: shifted_hermitian(gen, self.n, spikes, beta), lambda e: e
+        return self.n, lambda source: shifted_hermitian(source, self.n, spikes, beta), lambda e: e
 
     def families(self, x):
         """Sign/log stacks (r, npts) of Gtilde_j(x) and Gamma_j(x), unconjugated."""

@@ -89,11 +89,12 @@ class SpikedLUE:
         return separation_predictor(WishartSpike(2, self.m, n, 1.0 / spike, max(self.r, 1)))
 
     def trial_plan(self, beta: int):
-        """(dimension, build(generator) -> matrix, post(eigenvalues) -> eigenvalues)."""
+        """(dimension, build(source) -> (..., dim, dim) matrices, post(eigenvalues)
+        -> eigenvalues); source is a Generator or a `SeedStream.trials` batch."""
         n = sampled_rows(self.m, self.alpha)
         sqrt_sigma = np.ones(self.m)
         sqrt_sigma[: self.r] = math.sqrt(1.0 / self.btilde)
-        return self.m, lambda gen: spiked_gram(gen, n, sqrt_sigma, beta), lambda e: e
+        return self.m, lambda source: spiked_gram(source, n, sqrt_sigma, beta), lambda e: e
 
     def families(self, x):
         """Sign/log stacks (r, npts) of Ltilde_j(x) and Lambda_j(x), unconjugated."""

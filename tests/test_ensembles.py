@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,3 +201,74 @@ def test_sample_batch_matches_per_trial_samplers(family, beta):
     _, largest = sample_batch(model, beta, 20, 17, edges)
     top = np.array([sample(t).eigenvalues[-1] for t in range(20)])
     assert np.array_equal(largest, top)
+
+
+@pytest.mark.parametrize("master_seed", [0, 2**64 - 1])
+def test_trial_streams_match_per_trial_generators(master_seed):
+    stream = SeedStream(master_seed)
+    for lo, hi in ((0, 5), (2**64 - 4, 2**64)):
+        for count in (1, 2, 3, 4, 5, 226, 570):
+            rows = stream.trials(lo, hi).random(count)
+            assert rows.shape == (hi - lo, count)
+            for i, t in enumerate(range(lo, hi)):
+                assert np.array_equal(rows[i], stream.generator(t).random(count))
+
+
+def test_trial_streams_errors():
+    stream = SeedStream(5)
+    for lo, hi in ((-1, 3), (0, 2**64 + 1), (4, 4), (4, 3), (2**64, 2**64 + 1)):
+        with pytest.raises(ValueError):
+            stream.trials(lo, hi)
+    # every row starts its trial's stream, so a batch serves one draw only
+    source = stream.trials(0, 3)
+    source.random(4)
+    with pytest.raises(RuntimeError):
+        source.random(4)
+
+
+class _NoTrials:
+    def random(self, count):
+        return np.empty((0, count))
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("model", [ShiftedGUE(12, 2, 3.0), SpikedLUE(10, 3.0, 2, 0.25),
+                                   ShiftedChiral(12, 3.0, 3, 4.0)], ids=["gue", "lue", "chiral"])
+def test_family_builders_on_a_batch_source(model, beta):
+    """One build over a batch source equals the stacked per-trial builds."""
+    stream = SeedStream(41)
+    dim, build, _ = model.trial_plan(beta)
+    batch = build(stream.trials(3, 10))
+    single = np.stack([build(stream.generator(t)) for t in range(3, 10)])
+    assert batch.shape == (7, dim, dim)
+    assert np.array_equal(batch, single)
+    assert build(_NoTrials()).shape == (0, dim, dim)
+
+
+def test_sample_batch_sub_batches_match_per_trial_spectra():
+    # dim 12 complex: 113-trial sub-batches, so 250 trials are 113 + 113 + 24
+    model = ShiftedGUE(12, 2, 3.0)
+    spiked = GaussianShift(2, 12, 3.0, r=2)
+    stream = SeedStream(9)
+    edges = np.linspace(-8.0, 8.0, 41)
+    spectra = np.array([sample_shifted_gaussian(spiked, [3.0] * 2, stream, t).eigenvalues
+                        for t in range(250)])
+    expected = np.histogram(spectra.ravel(), bins=edges)[0]
+    for workers in (1, 2):
+        counts, largest = sample_batch(model, 2, 250, 9, edges, workers=workers)
+        assert np.array_equal(largest, spectra[:, -1])
+        assert np.array_equal(counts, expected)
+
+
+def test_sample_batch_memory_is_bounded_by_sub_batches():
+    """A chunk is drawn a sub-batch at a time; drawing it whole peaks far higher."""
+    model = ShiftedChiral(15, 4.0, 5, 15.0)
+    edges = np.linspace(0.0, 30.0, 61)
+    sample_batch(model, 2, 10, 3, edges)
+    tracemalloc.start()
+    try:
+        sample_batch(model, 2, 2000, 3, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20
