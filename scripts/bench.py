@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Run the perfbench workloads once each and write the results to BENCH_<tag>.json.
+"""Run the perfbench workloads and write the results to BENCH_<tag>.json.
 
     python3 scripts/bench.py --tag after --seed 1
     python3 scripts/bench.py --tag before --root ../parent-checkout
 
-Every workload runs for perfbench's default 16 s with --trace 0 (end-to-end
-metrics) and again with --trace 1 (per-layer metrics).
+Every workload runs for perfbench's default 16 s three times with --trace 0
+(end-to-end metrics) and once with --trace 1 (per-layer metrics).  One run
+cannot resolve a workload whose run-to-run spread is wider than a metric's
+bound, so the file also records, per workload, each end-to-end metric's
+median and quartiles over its untraced runs ("summary").
 perfbench/run.py runs from the checkout at --root (default: this
 repository), so the same script measures the tree before and after a
 change; the file is always written to this repository's root.  Each run
@@ -18,12 +21,14 @@ file in .bench_out/, as perfbench does.
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("exact-n500", "mc-small", "mc-large", "pointwise")
+UNTRACED_RUNS = 3
 
 
 def run_one(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -42,6 +47,24 @@ def run_one(root: Path, workload: str, seed: int, trace: int) -> dict:
     else:
         run["stderr"] = proc.stderr.strip().splitlines()[-20:]
     return run
+
+
+def summarize(runs: list) -> dict:
+    """Per workload and end-to-end metric: median and quartiles of the correct untraced runs."""
+    values: dict = {}
+    for run in runs:
+        result = run.get("result", {})
+        if run["trace"] == 0 and result.get("correct", False):
+            for name, metric in result["metrics"].items():
+                values.setdefault(run["workload"], {}).setdefault(name, []).append(metric["value"])
+    summary = {}
+    for workload, metrics in values.items():
+        summary[workload] = {}
+        for name, vals in metrics.items():
+            q1, median, q3 = (statistics.quantiles(vals, n=4, method="inclusive")
+                              if len(vals) > 1 else vals * 3)
+            summary[workload][name] = {"median": median, "q1": q1, "q3": q3, "runs": len(vals)}
+    return summary
 
 
 def tree_state(root: Path) -> dict:
@@ -73,13 +96,14 @@ def main(argv=None) -> int:
         parser.error(f"no perfbench/run.py under {root}")
     runs = []
     for workload in WORKLOADS:
-        for trace in (0, 1):
+        for trace in (0,) * UNTRACED_RUNS + (1,):
             run = run_one(root, workload, args.seed, trace)
             ok = run.get("result", {}).get("correct", False)
             print(f"{workload} trace {trace}: {'correct' if ok else 'FAILED'}", flush=True)
             runs.append(run)
     out = REPO / f"BENCH_{args.tag}.json"
-    record = {"tag": args.tag, "seed": args.seed, "root": tree_state(root), "runs": runs}
+    record = {"tag": args.tag, "seed": args.seed, "root": tree_state(root),
+              "summary": summarize(runs), "runs": runs}
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out.relative_to(REPO)}")
     return 0 if all(run.get("result", {}).get("correct", False) for run in runs) else 1

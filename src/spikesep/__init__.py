@@ -1,23 +1,20 @@
 """spikesep: eigenvalue separation in spiked random matrix ensembles.
 
-Exact beta=2 determinantal kernels, secular-equation separation predictors,
-limiting spectral laws, seeded Monte Carlo samplers, and an experiment harness
-that renders the standard density/onset plots as CSV and SVG.
+Exact beta=2 determinantal kernels, secular equations, limiting spectral laws,
+seeded Monte Carlo samplers, and an experiment harness that renders the
+standard density/onset plots as CSV and SVG.  Each ensemble is described once,
+by a model in `spikesep.kernels` (ShiftedGUE, SpikedLUE, ShiftedChiral) that
+carries its density, separation predictor and Monte Carlo plan.
 """
 
 __version__ = "0.1.0"
 
 from .logspace import SignedLogValue
 from .secular import (
-    ChiralShift,
-    GaussianShift,
     SecularProblem,
     SeparationPrediction,
-    WishartSpike,
-    WishartSpikeGamma,
     chiral_secular_eigenvalues,
     secular_eigenvalues,
-    separation_predictor,
 )
 from .spectra import (
     DensityCurve,
@@ -25,24 +22,19 @@ from .spectra import (
     MarchenkoPasturGamma,
     Semicircle,
 )
-from .ensembles import SeedStream, SpectrumSample
+from .ensembles import SeedStream, sample_spectrum
 
 __all__ = [
     "__version__",
     "SignedLogValue",
     "SecularProblem",
-    "GaussianShift",
-    "WishartSpike",
-    "WishartSpikeGamma",
-    "ChiralShift",
     "SeparationPrediction",
     "secular_eigenvalues",
     "chiral_secular_eigenvalues",
-    "separation_predictor",
     "Semicircle",
     "MarchenkoPasturFixedDiff",
     "MarchenkoPasturGamma",
     "DensityCurve",
     "SeedStream",
-    "SpectrumSample",
+    "sample_spectrum",
 ]

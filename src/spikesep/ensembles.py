@@ -1,5 +1,9 @@
 """Seeded matrix samplers for the three spiked ensembles at beta = 1, 2.
 
+The kernel models in `spikesep.kernels` describe the ensembles; each one's
+`trial_plan(beta)` pairs a family builder below with the map from the built
+matrix's eigenvalues to its spectrum, and `sample_spectrum` draws one trial.
+
 Entry variances are fixed by the defining matrix weights:
   * Gaussian weight exp(-(beta/2) Tr G^2): beta=1 diag var 1, off-diag var 1/2;
     beta=2 diag var 1/2, off-diag complex with E|G_ij|^2 = 1/2.  Bulk edge
@@ -25,15 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .secular import ChiralShift, GaussianShift, SpikeModel, WishartSpike, WishartSpikeGamma
-
 __all__ = [
     "SeedStream",
     "TrialStreams",
-    "SpectrumSample",
-    "sample_shifted_gaussian",
-    "sample_spiked_wishart",
-    "sample_shifted_chiral",
+    "sample_spectrum",
     "draw_gaussian_hermitian",
     "draw_gaussian_rectangular",
     "shifted_hermitian",
@@ -95,19 +94,6 @@ class TrialStreams:
             gen.bit_generator.state = state
             gen.random(count, out=out[i])
         return out
-
-
-@dataclass
-class SpectrumSample:
-    eigenvalues: np.ndarray
-    model: SpikeModel
-    seed: int
-    trial_index: int
-
-    def __post_init__(self):
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        if np.any(np.diff(self.eigenvalues) < 0):
-            raise ValueError("eigenvalues must be ascending")
 
 
 _triu_cache: dict = {}
@@ -198,53 +184,12 @@ def shifted_gram(source, n: int, m: int, spikes: np.ndarray, beta: int) -> np.nd
     return np.swapaxes(y.conj(), -1, -2) @ y
 
 
-def sample_shifted_gaussian(
-    model: GaussianShift, spike_values, stream: SeedStream, trial: int
-) -> SpectrumSample:
-    """Eigenvalues of G + diag((0)^{N-r}, spike_values)."""
-    spike_values = np.asarray(spike_values, dtype=float)
-    if spike_values.size != model.r:
-        raise ValueError("need one spike value per unit of rank")
-    g = shifted_hermitian(stream.generator(trial), model.n, spike_values, model.beta)
-    eig = np.linalg.eigvalsh(g)
-    return SpectrumSample(eig, model, stream.master_seed, trial)
-
-
-def sample_spiked_wishart(model, stream: SeedStream, trial: int) -> SpectrumSample:
-    """Eigenvalues of Sigma^{1/2} Y^dag Y Sigma^{1/2}, Sigma = diag((s)^r, (1)^{m-r})."""
-    if isinstance(model, WishartSpike):
-        m, n = model.m, model.n
-    elif isinstance(model, WishartSpikeGamma):
-        m = model.m
-        n = int(round(model.gamma * model.m))
-    else:
-        raise TypeError("expected a WishartSpike or WishartSpikeGamma model")
-    sqrt_sigma = np.ones(m)
-    sqrt_sigma[:model.r] = math.sqrt(model.s)
-    gram = spiked_gram(stream.generator(trial), n, sqrt_sigma, model.beta)
-    eig = np.linalg.eigvalsh(gram)
-    return SpectrumSample(eig, model, stream.master_seed, trial)
-
-
-def sample_shifted_chiral(
-    model: ChiralShift, spike_singulars, stream: SeedStream, trial: int
-) -> SpectrumSample:
-    """Full +-symmetric spectrum of the chiral block matrix built from X + X0.
-
-    X0 is the n x m matrix with (X0)_{jj} = spike_singulars[j] for j < r. The
-    n+m eigenvalues are the +- singular values of X + X0 together with n - m
-    exact zeros, computed from the m x m Gram matrix.
-    """
-    spike_singulars = np.asarray(spike_singulars, dtype=float)
-    if spike_singulars.size != model.r:
-        raise ValueError("need one spike singular value per unit of rank")
-    if np.any(spike_singulars < 0):
-        raise ValueError("spike singular values must be >= 0")
-    gram = shifted_gram(stream.generator(trial), model.n, model.m, spike_singulars, model.beta)
-    sq = np.linalg.eigvalsh(gram)
-    sing = np.sqrt(np.clip(sq, 0.0, None))
-    eig = np.concatenate([-sing[::-1], np.zeros(model.n - model.m), sing])
-    return SpectrumSample(eig, model, stream.master_seed, trial)
+def sample_spectrum(model, beta: int, stream: SeedStream, trial: int) -> np.ndarray:
+    """Ascending spectrum of trial `trial` of a kernel model at beta, built by
+    `model.trial_plan(beta)`: the eigenvalues, or the chiral model's m
+    singular values, the values `sample_batch` bins."""
+    _, build, post = model.trial_plan(beta)
+    return post(np.linalg.eigvalsh(build(stream.generator(trial))))
 
 
 def eigensolver_residual(a: np.ndarray) -> float:

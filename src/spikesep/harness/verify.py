@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .. import jointpdf, spectra
-from ..ensembles import SeedStream, eigensolver_residual, sample_shifted_chiral
+from ..ensembles import SeedStream, draw_gaussian_rectangular, eigensolver_residual, sample_spectrum
 from ..kernels import (
     ShiftedChiral,
     ShiftedGUE,
@@ -45,16 +45,7 @@ from ..kernels.contour import (
     contour_incomplete_laguerre_plain,
     contour_incomplete_laguerre_tilde,
 )
-from ..secular import (
-    ChiralShift,
-    GaussianShift,
-    SecularProblem,
-    WishartSpike,
-    WishartSpikeGamma,
-    chiral_secular_eigenvalues,
-    secular_eigenvalues,
-    separation_predictor,
-)
+from ..secular import SecularProblem, chiral_secular_eigenvalues, secular_eigenvalues
 from ..specialfn import (
     catalan,
     hermite_weighted,
@@ -248,15 +239,17 @@ def _check_chiral_averaged_interlacing():
 
 def _check_predictor_consistency():
     worst = 0.0
+    fixed = SpikedLUE(500, 3.0, 1, 0.5)
+    proportional = SpikedLUE(500, 0.0, 1, 0.5, regime="proportional")
     for s in (2.1, 3.0, 4.0, 10.0):
-        a = separation_predictor(WishartSpike(2, 500, 503, s)).location
-        b = separation_predictor(WishartSpikeGamma(2, 500, 1.0, s)).location
+        a = fixed.predictor(1.0 / s).location
+        b = proportional.predictor(1.0 / s).location
         worst = max(worst, abs(a - b) / a)
-    gs = separation_predictor(GaussianShift(2, 500, 2.0)).location
+    gs = ShiftedGUE(500, 1, 0.0).predictor(2.0).location
     worst = max(worst, abs(gs - 39.528470752104741) / 39.528470752104741)
-    ws = separation_predictor(WishartSpike(2, 500, 503, 4.0)).location
+    ws = fixed.predictor(1.0 / 4.0).location
     worst = max(worst, abs(ws - 500 * 16.0 / 3.0) / ws)
-    at_threshold = separation_predictor(WishartSpike(2, 500, 503, 2.0))
+    at_threshold = fixed.predictor(1.0 / 2.0)
     if at_threshold.above_threshold:
         return False, 1.0, 0.0, "threshold case must not separate"
     return worst < 1e-12, worst, 1e-12, "gamma=1 agreement and closed-form locations"
@@ -286,26 +279,29 @@ def _check_eigensolver_residual():
 
 def _check_chiral_sampler_structure():
     stream = SeedStream(17)
-    model = ChiralShift(2, 12, 15, 4.0, r=3)
-    ok = True
+    model = ShiftedChiral(12, 3.0, 3, 4.0)
+    n, m = 15, 12
+    worst = 0.0
     for t in range(10):
-        s = sample_shifted_chiral(model, [4.0] * 3, stream, t)
-        eig = s.eigenvalues
-        scale = np.max(np.abs(eig))
-        sym = np.max(np.abs(eig + eig[::-1]))
-        zeros = np.sum(np.abs(eig) < 1e-8 * scale)
-        ok = ok and sym < 1e-8 * scale and zeros >= model.n - model.m
-    return bool(ok), 0.0 if ok else 1.0, 0.0, "sign symmetry and zero count, 10 trials"
+        x = draw_gaussian_rectangular(stream.generator(t), n, m, 2)
+        x[np.arange(model.r), np.arange(model.r)] += model.c
+        block = np.block([[np.zeros((n, n)), x], [x.conj().T, np.zeros((m, m))]])
+        eig = np.linalg.eigvalsh(block)
+        sing = sample_spectrum(model, 2, stream, t)
+        expected = np.sort(np.concatenate([-sing, np.zeros(n - m), sing]))
+        worst = max(worst, float(np.max(np.abs(eig - expected)) / np.max(np.abs(eig))))
+    ok = worst < 1e-8
+    return ok, 0.0 if ok else 1.0, 0.0, (
+        f"(n+m)-square chiral block vs +-sample_spectrum and n-m zeros, 10 trials, "
+        f"worst {worst:.1e} of the largest |eigenvalue| (tolerance 1e-8)")
 
 
 def _check_wishart_trace_mc():
-    model = WishartSpike(2, 30, 33, 4.0, r=2)
+    model = SpikedLUE(30, 3.0, 2, 0.25)
     stream = SeedStream(23)
-    from ..ensembles import sample_spiked_wishart
-
     trials = 3000
     traces = np.array([
-        float(np.sum(sample_spiked_wishart(model, stream, t).eigenvalues)) for t in range(trials)
+        float(np.sum(sample_spectrum(model, 2, stream, t))) for t in range(trials)
     ])
     expected = 33 * (30 - 2) + 33 * 2 * 4.0
     se = float(np.std(traces, ddof=1) / math.sqrt(trials))
@@ -525,7 +521,7 @@ def _check_factorization():
         spike = np.sort(c + rng.uniform(-1.0, 1.0, 2))
         lam = np.concatenate([bulk, spike])
         lam0 = np.array([0.0, 1e-6, c, c + 2e-6])
-        g = jointpdf.joint_pdf(GaussianShift(2, 4, c, 2), jointpdf.EigenConfiguration(lam, lam0))
+        g = jointpdf.joint_pdf(ShiftedGUE(4, 2, c), jointpdf.EigenConfiguration(lam, lam0))
         prod = (
             -float(np.sum((spike - c) ** 2))
             - float(np.sum(bulk**2))
@@ -545,7 +541,7 @@ def _check_factorization():
         spike = np.sort(rng.uniform(30.0, 90.0, 2)) / btilde * 0.5
         lam = np.concatenate([bulk, spike])
         lam0 = np.array([btilde, btilde + 1e-6, 1.0, 1.0 + 2e-6])
-        g = jointpdf.joint_pdf(WishartSpike(2, 4, 5, 1.0 / btilde, 2), jointpdf.EigenConfiguration(lam, lam0))
+        g = jointpdf.joint_pdf(SpikedLUE(4, 1.0, 2, btilde), jointpdf.EigenConfiguration(lam, lam0))
         prod = (
             float((alpha + 2.0) * np.sum(np.log(spike)) - btilde * np.sum(spike))
             + float(alpha * np.sum(np.log(bulk)) - np.sum(bulk))
@@ -563,7 +559,7 @@ def _check_factorization():
         spike = np.sort(rng2.uniform(0.5, 3.0, 2)) / btilde
         lam = np.concatenate([spike, bulk])
         lam0 = np.array([btilde, btilde + 1e-4, 1.0, 1.0 + 2e-6])
-        g = jointpdf.joint_pdf(WishartSpike(2, 4, 5, 1.0 / btilde, 2), jointpdf.EigenConfiguration(lam, lam0))
+        g = jointpdf.joint_pdf(SpikedLUE(4, 1.0, 2, btilde), jointpdf.EigenConfiguration(lam, lam0))
         prod = (
             float(alpha * np.sum(np.log(spike)) - btilde * np.sum(spike))
             + float((alpha + 2.0) * np.sum(np.log(bulk)) - np.sum(bulk))
@@ -583,7 +579,7 @@ def _check_factorization():
         lam = np.concatenate([bulk, spike])
         lam0 = np.array([1e-3, 2e-3, c, c + 1e-4])
         alphap = alpha + 0.5
-        g = jointpdf.joint_pdf(ChiralShift(2, 4, 5, c, 2), jointpdf.EigenConfiguration(lam, lam0))
+        g = jointpdf.joint_pdf(ShiftedChiral(4, 1.0, 2, c), jointpdf.EigenConfiguration(lam, lam0))
         prod = (
             -float(np.sum((spike - c) ** 2))
             + 2.0 * math.log(abs(spike[1] - spike[0]))
@@ -610,30 +606,26 @@ def _mc_largest_mean(kernel_model, trials, seed):
 
 def _check_predictor_mc():
     results = []
-    # shifted GUE at c = 1.5 (spike value c*J/2)
-    pred = separation_predictor(GaussianShift(2, 500, 1.5))
-    mean = _mc_largest_mean(ShiftedGUE(500, 1, 1.5 * math.sqrt(1000.0) / 2.0), 200, 1001)
-    results.append(abs(mean - pred.location) / pred.location)
-    # Wishart spike at s = 3 (n - m fixed)
-    pred = separation_predictor(WishartSpike(2, 500, 503, 3.0))
-    mean = _mc_largest_mean(SpikedLUE(500, 3.0, 1, 1.0 / 3.0), 200, 1002)
-    results.append(abs(mean - pred.location) / pred.location)
-    # chiral at c = 1.5 (spike singular value c*J/2, J = 2 sqrt(m))
-    pred = separation_predictor(ChiralShift(2, 500, 503, 1.5))
-    mean = _mc_largest_mean(ShiftedChiral(500, 3.0, 1, 1.5 * math.sqrt(500.0)), 200, 1003)
-    results.append(abs(mean - pred.location) / pred.location)
+    # (model, predictor spike, seed): shifted GUE at c = 1.5 (spike value
+    # c*J/2), Wishart spike at s = 3 (n - m fixed), chiral at c = 1.5 (spike
+    # singular value c*J/2, J = 2 sqrt(m))
+    for model, spike, seed in [
+        (ShiftedGUE(500, 1, 1.5 * math.sqrt(1000.0) / 2.0), 1.5, 1001),
+        (SpikedLUE(500, 3.0, 1, 1.0 / 3.0), 1.0 / 3.0, 1002),
+        (ShiftedChiral(500, 3.0, 1, 1.5 * math.sqrt(500.0)), 1.5, 1003),
+    ]:
+        pred = model.predictor(spike)
+        mean = _mc_largest_mean(model, 200, seed)
+        results.append(abs(mean - pred.location) / pred.location)
     worst = max(results)
     return worst < 0.02, worst, 0.02, f"relative errors {['%.4f' % r for r in results]}"
 
 
 def _check_predictor_mc_gamma():
-    pred = separation_predictor(WishartSpikeGamma(2, 250, 2.0, 1.5 * (1.0 + 1.0 / math.sqrt(2.0))))
-    from ..ensembles import sample_spiked_wishart
-
-    stream = SeedStream(1004)
-    model = WishartSpikeGamma(2, 250, 2.0, 1.5 * (1.0 + 1.0 / math.sqrt(2.0)))
-    largest = [sample_spiked_wishart(model, stream, t).eigenvalues[-1] for t in range(200)]
-    rel = abs(float(np.mean(largest)) - pred.location) / pred.location
+    btilde = 1.0 / (1.5 * (1.0 + 1.0 / math.sqrt(2.0)))
+    model = SpikedLUE(250, 250.0, 1, btilde, regime="proportional")
+    pred = model.predictor(btilde)
+    rel = abs(_mc_largest_mean(model, 200, 1004) - pred.location) / pred.location
     return rel < 0.02, rel, 0.02, "gamma = 2 variant, m = 250"
 
 

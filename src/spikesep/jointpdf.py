@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln
 
+from .kernels import ShiftedChiral, ShiftedGUE, SpikedLUE
 from .logspace import SignedLogValue
-from .secular import ChiralShift, GaussianShift, SpikeModel, WishartSpike, WishartSpikeGamma
 from .specialfn import log_0f1
 
 __all__ = [
@@ -226,39 +226,39 @@ def series_f01(a: float, x, y, max_weight: int = 8) -> float:
 # ---------------------------------------------------------------------------
 # joint densities
 
-def joint_pdf(model: SpikeModel, config: EigenConfiguration) -> SignedLogValue:
-    """Unnormalized joint eigenvalue density at beta = 2 for the given model.
+def joint_pdf(model: ShiftedGUE | SpikedLUE | ShiftedChiral,
+              config: EigenConfiguration) -> SignedLogValue:
+    """Unnormalized joint eigenvalue density of a kernel model (beta = 2).
 
-    Gaussian shift:  Delta(lam)^2 exp(-sum lam^2 - sum lam0^2) 0F0(2 lam0; lam)
-    Wishart spike:   prod lam^alpha Delta(lam)^2 0F0(lam; -lam0), lam0 the
-                     inverse-covariance eigenvalues (btilde^r, 1^{m-r})
-    Chiral shift:    prod lam^{2a+1} e^{-lam^2} Delta(lam^2)^2 0F1(n; lam^2; lam0^2)
+    ShiftedGUE:    Delta(lam)^2 exp(-sum lam^2 - sum lam0^2) 0F0(2 lam0; lam)
+    SpikedLUE:     prod lam^alpha Delta(lam)^2 0F0(lam; -lam0), lam0 the
+                   inverse-covariance eigenvalues (btilde^r, 1^{m-r})
+    ShiftedChiral: prod lam^{2a+1} e^{-lam^2} Delta(lam^2)^2 0F1(n; lam^2; lam0^2),
+                   n = m + alpha
+    The source eigenvalues lam0 come from `config`; the model supplies the
+    family and alpha.
     """
-    if getattr(model, "beta", 2) != 2:
-        raise ValueError("joint densities are implemented for beta = 2 only")
     lam = config.lam
     if lam.size > 6:
         raise ValueError("oracle-scale evaluation only (N <= 6)")
-    sv, lv = _log_vandermonde(lam)
-    if isinstance(model, GaussianShift):
+    if isinstance(model, ShiftedGUE):
+        _, lv = _log_vandermonde(lam)
         f = f00_unitary(2.0 * config.lam0, lam)
         log = 2.0 * lv - float(np.sum(lam**2) + np.sum(config.lam0**2))
         return f.scaled(log)
-    if isinstance(model, (WishartSpike, WishartSpikeGamma)):
+    if isinstance(model, SpikedLUE):
         if np.any(lam <= 0):
             raise ValueError("Wishart eigenvalues must be positive")
-        alpha = (model.n - model.m) if isinstance(model, WishartSpike) else (
-            int(round(model.gamma * model.m)) - model.m
-        )
+        _, lv = _log_vandermonde(lam)
         f = f00_unitary(lam, -np.asarray(config.lam0, dtype=float))
-        log = alpha * float(np.sum(np.log(lam))) + 2.0 * lv
+        log = model.alpha * float(np.sum(np.log(lam))) + 2.0 * lv
         return f.scaled(log)
-    if isinstance(model, ChiralShift):
+    if isinstance(model, ShiftedChiral):
         if np.any(lam <= 0):
             raise ValueError("chiral positive eigenvalues must be positive")
-        alpha = model.n - model.m
-        sv2, lv2 = _log_vandermonde(lam**2)
-        f = f01_unitary(float(model.n), lam**2, np.asarray(config.lam0, dtype=float) ** 2)
+        alpha = model.alpha
+        _, lv2 = _log_vandermonde(lam**2)
+        f = f01_unitary(float(model.m + alpha), lam**2, np.asarray(config.lam0, dtype=float) ** 2)
         log = (2.0 * alpha + 1.0) * float(np.sum(np.log(lam))) - float(np.sum(lam**2)) + 2.0 * lv2
         return f.scaled(log)
     raise TypeError(f"unknown spike model {model!r}")
@@ -321,7 +321,7 @@ def green_function(
         if nn == 1:
             return SignedLogValue.from_float(green_gaussian_n1(lam[0], lam0[0], tau))
         t = math.exp(-tau)
-        sv, lv = _log_vandermonde(lam)
+        _, lv = _log_vandermonde(lam)
         one_mt2 = 1.0 - t * t
         f = f00_unitary(2.0 * lam * t / one_mt2, lam0)
         log = (
@@ -340,7 +340,7 @@ def green_function(
             )
         t = math.exp(-2.0 * tau) if t_convention == "squared" else math.exp(-tau)
         one_mt = 1.0 - t
-        sv2, lv2 = _log_vandermonde(lam**2)
+        _, lv2 = _log_vandermonde(lam**2)
         f = f01_unitary(float(n_param), lam**2 / one_mt, t * lam0**2 / one_mt)
         log = (
             2.0 * alpha_prime * float(np.sum(np.log(lam)))

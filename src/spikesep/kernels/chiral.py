@@ -19,9 +19,9 @@ from scipy.special import gammaln
 
 from ..ensembles import shifted_gram
 from ..logspace import SignedLogValue
-from ..secular import ChiralShift, separation_predictor
+from ..secular import SeparationPrediction
 from ..specialfn import laguerre_weighted_signlog, log_0f1
-from .common import pairwise, sampled_rows
+from .common import pairwise, sampled_rows, shift_prediction
 from .hermite import kernel_gue
 from .twopole import (
     bulk_sum,
@@ -86,9 +86,9 @@ class ShiftedChiral:
             return ShiftedChiral(self.m, self.alpha, self.r, spike * self.bulk_edge / 2.0)
         return ShiftedChiral(self.m, self.alpha, 0, 0.0)
 
-    def predictor(self, spike: float):
-        n = self.m + int(round(self.alpha))
-        return separation_predictor(ChiralShift(2, self.m, n, spike, max(self.r, 1)))
+    def predictor(self, spike: float) -> SeparationPrediction:
+        """Large-m separation of a singular shift of `spike` threshold units (shift spike*J/2)."""
+        return shift_prediction(self.bulk_edge, spike)
 
     def trial_plan(self, beta: int):
         """(dimension, build(source) -> (..., dim, dim) Gram matrices, post ->

@@ -1,10 +1,12 @@
-"""Shared log-space plumbing for kernel evaluation over grids."""
+"""Shared log-space plumbing for kernel evaluation over grids, and the
+helpers the kernel models share."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..logspace import slog_sum_columns
+from ..secular import SeparationPrediction
 
 __all__ = [
     "pairwise",
@@ -12,6 +14,7 @@ __all__ = [
     "materialize_columns",
     "combine_positive_logs",
     "sampled_rows",
+    "shift_prediction",
 ]
 
 
@@ -63,3 +66,13 @@ def sampled_rows(m: int, alpha: float) -> int:
     if abs(alpha - round(alpha)) > 1e-12:
         raise ValueError("Monte Carlo needs integer alpha = n - m")
     return m + int(round(alpha))
+
+
+def shift_prediction(bulk_edge: float, spike: float) -> SeparationPrediction:
+    """Mean (GUE) or singular-value (chiral) shift of `spike` threshold units:
+    it separates above spike 1, at 0.5 * J * (spike + 1/spike) for bulk edge J."""
+    if spike < 0:
+        raise ValueError("shift strength must be >= 0")
+    if spike > 1.0:
+        return SeparationPrediction(1.0, True, 0.5 * bulk_edge * (spike + 1.0 / spike))
+    return SeparationPrediction(1.0, False)

@@ -19,9 +19,9 @@ from scipy.special import gammaln
 
 from ..ensembles import shifted_hermitian
 from ..logspace import SignedLogValue
-from ..secular import GaussianShift, separation_predictor
+from ..secular import SeparationPrediction
 from ..specialfn import hermite_weighted_signlog
-from .common import materialize_columns, pairwise
+from .common import materialize_columns, pairwise, shift_prediction
 from .twopole import (
     bulk_sum,
     completing_family,
@@ -85,8 +85,9 @@ class ShiftedGUE:
             return ShiftedGUE(self.n, self.r, spike * self.bulk_edge / 2.0)
         return ShiftedGUE(self.n, 0, 0.0)
 
-    def predictor(self, spike: float):
-        return separation_predictor(GaussianShift(2, self.n, spike, max(self.r, 1)))
+    def predictor(self, spike: float) -> SeparationPrediction:
+        """Large-n separation of a mean shift of `spike` threshold units (shift spike*J/2)."""
+        return shift_prediction(self.bulk_edge, spike)
 
     def trial_plan(self, beta: int):
         """(dimension, build(source) -> (..., dim, dim) matrices, post(eigenvalues)

@@ -13,14 +13,14 @@ pair; accumulation is in signed log space throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
 
 from ..ensembles import spiked_gram
 from ..logspace import SignedLogValue
-from ..secular import WishartSpike, separation_predictor
+from ..secular import SeparationPrediction
 from ..specialfn import laguerre_line_signlog, laguerre_weighted_signlog
 from .common import materialize_columns, pairwise, sampled_rows
 from .twopole import (
@@ -48,12 +48,18 @@ _TAYLOR_TERMS = 160  # coefficient-line rows added for the merged-pole series
 
 @dataclass(frozen=True)
 class SpikedLUE:
-    """m x m LUE with parameter alpha and a rank-r inverse-covariance spike btilde."""
+    """m x m LUE with parameter alpha and a rank-r inverse-covariance spike btilde.
+
+    `regime` names the large-m limit the predictor takes: "fixed" holds
+    n - m = alpha fixed, "proportional" holds n/m = (m + alpha)/m fixed.  The
+    density does not depend on it.
+    """
 
     m: int
     alpha: float
     r: int
     btilde: float
+    regime: str = "fixed"
 
     def __post_init__(self):
         if self.m < 1:
@@ -64,6 +70,10 @@ class SpikedLUE:
             raise ValueError("rank must satisfy 0 <= r <= m")
         if self.btilde <= 0:
             raise ValueError("inverse-covariance spike btilde must be > 0")
+        if self.regime not in ("fixed", "proportional"):
+            raise ValueError("regime must be 'fixed' or 'proportional'")
+        if self.regime == "proportional" and self.alpha < 0:
+            raise ValueError("the proportional regime needs n >= m, alpha >= 0")
 
     @property
     def mass(self) -> float:
@@ -82,11 +92,26 @@ class SpikedLUE:
 
     def respike(self, spike: float) -> SpikedLUE:
         """Scan model with btilde = spike."""
-        return SpikedLUE(self.m, self.alpha, self.r, spike)
+        return replace(self, btilde=spike)
 
-    def predictor(self, spike: float):
-        n = self.m + int(round(self.alpha))
-        return separation_predictor(WishartSpike(2, self.m, n, 1.0 / spike, max(self.r, 1)))
+    def predictor(self, spike: float) -> SeparationPrediction:
+        """Large-m separation at btilde = spike, covariance spike s = 1/spike
+        (Baik-Ben Arous-Peche): past s = 2 at m s^2/(s - 1) in the fixed
+        regime, past s = 1 + 1/sqrt(gamma) at n s (1 + (1/gamma)/(s - 1)) in
+        the proportional one, gamma = n/m."""
+        if spike <= 0:
+            raise ValueError("inverse-covariance spike must be > 0")
+        s = 1.0 / spike
+        if self.regime == "fixed":
+            if s > 2.0:
+                return SeparationPrediction(2.0, True, self.m * s**2 / (s - 1.0))
+            return SeparationPrediction(2.0, False)
+        gamma = (self.m + self.alpha) / self.m
+        thr = 1.0 + 1.0 / math.sqrt(gamma)
+        if s > thr:
+            n = gamma * self.m
+            return SeparationPrediction(thr, True, n * s * (1.0 + (1.0 / gamma) / (s - 1.0)))
+        return SeparationPrediction(thr, False)
 
     def trial_plan(self, beta: int):
         """(dimension, build(source) -> (..., dim, dim) matrices, post(eigenvalues)

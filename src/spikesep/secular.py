@@ -1,30 +1,26 @@
-"""Rank-one and chiral rank-two secular equations, and separation predictors.
+"""Rank-one and chiral rank-two secular equations.
 
 The rank-one solver finds all roots of 1 = mu * sum_i w_i/(lambda - a_i);
 between consecutive poles the secular function is strictly monotone, so each
 root is bracketed by interlacing, located by bisection, and polished with a
-safeguarded Newton iteration.
+safeguarded Newton iteration.  `SeparationPrediction` is the record each
+kernel model's `predictor(spike)` returns; the ensembles themselves are
+described once, by the models in `spikesep.kernels`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "SecularProblem",
-    "GaussianShift",
-    "WishartSpike",
-    "WishartSpikeGamma",
-    "ChiralShift",
-    "SpikeModel",
     "SeparationPrediction",
     "secular_eigenvalues",
     "chiral_secular_eigenvalues",
-    "separation_predictor",
 ]
 
 
@@ -43,77 +39,6 @@ class SecularProblem:
             raise ValueError("diag and weights must be 1-d arrays of equal length")
         if np.any(self.weights < 0):
             raise ValueError("mixed-sign effective weights are unsupported; weights must be >= 0")
-
-
-@dataclass(frozen=True)
-class GaussianShift:
-    beta: int
-    n: int
-    c: float
-    r: int = 1
-
-    def __post_init__(self):
-        _check_common(self.beta, self.r, self.n)
-        if self.c < 0:
-            raise ValueError("shift strength c must be >= 0")
-
-
-@dataclass(frozen=True)
-class WishartSpike:
-    beta: int
-    m: int
-    n: int
-    s: float
-    r: int = 1
-
-    def __post_init__(self):
-        _check_common(self.beta, self.r, self.m)
-        if self.n < self.m:
-            raise ValueError("need n >= m")
-        if self.s <= 0:
-            raise ValueError("covariance spike s must be > 0")
-
-
-@dataclass(frozen=True)
-class WishartSpikeGamma:
-    beta: int
-    m: int
-    gamma: float
-    s: float
-    r: int = 1
-
-    def __post_init__(self):
-        _check_common(self.beta, self.r, self.m)
-        if self.gamma < 1.0:
-            raise ValueError("aspect ratio gamma must be >= 1")
-        if self.s <= 0:
-            raise ValueError("covariance spike s must be > 0")
-
-
-@dataclass(frozen=True)
-class ChiralShift:
-    beta: int
-    m: int
-    n: int
-    c: float
-    r: int = 1
-
-    def __post_init__(self):
-        _check_common(self.beta, self.r, self.m)
-        if self.n < self.m:
-            raise ValueError("need n >= m")
-        if self.c < 0:
-            raise ValueError("shift strength c must be >= 0")
-
-
-def _check_common(beta, r, dim):
-    if beta not in (1, 2):
-        raise ValueError("beta must be 1 or 2")
-    if not 0 <= r <= dim:
-        raise ValueError("spike rank must satisfy 0 <= r <= dimension")
-
-
-SpikeModel = Union[GaussianShift, WishartSpike, WishartSpikeGamma, ChiralShift]
 
 
 @dataclass(frozen=True)
@@ -322,28 +247,3 @@ def chiral_secular_eigenvalues(
         )
     return roots
 
-
-def separation_predictor(model: SpikeModel) -> SeparationPrediction:
-    """Large-size threshold and separated-eigenvalue location for a spiked model."""
-    if isinstance(model, GaussianShift):
-        j = math.sqrt(2.0 * model.n)
-        if model.c > 1.0:
-            return SeparationPrediction(1.0, True, 0.5 * j * (model.c + 1.0 / model.c))
-        return SeparationPrediction(1.0, False)
-    if isinstance(model, WishartSpike):
-        if model.s > 2.0:
-            return SeparationPrediction(2.0, True, model.m * model.s**2 / (model.s - 1.0))
-        return SeparationPrediction(2.0, False)
-    if isinstance(model, WishartSpikeGamma):
-        thr = 1.0 + 1.0 / math.sqrt(model.gamma)
-        if model.s > thr:
-            n = model.gamma * model.m
-            loc = n * model.s * (1.0 + (1.0 / model.gamma) / (model.s - 1.0))
-            return SeparationPrediction(thr, True, loc)
-        return SeparationPrediction(thr, False)
-    if isinstance(model, ChiralShift):
-        j = 2.0 * math.sqrt(model.m)
-        if model.c > 1.0:
-            return SeparationPrediction(1.0, True, 0.5 * j * (model.c + 1.0 / model.c))
-        return SeparationPrediction(1.0, False)
-    raise TypeError(f"unknown spike model {model!r}")

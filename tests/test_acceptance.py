@@ -47,13 +47,6 @@ from spikesep.kernels import (
     kernel_gue,
     kernel_laguerre,
 )
-from spikesep.secular import (
-    ChiralShift,
-    GaussianShift,
-    WishartSpike,
-    WishartSpikeGamma,
-    separation_predictor,
-)
 
 
 def _report(num, ok, detail):
@@ -212,28 +205,25 @@ def test_criterion_6_predictor_mc_agreement():
     results = {}
     # shifted GUE, c = 1.5 (1.5x threshold), N = 500; also the c = 2 variant
     for c in (1.5, 2.0):
-        pred = separation_predictor(GaussianShift(2, 500, c))
         kernel_model = ShiftedGUE(500, 1, c * math.sqrt(1000.0) / 2.0)
+        pred = kernel_model.predictor(c)
         _, largest = sample_batch(kernel_model, 2, 200, 1001, np.linspace(0, 1, 3))
         results[f"gue c={c:g}"] = abs(float(np.mean(largest)) - pred.location) / pred.location
     # Wishart spike, s = 3 = 1.5x threshold, m = 500, n - m = 3
-    pred = separation_predictor(WishartSpike(2, 500, 503, 3.0))
-    _, largest = sample_batch(SpikedLUE(500, 3.0, 1, 1.0 / 3.0), 2, 200, 1002,
-                              np.linspace(0, 1, 3))
+    lue = SpikedLUE(500, 3.0, 1, 1.0 / 3.0)
+    pred = lue.predictor(1.0 / 3.0)
+    _, largest = sample_batch(lue, 2, 200, 1002, np.linspace(0, 1, 3))
     results["wishart s=3"] = abs(float(np.mean(largest)) - pred.location) / pred.location
     # Wishart gamma variant, m = 500, gamma = 2, s = 1.5x threshold
     s = 1.5 * (1.0 + 1.0 / math.sqrt(2.0))
-    pred = separation_predictor(WishartSpikeGamma(2, 500, 2.0, s))
-    from spikesep.ensembles import SeedStream, sample_spiked_wishart
-
-    stream = SeedStream(1004)
-    model = WishartSpikeGamma(2, 500, 2.0, s)
-    largest = [sample_spiked_wishart(model, stream, t).eigenvalues[-1] for t in range(200)]
+    model = SpikedLUE(500, 500.0, 1, 1.0 / s, regime="proportional")
+    pred = model.predictor(1.0 / s)
+    _, largest = sample_batch(model, 2, 200, 1004, np.linspace(0, 1, 3))
     results["wishart gamma=2"] = abs(float(np.mean(largest)) - pred.location) / pred.location
     # chiral, c = 1.5, m = 500
-    pred = separation_predictor(ChiralShift(2, 500, 503, 1.5))
-    _, largest = sample_batch(ShiftedChiral(500, 3.0, 1, 1.5 * math.sqrt(500.0)), 2, 200,
-                              1003, np.linspace(0, 1, 3))
+    chiral = ShiftedChiral(500, 3.0, 1, 1.5 * math.sqrt(500.0))
+    pred = chiral.predictor(1.5)
+    _, largest = sample_batch(chiral, 2, 200, 1003, np.linspace(0, 1, 3))
     results["chiral c=1.5"] = abs(float(np.mean(largest)) - pred.location) / pred.location
     worst = max(results.values())
     ok = worst < 0.02
@@ -299,6 +289,6 @@ def test_criterion_11_structural_sampler(tmp_path):
     bytes_equal = p1.read_bytes() == p2.read_bytes()
     ok = struct[0] and det and bytes_equal
     _report(11, ok,
-            f"chiral sign symmetry/zero structure: {struct[0]}; worker-count "
+            f"chiral block spectrum = +-singular values and zeros: {struct[0]}; worker-count "
             f"independence: {det}; byte-identical CSV: {bytes_equal}")
     assert ok

