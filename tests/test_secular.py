@@ -1,12 +1,32 @@
 import math
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_secular import reference_chiral_rank_two, reference_secular_eigenvalues
 
 from spikesep.kernels import ShiftedChiral, ShiftedGUE, SpikedLUE
 from spikesep.secular import SecularProblem, chiral_secular_eigenvalues, secular_eigenvalues
+
+
+def _rank_two_instance(rng, n, m):
+    """X (n x m, complex Gaussian) and unit e, f: the ascending singular values
+    of X with their u, v and zero-block components, mu, and the dense X + mu e f^*."""
+    x = (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))) / math.sqrt(2.0)
+    e = rng.normal(size=n) + 1j * rng.normal(size=n)
+    f = rng.normal(size=m) + 1j * rng.normal(size=m)
+    e /= np.linalg.norm(e)
+    f /= np.linalg.norm(f)
+    mu = float(rng.uniform(1.0, 4.0))
+    left, sing, right_h = np.linalg.svd(x)
+    u = (e.conj() @ left[:, :m])[::-1] / math.sqrt(2.0)
+    v = (f.conj() @ right_h.conj().T)[::-1] / math.sqrt(2.0)
+    zero = e.conj() @ left[:, m:]
+    return sing[::-1], u, v, mu, zero, x + mu * np.outer(e, f.conj())
 
 
 def test_two_by_two_example():
@@ -74,6 +94,101 @@ def test_mixed_sign_weights_rejected():
         SecularProblem(np.array([1.0, 0.0]), np.array([1.0, -1.0]), 1.0)
 
 
+@pytest.mark.parametrize("diag, weights, mu", [
+    ([1.0, np.nan], [1.0, 1.0], 1.0),
+    ([1.0, -np.inf], [1.0, 1.0], 1.0),
+    ([1.0, 0.0], [1.0, np.inf], 1.0),
+    ([1.0, 0.0], [np.nan, 1.0], 1.0),
+    ([1.0, 0.0], [1.0, 1.0], np.nan),
+    ([1.0, 0.0], [1.0, 1.0], np.inf),
+])
+def test_non_finite_secular_inputs_rejected(diag, weights, mu):
+    with pytest.raises(ValueError, match="finite"):
+        SecularProblem(diag, weights, mu)
+
+
+@pytest.mark.parametrize("n", [2, 50, 500])
+@pytest.mark.parametrize("mu", [0.1, 1.0, 10.0])
+def test_rank_one_bit_identical_to_scalar_reference(n, mu):
+    rng = np.random.default_rng([n, int(10 * mu)])
+    diag = np.sort(rng.normal(0, 3, n))[::-1]
+    w = rng.normal(size=n) ** 2
+    roots = secular_eigenvalues(SecularProblem(diag, w, mu))
+    assert np.array_equal(roots, reference_secular_eigenvalues(diag, w, mu))
+
+
+@pytest.mark.parametrize("mu", [0.7, -0.7])
+def test_rank_one_deflation_bit_identical_to_scalar_reference(mu):
+    # a run of three equal poles merges its weights in order; zero weights stay exact
+    diag = np.array([4.0, 2.5, 2.5, 2.5, 1.0, 0.0, -1.0, -1.0])
+    w = np.array([0.3, 0.1, 0.7, 0.2, 0.0, 1.1, 0.4, 0.0])
+    roots = secular_eigenvalues(SecularProblem(diag, w, mu))
+    assert np.array_equal(roots, reference_secular_eigenvalues(diag, w, mu))
+
+
+@pytest.mark.parametrize("m", [1, 5, 100])
+@pytest.mark.parametrize("zero_block", [False, True])
+def test_rank_two_bit_identical_to_scalar_reference(m, zero_block):
+    n = m + 3 if zero_block else m
+    sing, u, v, mu, zero, _ = _rank_two_instance(np.random.default_rng([m, n]), n, m)
+    zero = zero if zero_block else None
+    roots = chiral_secular_eigenvalues(sing, u, v, mu, n=n, zero_components=zero)
+    assert roots.shape == (m,)
+    assert np.array_equal(roots, reference_chiral_rank_two(sing, u, v, mu, zero_components=zero))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([0, 3]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_rank_two_matches_dense_svd_property(m, extra, seed):
+    n = m + extra
+    sing, u, v, mu, zero, dense = _rank_two_instance(np.random.default_rng(seed), n, m)
+    roots = chiral_secular_eigenvalues(sing, u, v, mu, n=n, zero_components=zero)
+    ref = np.sort(np.linalg.svd(dense, compute_uv=False))
+    assert np.max(np.abs(roots - ref)) < 1e-9 * np.max(ref)
+
+
+def test_tiny_weights_match_dense_and_interlace():
+    n = 500
+    rng = np.random.default_rng(17)
+    diag = np.sort(rng.normal(0, 3, n))[::-1]
+    w = rng.normal(size=n) ** 2
+    w[[3, 250, 498]] *= 1e-20
+    for mu in (0.1, 1.0, 10.0):
+        roots = secular_eigenvalues(SecularProblem(diag, w, mu))
+        dense = np.linalg.eigvalsh(np.diag(diag) + mu * np.outer(np.sqrt(w), np.sqrt(w)))[::-1]
+        assert np.max(np.abs(roots - dense)) < 1e-10 * np.max(np.abs(dense))
+        # a weight of 1e-20 puts its root within rounding of the pole: interlacing
+        # holds, but not always strictly
+        assert np.all(roots >= diag) and np.all(roots[1:] <= diag[:-1])
+
+
+def test_secular_memory_is_bounded_by_blocks():
+    """Roots are solved over blocks of 2**15 entries, not an n x n evaluation."""
+    n = 2000
+    rng = np.random.default_rng(8)
+    problem = SecularProblem(np.sort(rng.normal(0, 3, n))[::-1], rng.normal(size=n) ** 2, 1.0)
+    secular_eigenvalues(problem)
+    tracemalloc.start()
+    try:
+        secular_eigenvalues(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
+
+
+def test_import_leaves_scipy_linalg_out():
+    # scipy.linalg (and LAPACK's dlasd4 through it) would add about 6 MB of
+    # resident memory to every process that imports the package
+    code = "import sys, spikesep; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_chiral_zero_coupling():
     sing = np.array([0.5, 1.5, 2.5])
     out = chiral_secular_eigenvalues(sing, mu=0.0, n=5)
@@ -98,11 +213,47 @@ def test_chiral_averaged_interlacing():
     assert roots[-1] > sing[-1]
 
 
+@pytest.mark.parametrize("mu", [0.6, -0.6, 3.0])
+def test_chiral_averaged_matches_dense(mu):
+    # 1 = mu sum_j lam/(lam^2 - lam_j^2) is the rank-one equation of
+    # diag(+-lam_j) + (mu/2) 1 1^T; its m largest eigenvalues are the roots
+    sing = np.array([4.1, 0.7, 2.0, 1.1, 3.3])
+    m = sing.size
+    dense = np.diag(np.concatenate([sing, -sing])) + 0.5 * mu * np.ones((2 * m, 2 * m))
+    ref = np.linalg.eigvalsh(dense)[m:]
+    roots = chiral_secular_eigenvalues(sing, mu=mu, n=7)
+    assert np.max(np.abs(roots - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_chiral_empty_input_returns_empty():
+    for kwargs in ({}, {"u": [], "v": []}):
+        out = chiral_secular_eigenvalues([], mu=0.5, **kwargs)
+        assert out.shape == (0,)
+
+
+def test_chiral_pairs_u_v_with_unsorted_singulars():
+    sing, u, v, mu, zero, _ = _rank_two_instance(np.random.default_rng(4), 9, 6)
+    ascending = chiral_secular_eigenvalues(sing, u, v, mu, n=9, zero_components=zero)
+    flipped = chiral_secular_eigenvalues(sing[::-1], u[::-1], v[::-1], mu, n=9,
+                                         zero_components=zero)
+    assert np.array_equal(flipped, ascending)
+
+
 def test_chiral_input_validation():
     with pytest.raises(ValueError):
         chiral_secular_eigenvalues([1.0, -2.0], mu=0.5, n=3)
+    with pytest.raises(ValueError, match="deflated"):
+        chiral_secular_eigenvalues([1.0, 0.0], mu=0.5, n=3)
     with pytest.raises(ValueError):
         chiral_secular_eigenvalues([1.0], u=[1.0], v=None, mu=0.5, n=1)
+    with pytest.raises(ValueError, match="tolerance"):
+        chiral_secular_eigenvalues([1.0], mu=0.5, tol=0.0)
+    for bad in ({"singulars": [1.0, np.nan]}, {"singulars": [np.inf, 1.0]}, {"mu": np.nan},
+                {"u": [np.nan, 1.0]}, {"v": [1.0, complex(0.0, np.inf)]},
+                {"n": 3, "zero_components": [np.nan]}):
+        kwargs = {"singulars": [1.0, 2.0], "u": [0.5, 0.5], "v": [0.5, 0.5], "mu": 0.5, **bad}
+        with pytest.raises(ValueError, match="finite"):
+            chiral_secular_eigenvalues(**kwargs)
 
 
 def test_predictor_gaussian():
