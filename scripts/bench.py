@@ -3,12 +3,13 @@
 
     python3 scripts/bench.py --tag after --seed 1
     python3 scripts/bench.py --tag before --root ../parent-checkout
+    python3 scripts/bench.py --tag pairs --against ../parent-checkout --pairs 10 --workload exact-n500
 
-Every workload runs for perfbench's default 16 s three times with --trace 0
-(end-to-end metrics) and once with --trace 1 (per-layer metrics).  One run
-cannot resolve a workload whose run-to-run spread is wider than a metric's
-bound, so the file also records, per workload, each end-to-end metric's
-median and quartiles over its untraced runs ("summary").
+Every workload runs for perfbench's default 16 s --pairs times (default 3)
+with --trace 0 (end-to-end metrics) and once with --trace 1 (per-layer
+metrics).  One run cannot resolve a workload whose run-to-run spread is
+wider than a metric's bound, so the file also records, per workload, each
+end-to-end metric's median and quartiles over its untraced runs ("summary").
 perfbench/run.py runs from the checkout at --root (default: this
 repository), so the same script measures the tree before and after a
 change; the file is always written to this repository's root.  Each run
@@ -17,6 +18,15 @@ also records the --root tree's commit and whether its src/ differs from
 that commit ("dirty"), so a run of an uncommitted tree is not taken for its
 parent.  Nothing under perfbench/ is written; traced runs leave their span
 file in .bench_out/, as perfbench does.
+
+--against DIR names a parent checkout.  Each untraced run of --root is then
+paired with one of DIR, the two run back to back and the side that runs
+first alternating from pair to pair, so that drift in the machine's speed
+falls on both sides alike.  The file adds the parent's tree state, runs and
+summary ("against", "against_runs", "against_summary") and, per workload
+and end-to-end metric, each pair's change/parent ratio and in how many
+pairs the change was better ("pairs"), by the direction BENCHMARK.json
+gives the metric; equal values count for neither side.
 """
 
 import argparse
@@ -84,29 +94,85 @@ def tree_state(root: Path) -> dict:
             "dirty": None if status is None else bool(status.strip())}
 
 
+def pair_stats(parent_runs: list, change_runs: list) -> dict:
+    """Per workload and end-to-end metric: each pair's change/parent ratio and
+    how many pairs the change won (None where a side failed or read 0)."""
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+    def untraced(runs, workload):
+        return [run.get("result", {}) for run in runs
+                if run["workload"] == workload and run["trace"] == 0]
+
+    stats = {}
+    for workload in dict.fromkeys(run["workload"] for run in change_runs):
+        pairs = list(zip(untraced(parent_runs, workload), untraced(change_runs, workload)))
+        stats[workload] = {}
+        for name, direction in better.items():
+            ratios, won = [], 0
+            for parent, change in pairs:
+                values = [side.get("metrics", {}).get(name, {}).get("value")
+                          if side.get("correct", False) else None for side in (parent, change)]
+                if None in values or values[0] == 0:
+                    ratios.append(None)
+                    continue
+                ratios.append(values[1] / values[0])
+                won += values[1] > values[0] if direction == "higher" else values[1] < values[0]
+            stats[workload][name] = {"ratios": ratios, "change_better": won, "pairs": len(pairs)}
+    return stats
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True, help="the output is BENCH_<tag>.json")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--root", type=Path, default=REPO, help="checkout whose perfbench runs")
+    parser.add_argument("--against", type=Path, help="parent checkout to alternate with --root")
+    parser.add_argument("--pairs", type=int, default=UNTRACED_RUNS,
+                        help="untraced runs per workload (pairs with --against)")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        help="run only this workload (repeatable; default all)")
     args = parser.parse_args(argv)
 
-    root = args.root.resolve()
-    if not (root / "perfbench" / "run.py").is_file():
-        parser.error(f"no perfbench/run.py under {root}")
-    runs = []
-    for workload in WORKLOADS:
-        for trace in (0,) * UNTRACED_RUNS + (1,):
-            run = run_one(root, workload, args.seed, trace)
-            ok = run.get("result", {}).get("correct", False)
-            print(f"{workload} trace {trace}: {'correct' if ok else 'FAILED'}", flush=True)
-            runs.append(run)
+    trees = {"root": args.root.resolve()}
+    if args.against is not None:
+        trees["against"] = args.against.resolve()
+    for tree in trees.values():
+        if not (tree / "perfbench" / "run.py").is_file():
+            parser.error(f"no perfbench/run.py under {tree}")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    runs = {side: [] for side in trees}
+
+    def measure(side, workload, trace):
+        run = run_one(trees[side], workload, args.seed, trace)
+        ok = run.get("result", {}).get("correct", False)
+        print(f"{side} {workload} trace {trace}: {'correct' if ok else 'FAILED'}", flush=True)
+        runs[side].append(run)
+
+    for workload in args.workload or WORKLOADS:
+        for i in range(args.pairs):
+            for side in sorted(trees, reverse=i % 2 == 1):  # "against" first on even pairs
+                measure(side, workload, 0)
+        measure("root", workload, 1)
     out = REPO / f"BENCH_{args.tag}.json"
-    record = {"tag": args.tag, "seed": args.seed, "root": tree_state(root),
-              "summary": summarize(runs), "runs": runs}
+    record = {"tag": args.tag, "seed": args.seed, "root": tree_state(trees["root"]),
+              "summary": summarize(runs["root"]), "runs": runs["root"]}
+    if "against" in trees:
+        pairs = pair_stats(runs["against"], runs["root"])
+        record.update(against=tree_state(trees["against"]),
+                      against_summary=summarize(runs["against"]), pairs=pairs,
+                      against_runs=runs["against"])
+        for workload, metrics in pairs.items():
+            work = metrics["work_per_s"]
+            known = [ratio for ratio in work["ratios"] if ratio is not None]
+            median = statistics.median(known) if known else float("nan")
+            print(f"{workload}: work_per_s change/parent median {median:.3f}, "
+                  f"change better in {work['change_better']}/{work['pairs']}")
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out.relative_to(REPO)}")
-    return 0 if all(run.get("result", {}).get("correct", False) for run in runs) else 1
+    every_run = [run for side in runs.values() for run in side]
+    return 0 if all(run.get("result", {}).get("correct", False) for run in every_run) else 1
 
 
 if __name__ == "__main__":

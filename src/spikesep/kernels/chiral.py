@@ -130,10 +130,14 @@ class ShiftedChiral:
         qs = np.arange(ls.shape[0])
         log_fact = gammaln(qs + 1.0)
         log_gamma_a = gammaln(qs + 1.0 + alpha)
-        s_line = (ls, lambda q, log_binom, log_power: ll[q] + (log_binom + log_fact[q] + log_power))
+        s_line = (
+            ls,
+            lambda q, log_binom, log_power: ll[q] + (log_binom + log_fact[q] + log_power)[:, None],
+        )
         t_line = (
             ls,
-            lambda q, log_binom, log_power: ll[q] + wlog + (log_binom + log_power - log_gamma_a[q]),
+            lambda q, log_binom, log_power: ll[q] + wlog
+            + (log_binom + log_power - log_gamma_a[q])[:, None],
         )
 
         # residue at -c^2: triple Leibniz over e^v, 0F1(a+1;-xv), v^{-q0}

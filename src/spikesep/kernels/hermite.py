@@ -123,15 +123,19 @@ class ShiftedGUE:
         # using H_q(x) = psi_q(x) e^{x^2/2} pi^{1/4} 2^{q/2} sqrt(q!)
         qs = np.arange(psign.shape[0])
         signs = psign * np.where(qs % 2, -1, 1).astype(np.int8)[:, None]
-        coef_log = 0.25 * _LOG_PI - qs * (0.5 * math.log(2.0)) - 0.5 * gammaln(qs + 1.0)
+        half_lgam = 0.5 * gammaln(qs + 1.0)
+        coef_log = 0.25 * _LOG_PI - qs * (0.5 * math.log(2.0)) - half_lgam
+        s_coef = 0.5 * qs * math.log(2.0)
+        # term(q, ...) -> (k, npts); per-degree scalars enter as a column
         t_line = (
             signs,
-            lambda q, log_binom, log_power: plog[q] + x2half + coef_log[q] + (log_binom + log_power),
+            lambda q, log_binom, log_power: plog[q] + x2half + coef_log[q][:, None]
+            + (log_binom + log_power)[:, None],
         )
         s_line = (
             signs,
-            lambda q, log_binom, log_power: plog[q] - x2half + 0.5 * q * math.log(2.0)
-            + 0.5 * gammaln(q + 1.0) - 0.25 * _LOG_PI + (log_binom + log_power),
+            lambda q, log_binom, log_power: plog[q] - x2half + s_coef[q][:, None]
+            + half_lgam[q][:, None] - 0.25 * _LOG_PI + (log_binom + log_power)[:, None],
         )
 
         # residue at -2c: e^{2cx - c^2} sum_k coef(k) H_k(x - c), k < r

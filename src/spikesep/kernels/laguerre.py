@@ -134,7 +134,7 @@ class SpikedLUE:
         merged = abs(btilde - 1.0) < _SMALL_EPS
         rows = max(q0 + r + (_TAYLOR_TERMS if merged else 0), 1)
         tline_s, tline_l = laguerre_line_signlog(rows, big_m, x)
-        t_line = (tline_s, lambda q, log_binom, log_power: tline_l[q] + (log_binom + log_power))
+        t_line = (tline_s, lambda q, log_binom, log_power: tline_l[q] + (log_binom + log_power)[:, None])
         logx = np.log(x)
 
         def residue_at_eps(j):
@@ -168,12 +168,13 @@ class SpikedLUE:
         pline_s, pline_l = laguerre_line_signlog(m, big_m - 1.0, x)
         log_fact = gammaln(np.arange(m) + 1.0)
         log_gm = gammaln(big_m)
+        x_power = alpha + r - 1 - (np.arange(m) - q0)
         s_line = (
             pline_s,
             lambda q, log_binom, log_power: pline_l[q]
-            + (log_binom + log_fact[q] - log_gm + log_power)
+            + (log_binom + log_fact[q] - log_gm + log_power)[:, None]
             - x
-            + (alpha + r - 1 - (q - q0)) * logx,
+            + x_power[q][:, None] * logx,
         )
         lsign, llog = plain_family(s_line, q0, r, eps)
         return tsign, tlog, lsign, llog

@@ -12,11 +12,14 @@ form is one of
 or the residue at eps, which each family supplies itself.
 
 A coefficient line is a pair (signs, term): signs is the (q, npts) sign stack
-of T_q, and term(q, log_binom, log_power) returns log(C |eps|^k |T_q|) on the
-grid.  The family forms that log, and with it the order of the floating-point
-additions, so a term has the same bits whichever routine sums it.  eps is a
-SignedLogValue, so a family hands over log|eps| as it forms it (2 log c for
-the chiral family).
+of T_q, and term(qs, log_binom, log_power) takes (k,) arrays of degrees, log C
+and log |eps|^power and returns the (k, npts) block of log(C |eps|^power |T_q|).
+The family forms that log, and with it each element's order of floating-point
+additions (per-degree scalars enter as a column), so a term has the same bits
+however many rows one call forms: a plain-family or residue row forms all its
+terms in one call, the merged-pole series, which stops on convergence, one
+term per call.  eps is a SignedLogValue, so a family hands over log|eps| as
+it forms it (2 log c for the chiral family).
 
 `spiked_kernel` is the one pairing of the two families: off the diagonal for
 the kernels and spike terms, on it for the densities.
@@ -24,6 +27,7 @@ the kernels and spike terms, on it for the densities.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -81,25 +85,45 @@ def plain_family(line, q0, r, eps):
     signs, term = line
     out_sign = np.zeros((r, signs.shape[1]), dtype=np.int8)
     out_log = np.full(out_sign.shape, -np.inf)
+    # row j's terms l < j (only l = j-1 when eps = 0), laid out row after row
+    pairs = [(j - 1, l_) for j in range(1, r + 1) for l_ in (range(j) if eps.sign else (j - 1,))]
+    qs = np.array([q0 + l_ for _, l_ in pairs], dtype=int)
+    powers = np.array([i - l_ for i, l_ in pairs], dtype=int)
+    log_binom = np.array([math.log(math.comb(i, l_)) for i, l_ in pairs])
+    log_power = powers * eps.log_magnitude if eps.sign else np.zeros(r)
+    sign_col = _power_signs(-eps.sign, powers)
     for j in range(1, r + 1):
-        sgs, lgs = [], []
-        for l_ in range(j) if eps.sign else (j - 1,):
-            power = j - 1 - l_
-            sgs.append(signs[q0 + l_] * power_sign(-eps.sign, power))
-            log_power = power * eps.log_magnitude if power else 0.0
-            lgs.append(term(q0 + l_, math.log(math.comb(j - 1, l_)), log_power))
-        out_sign[j - 1], out_log[j - 1] = slog_sum_columns(np.array(sgs), np.array(lgs))
+        row = slice(j * (j - 1) // 2, j * (j + 1) // 2) if eps.sign else slice(j - 1, j)
+        out_sign[j - 1], out_log[j - 1] = slog_sum_columns(
+            signs[qs[row]] * sign_col[row], term(qs[row], log_binom[row], log_power[row])
+        )
     return out_sign, out_log
 
 
 def residue_at_zero(line, q0, j, eps):
-    """Terms (sign list, log list) of the residue at 0 of Ttilde_j."""
+    """(q0, npts) sign/log blocks of the residue at 0 of Ttilde_j, one row per p < q0."""
     signs, term = line
-    sgs, lgs = [], []
-    for p in range(q0):
-        sgs.append(signs[q0 - 1 - p] * (power_sign(-1, j) * power_sign(eps.sign, j + p)))
-        lgs.append(term(q0 - 1 - p, math.log(math.comb(j + p - 1, p)), -(j + p) * eps.log_magnitude))
-    return sgs, lgs
+    ps = np.arange(q0)
+    qs = q0 - 1 - ps
+    sgs = signs[qs] * (power_sign(-1, j) * _power_signs(eps.sign, j + ps))
+    return sgs, term(qs, _log_binoms(j, q0), -(j + ps) * eps.log_magnitude)
+
+
+@functools.lru_cache(maxsize=64)
+def _log_binoms(j, count):
+    """log C(j+p-1, p) for p < count, read-only: the residue rows of every call share it."""
+    out = np.array([math.log(math.comb(j + p - 1, p)) for p in range(count)])
+    out.flags.writeable = False
+    return out
+
+
+_ALTERNATING = np.array([[1], [-1]], dtype=np.int8)
+
+
+def _power_signs(sign, ks):
+    """sign**k over the integer array ks as an int8 column, sign in {-1, 0, +1}
+    (0**k taken as 1, as `power_sign` takes it)."""
+    return _ALTERNATING[ks & (sign < 0)]
 
 
 def merged_pole_series(line, q0, j, eps):
@@ -117,7 +141,8 @@ def merged_pole_series(line, q0, j, eps):
     for t in range(signs.shape[0] - (q0 + j - 1)):
         q = q0 + j - 1 + t
         sg = signs[q] * power_sign(eps.sign, t)
-        lg = term(q, math.log(math.comb(j + t - 1, t)), t * eps.log_magnitude if t else 0.0)
+        lg = term(np.array([q]), np.array([math.log(math.comb(j + t - 1, t))]),
+                  np.array([t * eps.log_magnitude if t else 0.0]))[0]
         sgs.append(sg)
         lgs.append(lg)
         if eps.sign == 0:
@@ -136,18 +161,19 @@ def completing_family(line, q0, r, eps, merged, residue_at_eps):
     """(r, npts) sign/log stacks of Ttilde_j, j = 1..r, from the line T_q.
 
     merged=True sums the merged-pole series; otherwise the residue at 0 is
-    added to `residue_at_eps(j)`, the family's own (sign list, log list).
+    added to `residue_at_eps(j)`, the family's own (sign list, log list),
+    whose rows are stacked on top of the residue block.
     """
     out_sign = np.zeros((r, line[0].shape[1]), dtype=np.int8)
     out_log = np.full(out_sign.shape, -np.inf)
     for j in range(1, r + 1):
         if merged:
-            sgs, lgs = merged_pole_series(line, q0, j, eps)
+            sgs, lgs = map(np.array, merged_pole_series(line, q0, j, eps))
         else:
             sgs, lgs = residue_at_eps(j)
             zs, zl = residue_at_zero(line, q0, j, eps)
-            sgs, lgs = sgs + zs, lgs + zl
-        out_sign[j - 1], out_log[j - 1] = slog_sum_columns(np.array(sgs), np.array(lgs))
+            sgs, lgs = np.concatenate((sgs, zs)), np.concatenate((lgs, zl))
+        out_sign[j - 1], out_log[j - 1] = slog_sum_columns(sgs, lgs)
     return out_sign, out_log
 
 

@@ -4,6 +4,14 @@ The exact kernels pair factors like exp(2*c*x - c^2) against Hermite/Laguerre
 coefficients ~ 1/sqrt(N!) whose logs run to +-2000 at the sizes of interest.
 Every such quantity is carried as a (sign, log-magnitude) pair and only
 materialized to a native float once the pairing has brought it back on scale.
+
+Sums of such pairs shift by the largest term and sum the shifted values to
+the bits math.fsum gives, which is the correctly rounded sum.  On a stack of
+columns (`slog_sum_columns`) that sum is vectorised: one error-free
+extraction and a rounding certificate per column, with math.fsum for the
+columns the certificate cannot settle (see `_correctly_rounded_sums`).  A
+NaN or +inf log among a column's live terms raises ArithmeticError rather
+than read as zero.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ import numpy as np
 __all__ = ["SignedLogValue", "slog_sum", "slog_sum_columns"]
 
 _NEG_INF = float("-inf")
+_NARROW = 16  # stacks of fewer columns keep the per-column math.fsum loop
+_U = 2.0**-53  # unit roundoff of a double
 
 
 @dataclass(frozen=True)
@@ -123,10 +133,13 @@ def slog_sum(terms) -> SignedLogValue:
 def slog_sum_columns(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column-wise signed log-sum of a (nterms, npoints) stack.
 
-    Returns (sign, log) arrays of shape (npoints,). Each column is reduced
-    with math.fsum after shifting by its max so that cancellation between
-    huge opposite-sign terms keeps full double precision relative to the
-    dominant term.
+    Returns (sign, log) arrays of shape (npoints,).  Each column is shifted
+    by its max, so that cancellation between huge opposite-sign terms keeps
+    full double precision relative to the dominant term, and the shifted
+    terms are summed with the bits math.fsum gives: stacks of fewer than
+    _NARROW columns call math.fsum per column, wider ones take
+    `_correctly_rounded_sums`.  Terms of sign 0 or log -inf are zeros; a
+    column whose max log is NaN or +inf raises ArithmeticError.
     """
     signs = np.asarray(signs)
     logs = np.asarray(logs)
@@ -135,21 +148,66 @@ def slog_sum_columns(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, n
     npts = signs.shape[1]
     out_sign = np.zeros(npts, dtype=np.int8)
     out_log = np.full(npts, _NEG_INF)
-    eff = np.where(signs != 0, logs, _NEG_INF)
-    m = np.max(eff, axis=0) if signs.shape[0] else np.full(npts, _NEG_INF)
+    scaled = np.where(signs != 0, logs, _NEG_INF)
+    m = np.max(scaled, axis=0) if signs.shape[0] else np.full(npts, _NEG_INF)
     live = np.isfinite(m)
-    if not np.any(live):
-        return out_sign, out_log
-    if np.all(live):
-        scaled = signs * np.exp(eff - m)
+    if live.all():
+        scaled -= m
     else:
-        scaled = np.zeros_like(logs)
-        scaled[:, live] = signs[:, live] * np.exp(eff[:, live] - m[live])
-    tops = m.tolist()
-    for idx in np.nonzero(live)[0].tolist():
-        # a list of Python floats: fsum reads it far faster than a numpy column
-        total = math.fsum(scaled[:, idx].tolist())
-        if total != 0.0:
-            out_sign[idx] = 1 if total > 0 else -1
-            out_log[idx] = math.log(abs(total)) + tops[idx]
+        if np.any(m[~live] != _NEG_INF):
+            raise ArithmeticError("signed log-sum over a NaN or +inf log")
+        if not live.any():
+            return out_sign, out_log
+        scaled -= np.where(live, m, 0.0)
+    np.exp(scaled, out=scaled)
+    scaled *= signs
+    if npts < _NARROW:
+        tops = m.tolist()
+        for idx in np.nonzero(live)[0].tolist():
+            # a list of Python floats: fsum reads it far faster than a numpy column
+            total = math.fsum(scaled[:, idx].tolist())
+            if total != 0.0:
+                out_sign[idx] = 1 if total > 0 else -1
+                out_log[idx] = math.log(abs(total)) + tops[idx]
+        return out_sign, out_log
+    total = _correctly_rounded_sums(scaled, live)
+    nz = np.flatnonzero(total)
+    out_sign[nz] = np.where(total[nz] > 0, 1, -1)
+    # math.log, not np.log, whose SIMD loops can differ in the last bit
+    out_log[nz] = np.array([math.log(v) for v in np.abs(total[nz]).tolist()]) + m[nz]
     return out_sign, out_log
+
+
+def _correctly_rounded_sums(x: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Column sums of x, |x| <= 1, each rounded to nearest as math.fsum rounds it.
+
+    One error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation", SISC 2008) splits each entry as q + p.  With sigma =
+    2^ceil(log2(n + 1)) every q is a multiple of u sigma (u = 2^-53) and
+    |p| <= u sigma, so the q sum is exact in any order and the p sum rho is
+    off by at most gamma_{n-1} n u sigma <= 2 n^2 u^2 sigma.  The rounded
+    total r = fl(tau + rho) and its exact TwoSum error t certify r as the
+    correctly rounded column sum when the whole error interval t +- that
+    bound lies strictly inside r's rounding interval, whose halves are half
+    the gaps to r's neighbours (unequal at a power of two).  A live column
+    that is not certified, a zero total among them, is summed again by
+    math.fsum over its exact parts.  x is overwritten with the p parts.
+    """
+    n = x.shape[0]
+    if n <= 2:
+        return x.sum(axis=0)  # one IEEE addition is already correctly rounded
+    sigma = 2.0 ** math.ceil(math.log2(n + 1))
+    q = x + sigma
+    q -= sigma
+    x -= q
+    tau = q.sum(axis=0)
+    rho = x.sum(axis=0)
+    total = tau + rho
+    back = total - tau
+    err = (tau - (total - back)) + (rho - back)
+    bound = 2.0 * n * n * _U * _U * sigma
+    certified = (total != 0.0) & (err + bound < 0.5 * (np.nextafter(total, np.inf) - total))
+    certified &= err - bound > 0.5 * (np.nextafter(total, -np.inf) - total)
+    for idx in np.flatnonzero(live & ~certified).tolist():
+        total[idx] = math.fsum(x[:, idx].tolist() + [tau[idx]])
+    return total

@@ -26,7 +26,6 @@ __all__ = [
     "narayana",
     "narayana_polynomial",
     "narayana_generating_closed_form",
-    "log_gamma",
 ]
 
 _LOG_PI = math.log(math.pi)
@@ -35,11 +34,6 @@ _RESCALE_HI = 1e250
 _RESCALE_LOG = 600.0
 _RESCALE_UP = math.exp(_RESCALE_LOG)
 _RESCALE_DOWN = math.exp(-_RESCALE_LOG)
-
-
-def log_gamma(x: float) -> float:
-    """log|Gamma(x)|; negative non-integer arguments supported via reflection."""
-    return float(gammaln(x))
 
 
 def hermite_weighted(n: int, x: float) -> np.ndarray:

@@ -1,0 +1,37 @@
+"""scripts/bench.py's pairing of parent and change runs (no benchmark is run)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench_script", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(workload, work, p50, correct=True, trace=0):
+    metrics = {"work_per_s": {"value": work}, "op_p50_s": {"value": p50}}
+    return {"workload": workload, "trace": trace, "result": {"correct": correct, "metrics": metrics}}
+
+
+def test_pair_stats_ratios_and_wins(bench):
+    parent = [_run("pointwise", 10.0, 0.2), _run("pointwise", 10.0, 0.2),
+              _run("pointwise", 10.0, 0.2), _run("pointwise", 10.0, 0.2)]
+    change = [_run("pointwise", 12.5, 0.1), _run("pointwise", 10.0, 0.25),
+              _run("pointwise", 9.0, 0.2, correct=False), _run("pointwise", 11.0, 0.3),
+              _run("pointwise", 99.0, 0.01, trace=1)]  # the traced run pairs with nothing
+    stats = bench.pair_stats(parent, change)["pointwise"]
+    work, p50 = stats["work_per_s"], stats["op_p50_s"]
+    assert work["pairs"] == 4 and p50["pairs"] == 4
+    assert work["ratios"] == [1.25, 1.0, None, 1.1]
+    assert work["change_better"] == 2  # higher is better; the tie counts for neither side
+    assert p50["ratios"] == [0.5, 1.25, None, pytest.approx(1.5)]
+    assert p50["change_better"] == 1  # lower is better
+    assert stats["pass_ratio"]["ratios"] == [None] * 4  # a metric the runs lack

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_logsum import reference_slog_sum_columns
 
 from spikesep.logspace import SignedLogValue, slog_sum, slog_sum_columns
 
@@ -88,3 +89,133 @@ def test_slog_sum_columns_matches_scalar():
         ref = math.fsum(float(signs[t, col]) * math.exp(logs[t, col]) for t in range(7))
         got = s[col] * math.exp(l[col])
         assert got == pytest.approx(ref, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# slog_sum_columns against the per-column math.fsum reference, bit for bit
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 17, 600]),
+    st.sampled_from([1, 5, 15, 16, 40]),  # both sides of the 16-column cut-off
+    st.floats(min_value=0.0, max_value=800.0),
+    st.floats(min_value=0.0, max_value=0.5),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_slog_sum_columns_matches_fsum_reference(nterms, npts, spread, zeros, cancel, seed):
+    rng = np.random.default_rng(seed)
+    logs = rng.uniform(0.0, spread, size=(nterms, npts))
+    signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(nterms, npts))
+    signs[rng.random((nterms, npts)) < zeros] = 0
+    if cancel and nterms > 1:
+        # pair terms with opposite-sign partners a few ulp away, so columns cancel deeply
+        half = nterms // 2
+        logs[half:2 * half] = logs[:half] + rng.integers(-3, 4, size=(half, npts)) * 1e-15
+        signs[half:2 * half] = -signs[:half]
+    got = slog_sum_columns(signs, logs)
+    want = reference_slog_sum_columns(signs, logs)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _log_of(value):
+    """log(value); for value >= 1/4 a float l with np.exp(l) == value exactly,
+    found among the floats next to log(value), so a column sums exact values."""
+    lg = math.log(value)
+    if value < 0.25:
+        return lg
+    for step in range(64):
+        for cand in (lg + step * math.ulp(lg), lg - step * math.ulp(lg)):
+            if np.exp(cand) == value:
+                return cand
+    raise AssertionError(f"no float log reproduces {value!r}")
+
+
+U = 2.0**-53
+ADVERSARIAL = {
+    # exact cancellation to zero
+    "cancel": [1.0, -1.0, 0.75, -0.75],
+    "cancel pair": [1.0, -1.0],
+    # 1 + 2^-53 is an exact tie: round half to even gives 1 (every "tie" column
+    # sums to a rounding midpoint, which no certificate can settle)
+    "tie": [1.0, 0.5 + U, -0.5],
+    "above tie": [1.0, 0.5 + U, -0.5, 2.0**-110],
+    "below tie": [1.0, 0.5 + U, -0.5, -(2.0**-110)],
+    # 2^-70 from the midpoint 1 + 3u, and 2^-110 - 2^-120 above it
+    "near midpoint": [1.0, 0.5 + 3 * U, -0.5, 2.0**-70],
+    "near midpoint low": [1.0, 0.5 + 3 * U, -0.5, -(2.0**-70)],
+    "within ulp of midpoint": [1.0, 0.5 + 3 * U, -0.5, 2.0**-110, -(2.0**-120)],
+    # totals just below a power of two, where the gap below is half the gap above
+    "below 2": [1.0, 0.5, 0.5 - U / 2],
+    "tie below 2": [1.0, 0.5, 0.5 - U],
+    "rounds below 2": [1.0, 0.5, 0.5 - 1.5 * U],
+    "tie below 1": [1.0, -0.5, 0.5 - U / 2],
+    "rounds below 1": [1.0, -0.5, 0.5 - U / 2, -(2.0**-60)],
+    # subnormal totals
+    "subnormal": [1.0, -1.0, math.exp(-740.0)],
+    "subnormal difference": [1.0, -1.0, math.exp(-730.0), -math.exp(-730.5)],
+}
+
+
+def _adversarial_stack(width):
+    """(signs, logs): one adversarial column each, repeated to `width` columns,
+    then an all-zero column, a column of -inf logs and a column whose NaN log
+    has sign 0."""
+    names = list(ADVERSARIAL)
+    rows = max(len(v) for v in ADVERSARIAL.values())
+    signs = np.zeros((rows, width + 3), dtype=np.int8)
+    logs = np.full((rows, width + 3), -np.inf)
+    for k in range(width):
+        for i, v in enumerate(ADVERSARIAL[names[k % len(names)]]):
+            signs[i, k] = 1 if v > 0 else -1
+            logs[i, k] = _log_of(abs(v))
+    signs[:, -2] = 1
+    logs[1, -1] = np.nan
+    return signs, logs
+
+
+@pytest.mark.parametrize("width", [12, 3 * len(ADVERSARIAL)])  # 15 and 48 columns
+def test_slog_sum_columns_adversarial_columns(width, monkeypatch):
+    signs, logs = _adversarial_stack(width)
+    fallbacks = []
+    real_fsum = math.fsum
+
+    def counting_fsum(values):
+        fallbacks.append(values)
+        return real_fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    sign, log = slog_sum_columns(signs, logs)
+    monkeypatch.undo()
+    want = reference_slog_sum_columns(signs, logs)
+    assert np.array_equal(sign, want[0]) and np.array_equal(log, want[1])
+    assert np.all(sign[-3:] == 0) and np.all(log[-3:] == -np.inf)
+    names = list(ADVERSARIAL)
+    for k in range(width):
+        name = names[k % len(names)]
+        total = math.fsum(ADVERSARIAL[name])
+        assert sign[k] == np.sign(total), name
+    live = signs.shape[1] - 3
+    if signs.shape[1] >= 16:
+        # the exact ties reach math.fsum; the columns 2^-70 or more from a
+        # midpoint, and the totals just below 2 that round, are certified
+        ties = sum(names[k % len(names)].startswith("tie") for k in range(width))
+        assert ties <= len(fallbacks) < live
+    else:
+        assert len(fallbacks) == live  # the narrow loop sums each live column
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("npts", [1, 20])
+def test_slog_sum_columns_rejects_nan_and_inf_logs(bad, npts):
+    signs = np.ones((2, npts), dtype=np.int8)
+    logs = np.zeros((2, npts))
+    logs[1, -1] = bad
+    with pytest.raises(ArithmeticError):
+        slog_sum_columns(signs, logs)
+    # the same log on a sign-0 term is a zero, and -inf logs are zeros
+    signs[1, -1] = 0
+    sign, log = slog_sum_columns(signs, logs)
+    assert sign[-1] == 1 and log[-1] == 0.0
+    sign, log = slog_sum_columns(signs, np.full((2, npts), -np.inf))
+    assert np.all(sign == 0) and np.all(log == -np.inf)
