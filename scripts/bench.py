@@ -14,10 +14,11 @@ perfbench/run.py runs from the checkout at --root (default: this
 repository), so the same script measures the tree before and after a
 change; the file is always written to this repository's root.  Each run
 keeps perfbench's result line, notes and provenance as printed.  The file
-also records the --root tree's commit and whether its src/ differs from
-that commit ("dirty"), so a run of an uncommitted tree is not taken for its
-parent.  Nothing under perfbench/ is written; traced runs leave their span
-file in .bench_out/, as perfbench does.
+also records the --root tree's commit, whether its src/ differs from that
+commit ("dirty"), so a run of an uncommitted tree is not taken for its
+parent, and its src line count ("src_lines").  Nothing under perfbench/ is
+written; traced runs leave their span file in .bench_out/, as perfbench
+does.
 
 --against DIR names a parent checkout.  Each untraced run of --root is then
 paired with one of DIR, the two run back to back and the side that runs
@@ -78,7 +79,8 @@ def summarize(runs: list) -> dict:
 
 
 def tree_state(root: Path) -> dict:
-    """The commit checked out at root and whether src/ has changes git reports against it."""
+    """The commit checked out at root, whether src/ has changes git reports
+    against it, and the line count of src/spikesep/**/*.py as it stands."""
 
     def git(*args):
         try:
@@ -90,8 +92,10 @@ def tree_state(root: Path) -> dict:
 
     head = git("rev-parse", "HEAD")
     status = git("status", "--porcelain", "--", "src")
+    src_lines = sum(len(path.read_text().splitlines())
+                    for path in (root / "src" / "spikesep").rglob("*.py"))
     return {"commit": head.strip() if head else None,
-            "dirty": None if status is None else bool(status.strip())}
+            "dirty": None if status is None else bool(status.strip()), "src_lines": src_lines}
 
 
 def pair_stats(parent_runs: list, change_runs: list) -> dict:

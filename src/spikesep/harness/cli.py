@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1729)
     p.add_argument("--beta", type=int, default=2, choices=[1, 2])
-    p.add_argument("--bins", type=int, default=None)
+    p.add_argument("--bins", type=int, default=101)
     p.set_defaults(fn=_cmd_mc)
 
     p = sub.add_parser("scan", help="separation-onset scan over spike values")

@@ -53,7 +53,7 @@ class ExperimentConfig:
     model: object  # a spikesep.kernels model: ShiftedGUE, SpikedLUE or ShiftedChiral
     grid: GridSpec
     trials: int = 1
-    bins: Optional[int] = None  # None -> auto
+    bins: int = 101
     master_seed: int = 1729
     beta: int = 2
     spikes: Sequence[float] = ()
@@ -63,13 +63,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.bins is not None and self.bins < 2:
+        if self.bins < 2:
             raise ValueError("bins must be >= 2")
         if self.beta not in (1, 2):
             raise ValueError("beta must be 1 or 2")
-
-    def bin_count(self) -> int:
-        return self.bins if self.bins is not None else 101
 
 
 @dataclass

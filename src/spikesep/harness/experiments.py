@@ -83,8 +83,7 @@ def sample_batch(model, beta: int, trials: int, master_seed: int, edges: np.ndar
 
 def empirical_density_curve(model, config: ExperimentConfig) -> DensityCurve:
     """Histogram density over the config grid window, in per-matrix eigenvalue units."""
-    bins = config.bin_count()
-    edges = np.linspace(config.grid.lo, config.grid.hi, bins + 1)
+    edges = np.linspace(config.grid.lo, config.grid.hi, config.bins + 1)
     counts, largest = sample_batch(model, config.beta, config.trials, config.master_seed, edges)
     width = edges[1] - edges[0]
     values = counts / (config.trials * width)

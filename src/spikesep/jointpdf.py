@@ -296,15 +296,15 @@ def green_function(
     config: EigenConfiguration,
     alpha: Optional[float] = None,
     n_param: Optional[float] = None,
-    t_convention: str = "squared",
 ) -> SignedLogValue:
     """Green function of the beta=2 eigenvalue diffusion (N <= 4).
 
     family='gaussian': potential sum lam^2/2 - log|Delta|; time enters through
     t = e^{-tau}.  family='chiral' (positive eigenvalues): potential per the
-    log-squared repulsion with parameter alpha' = alpha + 1/2; t = e^{-2 tau}
-    under the default 'squared' convention ('plain' uses e^{-tau} and exists
-    for the convention arbitration tests; the semigroup test rejects it).
+    log-squared repulsion with parameter alpha' = alpha + 1/2; t = e^{-2 tau},
+    because the diffusion acts on the squared variable lam^2, which relaxes at
+    twice the rate of lam: only this t composes two time steps into one (the
+    semigroup property, tested at N = 1).
 
     Normalized exactly at N = 1; proportional (C independent of lam, lam0)
     otherwise.
@@ -334,11 +334,9 @@ def green_function(
         if alpha is None or n_param is None:
             raise ValueError("chiral family needs alpha and n_param")
         alpha_prime = alpha + 0.5
-        if nn == 1 and t_convention == "squared":
-            return SignedLogValue.from_float(
-                green_chiral_n1(lam[0], lam0[0], tau, alpha_prime)
-            )
-        t = math.exp(-2.0 * tau) if t_convention == "squared" else math.exp(-tau)
+        if nn == 1:
+            return SignedLogValue.from_float(green_chiral_n1(lam[0], lam0[0], tau, alpha_prime))
+        t = math.exp(-2.0 * tau)
         one_mt = 1.0 - t
         _, lv2 = _log_vandermonde(lam**2)
         f = f01_unitary(float(n_param), lam**2 / one_mt, t * lam0**2 / one_mt)

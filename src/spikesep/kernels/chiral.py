@@ -21,7 +21,7 @@ from ..ensembles import shifted_gram
 from ..logspace import SignedLogValue
 from ..secular import SeparationPrediction
 from ..specialfn import laguerre_weighted_signlog, log_0f1
-from .common import pairwise, sampled_rows, shift_prediction
+from .common import half_line, pairwise, sampled_rows, shift_prediction
 from .hermite import kernel_gue
 from .twopole import (
     bulk_sum,
@@ -30,7 +30,7 @@ from .twopole import (
     plain_family,
     power_sign,
     rising_log,
-    spiked_kernel,
+    spiked_values,
 )
 
 __all__ = [
@@ -98,37 +98,37 @@ class ShiftedChiral:
         return (self.m, lambda source: shifted_gram(source, n, self.m, spikes, beta),
                 lambda e: np.sqrt(np.clip(e, 0.0, None)))
 
-    def families(self, x):
-        """Sign/log stacks (r, npts) of p_k(x) and q_k(x) over a grid (x > 0)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self._families(x, self._weighted(x))
-
     def _weighted(self, x):
         """phi_p^alpha(x), p < m: the rows the bulk and the families share, plus
         the merged-pole series' rows when the families take that branch."""
         if np.any(x <= 0):
             raise ValueError("evaluate the p/q families at x > 0")
-        extra = _TAYLOR_TERMS if self.r and self._merged else 0
+        extra = _TAYLOR_TERMS if self.r and self.c * self.c < _SMALL_CSQ else 0
         return laguerre_weighted_signlog(self.m + extra, self.alpha, x)
 
-    @property
-    def _merged(self) -> bool:
-        return self.c * self.c < _SMALL_CSQ
+    def _bulk(self, points, stack, npts):
+        """K_{m-r}^alpha at the npts pairs: the first m - r rows of the stack."""
+        return bulk_sum(stack, self.m - self.r, npts)
 
-    def _families(self, x, stack):
-        """families(x) from the `_weighted` stack on x."""
+    def families(self, x, stack=None):
+        """Sign/log stacks (r, npts) of p_k(x) and q_k(x) over a grid (x > 0),
+        from `stack` = `_weighted(x)` (built here when not given)."""
         m, alpha, r, c = self.m, self.alpha, self.r, self.c
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        ls, wl = self._weighted(x) if stack is None else stack
         npts = x.size
         q0 = m - r
         csq = c * c
         eps = SignedLogValue.from_log(-1, 2.0 * math.log(c)) if c > 0 else SignedLogValue.zero()
-        merged = self._merged
-        ls, ll = _fixed_param_logs(stack, alpha, x)
+        merged = ls.shape[0] > m  # `_weighted` added the series' rows
         logx = np.log(x)
-        wlog = alpha * logx - x  # x^alpha e^{-x}
-        # p_k's line q! L^alpha_q(x); q_k's line x^alpha e^{-x} L^alpha_q(x) / Gamma(q+alpha+1)
         qs = np.arange(ls.shape[0])
         log_fact = gammaln(qs + 1.0)
+        # plain L_q^alpha = phi_q x^{-alpha/2} e^{x/2} sqrt(Gamma(q+alpha+1)/q!)
+        adj = 0.5 * (gammaln(qs + alpha + 1.0) - log_fact)
+        ll = wl + adj[:, None] - 0.5 * alpha * logx[None, :] + 0.5 * x[None, :]
+        wlog = alpha * logx - x  # x^alpha e^{-x}
+        # p_k's line q! L^alpha_q(x); q_k's line x^alpha e^{-x} L^alpha_q(x) / Gamma(q+alpha+1)
         log_gamma_a = gammaln(qs + 1.0 + alpha)
         s_line = (
             ls,
@@ -173,35 +173,14 @@ class ShiftedChiral:
         return psign, plog, qsign, qlog
 
 
-def _fixed_param_logs(stack, alpha, x):
-    """Sign/log of plain L_q^alpha(x) from the weighted stack of phi_q^alpha(x)."""
-    ps, pl = stack
-    qs = np.arange(ps.shape[0])
-    # L_q^a = phi_q * x^{-a/2} e^{x/2} sqrt(Gamma(q+a+1)/q!)
-    adj = 0.5 * (gammaln(qs + alpha + 1.0) - gammaln(qs + 1.0))
-    logs = pl + adj[:, None] - 0.5 * alpha * np.log(x)[None, :] + 0.5 * x[None, :]
-    return ps, logs
-
-
 def chiral_pq(kind: str, k: int, x: float, m: int, alpha: float, r: int, c: float) -> SignedLogValue:
     """p_k(x) (kind='p') or q_k(x) (kind='q') as a SignedLogValue; x is the squared variable."""
-    if not 1 <= k <= r:
-        raise ValueError("family index must satisfy 1 <= k <= r")
-    return family_value(ShiftedChiral(m, alpha, r, c).families, ("p", "q"), kind, k, x)
-
-
-def _shifted_chiral(model: ShiftedChiral, u, v=None, wu=0.0, wv=0.0, bulk=True):
-    """Bulk (bulk=True) plus spike term at the squared-variable pairs (u, v), v=None
-    the diagonal, from one weighted stack on u or [u; v]: the bulk reads its first m - r rows."""
-    points = u if v is None else np.concatenate([u, v])
-    stack = model._weighted(points)
-    terms = bulk_sum(stack, model.m - model.r, u.size) if bulk else None
-    return spiked_kernel(terms, lambda: model._families(points, stack), model.r, u.size, wu, wv)
+    return family_value(ShiftedChiral(m, alpha, r, c), ("p", "q"), kind, k, x)
 
 
 def chiral_spike_term(model: ShiftedChiral, x, y):
     """Raw sum_k p_k(x) q_k(y) in the squared variable, pointwise like the kernel."""
-    return pairwise(lambda xs, ys: _shifted_chiral(model, xs, ys, bulk=False), x, y)
+    return pairwise(lambda xs, ys: spiked_values(model, xs, ys, bulk=False), x, y)
 
 
 def kernel_shifted_chiral(model: ShiftedChiral, x, y):
@@ -216,23 +195,14 @@ def kernel_shifted_chiral(model: ShiftedChiral, x, y):
         u, v = xs * xs, ys * ys
         wu = 0.5 * model.alpha * np.log(u) - 0.5 * u
         wv = -0.5 * model.alpha * np.log(v) + 0.5 * v
-        return _shifted_chiral(model, u, v, wu, wv)
+        return spiked_values(model, u, v, wu, wv)
 
     return pairwise(evaluate, x, y)
 
 
 def density_shifted_chiral(model: ShiftedChiral, x):
     """Density of the positive eigenvalues, rho(x) = 2x K_m(x^2, x^2)."""
-    x = np.asarray(x, dtype=float)
-    xv = np.atleast_1d(x).astype(float)
-    if np.any(xv < 0):
-        raise ValueError("density is supported on x >= 0")
-    out = np.zeros(xv.shape)
-    pos = xv > 0
-    xp = xv[pos]
-    if xp.size:
-        out[pos] = 2.0 * xp * _shifted_chiral(model, xp * xp)
-    return float(out[0]) if x.ndim == 0 else out
+    return half_line(lambda xp: 2.0 * xp * spiked_values(model, xp * xp), x)
 
 
 def chiral_asymptotic_pq(r: int, c: float, x: float, y: float) -> float:

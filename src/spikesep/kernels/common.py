@@ -10,6 +10,7 @@ from ..secular import SeparationPrediction
 
 __all__ = [
     "pairwise",
+    "half_line",
     "pair_and_sum",
     "materialize_columns",
     "combine_positive_logs",
@@ -26,6 +27,23 @@ def pairwise(evaluate, x, y):
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     out = evaluate(x.ravel(), y.ravel())
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+def half_line(evaluate, x, zero_ok=True):
+    """A density on x >= 0: evaluate(xp) at the points xp > 0 of x and 0 at x = 0
+    (an error unless zero_ok).  A scalar x gives a float."""
+    x = np.asarray(x, dtype=float)
+    xv = np.atleast_1d(x)
+    if np.any(xv < 0):
+        raise ValueError("density is supported on x >= 0")
+    out = np.zeros(xv.shape)
+    pos = xv > 0
+    if not zero_ok and not pos.all():
+        raise ValueError("x = 0 needs alpha > 0 (density limit 0)")
+    xp = xv[pos]
+    if xp.size:
+        out[pos] = evaluate(xp)
+    return float(out[0]) if x.ndim == 0 else out
 
 
 def pair_and_sum(s_left, l_left, s_right, l_right):

@@ -21,7 +21,7 @@ from ..ensembles import shifted_hermitian
 from ..logspace import SignedLogValue
 from ..secular import SeparationPrediction
 from ..specialfn import hermite_weighted_signlog
-from .common import materialize_columns, pairwise, shift_prediction
+from .common import pairwise, shift_prediction
 from .twopole import (
     bulk_sum,
     completing_family,
@@ -29,7 +29,7 @@ from .twopole import (
     plain_family,
     power_sign,
     rising_log,
-    spiked_kernel,
+    spiked_values,
 )
 
 __all__ = [
@@ -95,28 +95,25 @@ class ShiftedGUE:
         spikes = np.full(self.r, self.c)
         return self.n, lambda source: shifted_hermitian(source, self.n, spikes, beta), lambda e: e
 
-    def families(self, x):
-        """Sign/log stacks (r, npts) of Gtilde_j(x) and Gamma_j(x), unconjugated."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self._families(x, self._weighted(x))
-
     def _weighted(self, x):
         """psi_p(x), p < n: the rows the bulk and the families share, plus the
         merged-pole series' rows when the families take that branch."""
-        extra = _TAYLOR_TERMS if self.r and self._merged else 0
+        extra = _TAYLOR_TERMS if self.r and 2.0 * self.c < _SMALL_SHIFT else 0
         return hermite_weighted_signlog(self.n + extra, x)
 
-    @property
-    def _merged(self) -> bool:
-        return 2.0 * self.c < _SMALL_SHIFT
+    def _bulk(self, points, stack, npts):
+        """K_{n-r}^GUE at the npts pairs: the first n - r rows of the stack."""
+        return bulk_sum(stack, self.n - self.r, npts)
 
-    def _families(self, x, stack):
-        """families(x) from the `_weighted` stack on x."""
+    def families(self, x, stack=None):
+        """Sign/log stacks (r, npts) of Gtilde_j(x) and Gamma_j(x), unconjugated,
+        from `stack` = `_weighted(x)` (built here when not given)."""
         n, r, c = self.n, self.r, self.c
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        psign, plog = self._weighted(x) if stack is None else stack
         q0 = n - r
         eps = SignedLogValue.from_float(-2.0 * c)
-        merged = self._merged
-        psign, plog = stack
+        merged = psign.shape[0] > n  # `_weighted` added the series' rows
         x2half = 0.5 * x * x
         # psi_q with the e^{-x^2/2} weight stripped back off, as coefficient lines:
         # T_q = A_q = (-1)^q H_q(x)/(2^q q!),  S_q = (-1)^q e^{-x^2} H_q(x)/sqrt(pi),
@@ -169,15 +166,12 @@ class ShiftedGUE:
 
 
 def kernel_gue(n: int, x, y):
-    """K_n^GUE(x,y) = sum_{p<n} psi_p(x) psi_p(y) (weighted-Hermite form)."""
+    """K_n^GUE(x,y) = sum_{p<n} psi_p(x) psi_p(y) (weighted-Hermite form): the
+    rank-0 shifted GUE."""
     if n < 1:
         raise ValueError("order must be positive")
-
-    def evaluate(xs, ys):
-        stack = hermite_weighted_signlog(n, np.concatenate([xs, ys]))
-        return materialize_columns(*bulk_sum(stack, n, xs.size))
-
-    return pairwise(evaluate, x, y)
+    model = ShiftedGUE(n, 0, 0.0)
+    return pairwise(lambda xs, ys: spiked_values(model, xs, ys), x, y)
 
 
 def _raw_hermite_small(k_max: int, u: np.ndarray) -> np.ndarray:
@@ -193,24 +187,13 @@ def _raw_hermite_small(k_max: int, u: np.ndarray) -> np.ndarray:
 
 def incomplete_hermite(kind: str, j: int, x: float, n: int, r: int, c: float) -> SignedLogValue:
     """Gtilde_j(x) (kind='tilde') or Gamma_j(x) (kind='plain') as a SignedLogValue."""
-    if not 1 <= j <= r:
-        raise ValueError("family index must satisfy 1 <= j <= r")
-    return family_value(ShiftedGUE(n, r, c).families, ("tilde", "plain"), kind, j, x)
-
-
-def _shifted_gue(model: ShiftedGUE, x, y=None, wx=0.0, wy=0.0, bulk=True):
-    """Bulk (bulk=True) plus spike term at the pairs (x, y), y=None the diagonal,
-    from one weighted stack on x or [x; y]: the bulk reads its first n - r rows."""
-    points = x if y is None else np.concatenate([x, y])
-    stack = model._weighted(points)
-    terms = bulk_sum(stack, model.n - model.r, x.size) if bulk else None
-    return spiked_kernel(terms, lambda: model._families(points, stack), model.r, x.size, wx, wy)
+    return family_value(ShiftedGUE(n, r, c), ("tilde", "plain"), kind, j, x)
 
 
 def density_shifted_gue(model: ShiftedGUE, x):
     """Eigenvalue density K_N(x, x) on a grid (vectorized)."""
     x = np.asarray(x, dtype=float)
-    out = _shifted_gue(model, np.atleast_1d(x))
+    out = spiked_values(model, np.atleast_1d(x))
     return float(out[0]) if x.ndim == 0 else out
 
 
@@ -222,12 +205,12 @@ def kernel_shifted_gue(model: ShiftedGUE, x, y):
     projection, matching the K^GUE part's symmetric weighting.  Pointwise
     over the broadcast of x and y; scalars give a float.
     """
-    return pairwise(lambda xs, ys: _shifted_gue(model, xs, ys, -0.5 * xs * xs, 0.5 * ys * ys), x, y)
+    return pairwise(lambda xs, ys: spiked_values(model, xs, ys, -0.5 * xs * xs, 0.5 * ys * ys), x, y)
 
 
 def spike_term_shifted_gue(model: ShiftedGUE, x, y):
     """Raw sum_j Gtilde_j(x) Gamma_j(y) (no conjugation), pointwise like the kernel."""
-    return pairwise(lambda xs, ys: _shifted_gue(model, xs, ys, bulk=False), x, y)
+    return pairwise(lambda xs, ys: spiked_values(model, xs, ys, bulk=False), x, y)
 
 
 def kernel_shifted_gue_asymptotic(r: int, c: float, x: float, y: float) -> float:

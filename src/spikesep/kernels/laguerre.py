@@ -22,7 +22,7 @@ from ..ensembles import spiked_gram
 from ..logspace import SignedLogValue
 from ..secular import SeparationPrediction
 from ..specialfn import laguerre_line_signlog, laguerre_weighted_signlog
-from .common import materialize_columns, pairwise, sampled_rows
+from .common import half_line, pairwise, sampled_rows
 from .twopole import (
     bulk_sum,
     completing_family,
@@ -30,7 +30,7 @@ from .twopole import (
     plain_family,
     power_sign,
     rising_log,
-    spiked_kernel,
+    spiked_values,
 )
 
 __all__ = [
@@ -121,8 +121,21 @@ class SpikedLUE:
         sqrt_sigma[: self.r] = math.sqrt(1.0 / self.btilde)
         return self.m, lambda source: spiked_gram(source, n, sqrt_sigma, beta), lambda e: e
 
-    def families(self, x):
-        """Sign/log stacks (r, npts) of Ltilde_j(x) and Lambda_j(x), unconjugated."""
+    def _weighted(self, x):
+        """None: the bulk (parameter alpha + r) and the families' lines
+        (parameter sums M and M - 1) share no recurrence."""
+        return None
+
+    def _bulk(self, points, stack, npts):
+        """K_{m-r}^{alpha+r} at the npts pairs, from its own recurrence on the
+        points; the stack is dropped before the families build their lines."""
+        n_bulk = self.m - self.r
+        own = laguerre_weighted_signlog(n_bulk, self.alpha + self.r, points) if n_bulk else None
+        return bulk_sum(own, n_bulk, npts)
+
+    def families(self, x, stack=None):
+        """Sign/log stacks (r, npts) of Ltilde_j(x) and Lambda_j(x), unconjugated
+        (`stack` is unused: see `_weighted`)."""
         m, alpha, r, btilde = self.m, self.alpha, self.r, self.btilde
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(x <= 0):
@@ -188,12 +201,12 @@ def kernel_laguerre(n: int, a: float, x, y):
     """
     if n < 1:
         raise ValueError("order must be positive")
+    model = SpikedLUE(n, a, 0, 1.0)  # rank 0: the bulk alone
 
     def evaluate(xs, ys):
         if np.any(xs < 0) or np.any(ys < 0):
             raise ValueError("Laguerre kernel arguments must be >= 0")
-        points = np.maximum(np.concatenate([xs, ys]), 1e-300)
-        return materialize_columns(*_bulk_lue(n, a, points, xs.size))
+        return spiked_values(model, np.maximum(xs, 1e-300), np.maximum(ys, 1e-300))
 
     return pairwise(evaluate, x, y)
 
@@ -202,45 +215,17 @@ def incomplete_laguerre(
     kind: str, j: int, x: float, m: int, alpha: float, r: int, btilde: float
 ) -> SignedLogValue:
     """Ltilde_j(x) (kind='tilde') or Lambda_j(x) (kind='plain') as a SignedLogValue."""
-    if not 1 <= j <= r:
-        raise ValueError("family index must satisfy 1 <= j <= r")
-    return family_value(SpikedLUE(m, alpha, r, btilde).families, ("tilde", "plain"), kind, j, x)
-
-
-def _bulk_lue(n_bulk, a, points, npts):
-    """bulk_sum of the Laguerre projection kernel, from its own recurrence on the points."""
-    stack = laguerre_weighted_signlog(n_bulk, a, points) if n_bulk else None
-    return bulk_sum(stack, n_bulk, npts)
-
-
-def _spiked_lue(model: SpikedLUE, x, y=None, wx=0.0, wy=0.0, bulk=True):
-    """Bulk (bulk=True) plus spike term at the pairs (x, y), y=None the diagonal.
-    The bulk (parameter alpha + r) runs its own recurrence before the families' lines."""
-    points = x if y is None else np.concatenate([x, y])
-    n_bulk, a_bulk = model.m - model.r, model.alpha + model.r
-    terms = _bulk_lue(n_bulk, a_bulk, points, x.size) if bulk else None
-    return spiked_kernel(terms, lambda: model.families(points), model.r, x.size, wx, wy)
+    return family_value(SpikedLUE(m, alpha, r, btilde), ("tilde", "plain"), kind, j, x)
 
 
 def density_spiked_lue(model: SpikedLUE, x):
     """Eigenvalue density K_m(x, x) on a grid; x = 0 allowed for alpha > 0."""
-    x = np.asarray(x, dtype=float)
-    xv = np.atleast_1d(x).astype(float)
-    out = np.zeros(xv.shape)
-    pos = xv > 0
-    if np.any(xv < 0):
-        raise ValueError("density is supported on x >= 0")
-    if np.any(~pos) and model.alpha <= 0:
-        raise ValueError("x = 0 needs alpha > 0 (density limit 0)")
-    xp = xv[pos]
-    if xp.size:
-        out[pos] = _spiked_lue(model, xp)
-    return float(out[0]) if x.ndim == 0 else out
+    return half_line(lambda xp: spiked_values(model, xp), x, zero_ok=model.alpha > 0)
 
 
 def lue_spike_term(model: SpikedLUE, x, y):
     """Raw sum_j Ltilde_j(x) Lambda_j(y), pointwise like the kernel."""
-    return pairwise(lambda xs, ys: _spiked_lue(model, xs, ys, bulk=False), x, y)
+    return pairwise(lambda xs, ys: spiked_values(model, xs, ys, bulk=False), x, y)
 
 
 def kernel_spiked_lue(model: SpikedLUE, x, y):
@@ -258,6 +243,6 @@ def kernel_spiked_lue(model: SpikedLUE, x, y):
             raise ValueError("kernel arguments must be > 0")
         wx = 0.5 * a_bulk * np.log(xs) - 0.5 * xs
         wy = -0.5 * a_bulk * np.log(ys) + 0.5 * ys
-        return _spiked_lue(model, xs, ys, wx, wy)
+        return spiked_values(model, xs, ys, wx, wy)
 
     return pairwise(evaluate, x, y)

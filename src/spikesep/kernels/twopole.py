@@ -21,8 +21,12 @@ terms in one call, the merged-pole series, which stops on convergence, one
 term per call.  eps is a SignedLogValue, so a family hands over log|eps| as
 it forms it (2 log c for the chiral family).
 
-`spiked_kernel` is the one pairing of the two families: off the diagonal for
-the kernels and spike terms, on it for the densities.
+`spiked_values` is the one evaluation path of the three models.  On the
+points x (the diagonal) or [x; y] it asks the model for `_weighted(points)`,
+the stack its bulk and families share (None for the LUE, whose bulk builds
+its own), `_bulk(points, stack, npts)` and `families(points, stack)`, the
+(left sign, left log, right sign, right log) (r, points) stacks, and pairs
+the families.  `family_value` reads one row of a family at one point.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ __all__ = [
     "merged_pole_series",
     "completing_family",
     "family_value",
-    "spiked_kernel",
+    "spiked_values",
 ]
 
 _CUTOFF_NATS = 45.0  # the merged-pole series stops once a term is this far below the largest
@@ -177,32 +181,35 @@ def completing_family(line, q0, r, eps, merged, residue_at_eps):
     return out_sign, out_log
 
 
-def family_value(families, kinds, kind, j, x) -> SignedLogValue:
-    """Row j of the family `kind` (one of the pair `kinds`) at the point x."""
+def family_value(model, kinds, kind, j, x) -> SignedLogValue:
+    """Row j of the family `kind` (one of the pair `kinds`) of `model` at the point x."""
+    if not 1 <= j <= model.r:
+        raise ValueError("family index must satisfy 1 <= j <= r")
     if kind not in kinds:
         raise ValueError(f"kind must be {kinds[0]!r} or {kinds[1]!r}")
-    stacks = families(np.array([float(x)]))
+    stacks = model.families(np.array([float(x)]))
     at = 2 * kinds.index(kind)
     return SignedLogValue.from_log(int(stacks[at][j - 1, 0]), float(stacks[at + 1][j - 1, 0]))
 
 
-def spiked_kernel(bulk, families, r, npts, wx=0.0, wy=0.0):
-    """bulk + sum_j left_j(x) right_j(y) e^{wx + wy} at npts pairs, materialized.
+def spiked_values(model, x, y=None, wx=0.0, wy=0.0, bulk=True):
+    """bulk + sum_j left_j(x) right_j(y) e^{wx + wy} at the pairs (x, y), materialized.
 
-    `families()` returns the (left sign, left log, right sign, right log)
-    (r, points) stacks on the points x (npts columns: the diagonal) or
-    [x; y] (2 npts columns, column i of x paired with column i of y).
-    `bulk` is the (sign, log) pair of the projection kernel at the same
-    pairs, or None; it is added to the family sum in a second signed
-    log-sum, and with r == 0 the families are not built.  A value beyond a
-    double raises OverflowError.
+    x and y are 1-d, column i of x paired with column i of y; y=None takes
+    the diagonal.  The bulk (left out by bulk=False) enters the family sum in
+    a second signed log-sum; with r == 0 it is the value and the families are
+    not built.  A value beyond a double raises OverflowError.
     """
-    if bulk is not None and r == 0:
-        return materialize_columns(*bulk)
-    ls, ll, rs, rl = families()
-    if ls.shape[1] != npts:
+    npts = x.size
+    points = x if y is None else np.concatenate([x, y])
+    stack = model._weighted(points)
+    terms = model._bulk(points, stack, npts) if bulk else None
+    if bulk and model.r == 0:
+        return materialize_columns(*terms)
+    ls, ll, rs, rl = model.families(points, stack)
+    if y is not None:
         ls, ll, rs, rl = ls[:, :npts], ll[:, :npts], rs[:, npts:], rl[:, npts:]
     sign, log = pair_and_sum(ls, ll + wx, rs, rl + wy)
-    if bulk is not None:
-        sign, log = slog_sum_columns(np.vstack([bulk[0], sign]), np.vstack([bulk[1], log]))
+    if bulk:
+        sign, log = slog_sum_columns(np.vstack([terms[0], sign]), np.vstack([terms[1], log]))
     return materialize_columns(sign, log)

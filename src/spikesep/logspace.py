@@ -5,13 +5,15 @@ coefficients ~ 1/sqrt(N!) whose logs run to +-2000 at the sizes of interest.
 Every such quantity is carried as a (sign, log-magnitude) pair and only
 materialized to a native float once the pairing has brought it back on scale.
 
-Sums of such pairs shift by the largest term and sum the shifted values to
-the bits math.fsum gives, which is the correctly rounded sum.  On a stack of
-columns (`slog_sum_columns`) that sum is vectorised: one error-free
-extraction and a rounding certificate per column, with math.fsum for the
-columns the certificate cannot settle (see `_correctly_rounded_sums`).  A
-NaN or +inf log among a column's live terms raises ArithmeticError rather
-than read as zero.
+`SignedLogValue` holds one such number (a family value at one point) and
+does no arithmetic beyond negation and scaling.  Every sum is taken over the
+columns of a (terms, points) stack by `slog_sum_columns`: each column is
+shifted by its largest term and the shifted values are summed to the bits
+math.fsum gives, which is the correctly rounded sum, vectorised as one
+error-free extraction and a rounding certificate per column, with math.fsum
+for the columns the certificate cannot settle (see
+`_correctly_rounded_sums`).  A NaN or +inf log among a column's live terms
+raises ArithmeticError rather than read as zero.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SignedLogValue", "slog_sum", "slog_sum_columns"]
+__all__ = ["SignedLogValue", "slog_sum_columns"]
 
 _NEG_INF = float("-inf")
 _NARROW = 16  # stacks of fewer columns keep the per-column math.fsum loop
@@ -49,10 +51,6 @@ class SignedLogValue:
         return SignedLogValue(0, _NEG_INF)
 
     @staticmethod
-    def one() -> "SignedLogValue":
-        return SignedLogValue(1, 0.0)
-
-    @staticmethod
     def from_float(x: float) -> "SignedLogValue":
         if x == 0.0:
             return SignedLogValue.zero()
@@ -76,58 +74,14 @@ class SignedLogValue:
             )
         return self.sign * math.exp(self.log_magnitude)
 
-    def __mul__(self, other: "SignedLogValue") -> "SignedLogValue":
-        if self.sign == 0 or other.sign == 0:
-            return SignedLogValue.zero()
-        return SignedLogValue(self.sign * other.sign, self.log_magnitude + other.log_magnitude)
-
-    def __truediv__(self, other: "SignedLogValue") -> "SignedLogValue":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by zero SignedLogValue")
-        if self.sign == 0:
-            return SignedLogValue.zero()
-        return SignedLogValue(self.sign * other.sign, self.log_magnitude - other.log_magnitude)
-
     def __neg__(self) -> "SignedLogValue":
         return SignedLogValue(-self.sign, self.log_magnitude)
-
-    def __add__(self, other: "SignedLogValue") -> "SignedLogValue":
-        return slog_sum([self, other])
-
-    def __sub__(self, other: "SignedLogValue") -> "SignedLogValue":
-        return slog_sum([self, -other])
 
     def scaled(self, log_factor: float, sign: int = 1) -> "SignedLogValue":
         """Multiply by sign * exp(log_factor) without leaving log space."""
         if self.sign == 0:
             return self
         return SignedLogValue(self.sign * sign, self.log_magnitude + log_factor)
-
-    def abs_log(self) -> float:
-        return self.log_magnitude
-
-
-def slog_sum(terms) -> SignedLogValue:
-    """Sum of SignedLogValues via shift-by-max and compensated summation.
-
-    Accurate to ~1e-16 relative to the largest term, which is the best any
-    fixed-precision log-space accumulation can promise under cancellation.
-    """
-    signs = []
-    logs = []
-    for t in terms:
-        if t.sign != 0:
-            signs.append(t.sign)
-            logs.append(t.log_magnitude)
-    if not logs:
-        return SignedLogValue.zero()
-    m = max(logs)
-    if m == _NEG_INF:
-        return SignedLogValue.zero()
-    total = math.fsum(s * math.exp(l - m) for s, l in zip(signs, logs))
-    if total == 0.0:
-        return SignedLogValue.zero()
-    return SignedLogValue(1 if total > 0 else -1, math.log(abs(total)) + m)
 
 
 def slog_sum_columns(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -35,3 +35,14 @@ def test_pair_stats_ratios_and_wins(bench):
     assert p50["ratios"] == [0.5, 1.25, None, pytest.approx(1.5)]
     assert p50["change_better"] == 1  # lower is better
     assert stats["pass_ratio"]["ratios"] == [None] * 4  # a metric the runs lack
+
+
+def test_tree_state_counts_src_lines(bench, tmp_path):
+    package = tmp_path / "src" / "spikesep"
+    (package / "kernels").mkdir(parents=True)
+    (package / "__init__.py").write_text("a = 1\nb = 2\n")
+    (package / "kernels" / "twopole.py").write_text("x = 1\n\ny = 2\nz = 3\n")
+    (package / "kernels" / "notes.txt").write_text("not counted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    state = bench.tree_state(tmp_path)
+    assert state["src_lines"] == 6

@@ -137,15 +137,6 @@ def test_green_chiral_semigroup_selects_squared_convention():
         0, 14, limit=200,
     )[0]
     assert comp == pytest.approx(green_chiral_n1(1.2, lam0, t1 + t2, ap), rel=1e-8)
-    # the alternative 'plain' time convention violates the semigroup property
-    def plain(lam, mu, tau):
-        cfg = EigenConfiguration([lam], [mu], tau=tau)
-        return green_function("chiral", cfg, alpha=ap - 0.5, n_param=ap + 0.5,
-                              t_convention="plain").to_float()
-
-    comp_p = quad(lambda mu: plain(1.2, mu, t1) * plain(mu, lam0, t2), 0.01, 14, limit=200)[0]
-    single_p = plain(1.2, lam0, t1 + t2)
-    assert abs(comp_p - single_p) / single_p > 0.02
 
 
 def test_green_chiral_unit_mass():

@@ -11,6 +11,7 @@ from spikesep.kernels import (
     kernel_laguerre,
     kernel_spiked_lue,
 )
+from spikesep.kernels import laguerre as laguerre_module
 from spikesep.kernels.laguerre import lue_spike_term
 from spikesep.kernels.contour import (
     contour_incomplete_laguerre_plain,
@@ -218,3 +219,31 @@ def test_families_rows_match_incomplete_laguerre(model):
                     for xi in x]
             assert np.array_equal(sign[j - 1], [v.sign for v in vals])
             assert np.array_equal(log[j - 1], [v.log_magnitude for v in vals])
+
+
+@pytest.mark.parametrize("model", [SpikedLUE(12, 1.0, 3, 0.3), SpikedLUE(12, 1.0, 3, 0.99)])
+def test_density_and_kernel_recurrence_counts(monkeypatch, model):
+    # residue branch and merged-pole branch: the bulk (parameter alpha + r)
+    # runs one recurrence of its own, the families one line each for T and Lambda
+    calls = []
+    bulk, line = laguerre_module.laguerre_weighted_signlog, laguerre_module.laguerre_line_signlog
+
+    def counted_bulk(n, a, x):
+        calls.append(("bulk", np.size(x)))
+        return bulk(n, a, x)
+
+    def counted_line(n, big_m, x):
+        calls.append(("line", np.size(x)))
+        return line(n, big_m, x)
+
+    monkeypatch.setattr(laguerre_module, "laguerre_weighted_signlog", counted_bulk)
+    monkeypatch.setattr(laguerre_module, "laguerre_line_signlog", counted_line)
+    x = np.linspace(0.2, 9.0, 23)
+    density_spiked_lue(model, x)
+    assert calls == [("bulk", 23), ("line", 23), ("line", 23)]
+    calls.clear()
+    kernel_spiked_lue(model, x, x[::-1])
+    assert calls == [("bulk", 46), ("line", 46), ("line", 46)]
+    calls.clear()
+    lue_spike_term(model, x, x[::-1])
+    assert calls == [("line", 46), ("line", 46)]

@@ -9,7 +9,19 @@ import pytest
 from reference_logsum import reference_slog_sum_columns
 from reference_twopole import reference_completing_family, reference_plain_family
 
-from spikesep.kernels import ShiftedChiral, ShiftedGUE, SpikedLUE, chiral, common, hermite, laguerre, twopole
+from spikesep.kernels import (
+    ShiftedChiral,
+    ShiftedGUE,
+    SpikedLUE,
+    chiral,
+    chiral_pq,
+    common,
+    hermite,
+    incomplete_hermite,
+    incomplete_laguerre,
+    laguerre,
+    twopole,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -95,3 +107,19 @@ def test_seam_models_take_both_branches():
 def test_exact_n500_models_match_per_term_assembly(case, monkeypatch):
     _, model, points = case
     _assert_matches_reference(model, points[:: max(1, points.size // 40)], monkeypatch)
+
+
+FAMILY_VALUES = [
+    lambda kind, j: incomplete_hermite(kind, j, 0.4, 8, 2, 1.5),
+    lambda kind, j: incomplete_laguerre(kind, j, 0.4, 8, 1.0, 2, 0.5),
+    lambda kind, j: chiral_pq({"tilde": "p", "plain": "q"}[kind], j, 0.4, 8, 1.0, 2, 1.5),
+]
+
+
+@pytest.mark.parametrize("kind", ["tilde", "plain"])
+@pytest.mark.parametrize("j", [0, 3])  # j = 0 and j = r + 1 at r = 2
+@pytest.mark.parametrize("value", FAMILY_VALUES, ids=["hermite", "laguerre", "chiral"])
+def test_family_index_out_of_range_raises(value, j, kind):
+    with pytest.raises(ValueError, match="family index"):
+        value(kind, j)
+    value(kind, 1)  # in range
