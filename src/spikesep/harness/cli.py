@@ -102,11 +102,12 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    result = run_figure(args.name, args.outdir, master_seed=args.seed)
-    for f in result["files"]:
-        print(f)
-    for name, report in result["reports"].items():
-        print(name, json.dumps(report.as_dict(), sort_keys=True))
+    for preset in args.name:
+        result = run_figure(preset, args.outdir, master_seed=args.seed)
+        for f in result["files"]:
+            print(f)
+        for name, report in result["reports"].items():
+            print(name, json.dumps(report.as_dict(), sort_keys=True))
     return 0
 
 
@@ -140,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spikes", required=True, help="comma-separated spike values")
     p.set_defaults(fn=_cmd_scan)
 
-    p = sub.add_parser("figure", help="render a figure preset (CSV + SVG)")
-    p.add_argument("name", choices=sorted(FIGURE_PRESETS))
+    p = sub.add_parser("figure", help="render figure presets (CSV + SVG)")
+    p.add_argument("name", nargs="+", choices=sorted(FIGURE_PRESETS))
     p.add_argument("--outdir", required=True)
     p.add_argument("--seed", type=int, default=1729)
     p.set_defaults(fn=_cmd_figure)

@@ -158,9 +158,8 @@ def _refine_peaks(density, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def find_separated_peaks(model, grid: np.ndarray, values: Optional[np.ndarray] = None,
-                         edge_factor: float = 1.05) -> list:
-    """Strict grid local maxima beyond edge_factor * bulk edge, refined by _refine_peaks.
+def find_separated_peaks(model, grid: np.ndarray, values: Optional[np.ndarray] = None) -> list:
+    """Strict grid local maxima beyond 1.05 * bulk edge, refined by _refine_peaks.
 
     `values`, when given, is the density on `grid` and must have its shape.
     """
@@ -169,7 +168,7 @@ def find_separated_peaks(model, grid: np.ndarray, values: Optional[np.ndarray] =
     if vals.shape != grid.shape:
         raise ValueError(f"values shape {vals.shape} does not match grid shape {grid.shape}")
     mid = vals[1:-1]
-    beyond = grid[1:-1] > edge_factor * model.bulk_edge
+    beyond = grid[1:-1] > 1.05 * model.bulk_edge
     i = 1 + np.flatnonzero(beyond & (mid > vals[:-2]) & (mid > vals[2:]))
     return _refine_peaks(model.density, grid[i - 1], grid[i + 1]).tolist()
 

@@ -48,8 +48,8 @@ from ..kernels.contour import (
 from ..secular import SecularProblem, chiral_secular_eigenvalues, secular_eigenvalues
 from ..specialfn import (
     catalan,
-    hermite_weighted,
-    laguerre_weighted,
+    hermite_weighted_signlog,
+    laguerre_weighted_signlog,
     narayana,
     narayana_generating_closed_form,
     narayana_polynomial,
@@ -88,7 +88,7 @@ def _gl_nodes(lo, hi, n):
 
 def _check_hermite_orthonormality():
     xs, ws = _gl_nodes(-14.0, 14.0, 400)
-    psi = np.array([hermite_weighted(20, x) for x in xs])  # (nodes, 20)
+    psi = materialize_columns(*hermite_weighted_signlog(20, xs)).T  # (nodes, 20)
     gram = (psi * ws[:, None]).T @ psi
     err = float(np.max(np.abs(gram - np.eye(20))))
     return err < 1e-8, err, 1e-8, "Gauss-Legendre Gram matrix, orders < 20"
@@ -98,7 +98,7 @@ def _check_laguerre_orthonormality():
     worst = 0.0
     for a in (0.0, 0.5, 3.0):
         us, ws = _gl_nodes(1e-9, 11.0, 400)  # x = u^2 substitution
-        phi = np.array([laguerre_weighted(20, a, u * u) for u in us])
+        phi = materialize_columns(*laguerre_weighted_signlog(20, a, us * us)).T
         gram = (phi * (2.0 * us * ws)[:, None]).T @ phi
         worst = max(worst, float(np.max(np.abs(gram - np.eye(20)))))
     return worst < 1e-8, worst, 1e-8, "a in {0, 0.5, 3}, x=u^2 substitution"
@@ -134,16 +134,18 @@ def _check_narayana_identities():
 # ---------------------------------------------------------------------------
 # spectra
 
-def _stieltjes_quadrature(law, z, nodes=3000):
+def _stieltjes_quadrature(law, z):
     lo, hi = spectra.support(law)
     if isinstance(law, spectra.Semicircle):
-        th, w = _gl_nodes(-0.5 * math.pi, 0.5 * math.pi, nodes)
+        th, w = _gl_nodes(-0.5 * math.pi, 0.5 * math.pi, 3000)
         x = law.edge * np.sin(th)
         jac = law.edge * np.cos(th)
     else:
-        th, w = _gl_nodes(0.0, math.pi, nodes)
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        x = mid + half * np.cos(th)
+        th, w = _gl_nodes(0.0, math.pi, 3000)
+        half = 0.5 * (hi - lo)
+        # each node from its nearer edge keeps the offset from a hard (x^{-1/2}) edge
+        x = np.where(th > 0.5 * math.pi, lo + 2.0 * half * np.cos(0.5 * th) ** 2,
+                     hi - 2.0 * half * np.sin(0.5 * th) ** 2)
         jac = half * np.sin(th)
     dens = spectra.density(law, x)
     val = float(np.sum(w * dens * jac / (z - x)))
@@ -350,15 +352,11 @@ def _check_chiral_contour():
     return worst < 1e-8, worst, 1e-8, "k <= 2, m <= 6, small c"
 
 
-def _trace_gauss(model, lo, hi, nodes=1200):
-    xs, ws = _gl_nodes(lo, hi, nodes)
-    return float(np.sum(ws * density_shifted_gue(model, xs)))
-
-
 def _check_kernel_traces():
     worst = 0.0
-    model = ShiftedGUE(8, 2, 3.0)
-    worst = max(worst, abs(_trace_gauss(model, -8.5, 11.5) - 8.0))
+    xs, ws = _gl_nodes(-8.5, 11.5, 1200)
+    tr = float(np.sum(ws * density_shifted_gue(ShiftedGUE(8, 2, 3.0), xs)))
+    worst = max(worst, abs(tr - 8.0))
     lue = SpikedLUE(6, 1.0, 2, 0.4)
     us, ws = _gl_nodes(1e-6, 11.5, 1400)  # x = u^2; covers the detached lobe tail
     tr = float(np.sum(2.0 * us * ws * density_spiked_lue(lue, us * us)))
@@ -455,10 +453,10 @@ def _check_series_vs_determinant():
     x3, y3 = np.array([0.1, 0.25, 0.4]), np.array([0.15, 0.3, 0.55])
     for (x, y) in [(x2, y2), (x3, y3)]:
         d = jointpdf.f00_unitary(x, y).to_float()
-        s = jointpdf.series_f00(x, y, 10)
+        s = jointpdf.series_f00(x, y)
         worst = max(worst, abs(d - s) / abs(s))
         d = jointpdf.f01_unitary(4.5, x, y).to_float()
-        s = jointpdf.series_f01(4.5, x, y, 10)
+        s = jointpdf.series_f01(4.5, x, y)
         worst = max(worst, abs(d - s) / abs(s))
     return worst < 1e-8, worst, 1e-8, "0F0/0F1 determinant vs partition series, N = 2, 3"
 

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _MIN_RELATIVE_GAP = 1e-10
+_SERIES_WEIGHT = 10
 
 
 @dataclass(frozen=True)
@@ -191,13 +192,13 @@ def _gen_pochhammer(a: float, kappa, n: int) -> float:
     return prod
 
 
-def series_f00(x, y, max_weight: int = 8) -> float:
-    """Partition series for 0F0 truncated at |kappa| <= max_weight (oracle)."""
+def series_f00(x, y) -> float:
+    """Partition series for 0F0 truncated at |kappa| <= _SERIES_WEIGHT (oracle)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.size
     total = 0.0
-    for kappa in _partitions_up_to(max_weight, n):
+    for kappa in _partitions_up_to(_SERIES_WEIGHT, n):
         if not kappa:
             total += 1.0
             continue
@@ -205,13 +206,13 @@ def series_f00(x, y, max_weight: int = 8) -> float:
     return total
 
 
-def series_f01(a: float, x, y, max_weight: int = 8) -> float:
-    """Partition series for 0F1 truncated at |kappa| <= max_weight (oracle)."""
+def series_f01(a: float, x, y) -> float:
+    """Partition series for 0F1 truncated at |kappa| <= _SERIES_WEIGHT (oracle)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.size
     total = 0.0
-    for kappa in _partitions_up_to(max_weight, n):
+    for kappa in _partitions_up_to(_SERIES_WEIGHT, n):
         if not kappa:
             total += 1.0
             continue

@@ -34,7 +34,7 @@ def half_line(evaluate, x, zero_ok=True):
     (an error unless zero_ok).  A scalar x gives a float."""
     x = np.asarray(x, dtype=float)
     xv = np.atleast_1d(x)
-    if np.any(xv < 0):
+    if not np.all(xv >= 0):  # NaN fails this too
         raise ValueError("density is supported on x >= 0")
     out = np.zeros(xv.shape)
     pos = xv > 0

@@ -23,31 +23,26 @@ __all__ = [
     "contour_chiral_q",
 ]
 
+_CIRCLE_TOL = 1e-11
+_CIRCLE_DOUBLINGS = 6
 
-def _circle_quadrature(f, center, radius, nodes=512, tol=1e-11, max_doublings=6):
+
+def _circle_quadrature(f, center, radius, nodes):
     """(1/2pi i) * closed-circle integral of f, refined until stable."""
     prev = None
-    for _ in range(max_doublings + 1):
+    for _ in range(_CIRCLE_DOUBLINGS + 1):
         theta = 2.0 * math.pi * np.arange(nodes) / nodes
         z = center + radius * np.exp(1j * theta)
         dz = 1j * radius * np.exp(1j * theta)
         val = np.mean(f(z) * dz) / 1j
-        if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-300):
+        if prev is not None and abs(val - prev) <= _CIRCLE_TOL * max(abs(val), 1e-300):
             return complex(val)
         prev = val
         nodes *= 2
     return complex(prev)
 
 
-def _line_quadrature(f, half_width, nodes=4001):
-    """Integral over the imaginary axis w = i t, t in [-T, T], with dw/(2 pi i)."""
-    t = np.linspace(-half_width, half_width, nodes)
-    w = 1j * t
-    vals = f(w)
-    return complex(np.trapezoid(vals, t) / (2.0 * math.pi))
-
-
-def contour_incomplete_hermite_tilde(j, x, n, r, c, nodes=512):
+def contour_incomplete_hermite_tilde(j, x, n, r, c):
     """Integral of e^{-xz - z^2/4} / (z^{n-r} (z+2c)^j) around {0, -2c}."""
     if c <= 0:
         raise ValueError("oracle requires c > 0 (distinct poles)")
@@ -56,21 +51,20 @@ def contour_incomplete_hermite_tilde(j, x, n, r, c, nodes=512):
     def f(z):
         return np.exp(-x * z - z * z / 4.0) / (z ** (n - r) * (z + 2.0 * c) ** j)
 
-    val = _circle_quadrature(f, 0.0, radius, nodes)
+    val = _circle_quadrature(f, 0.0, radius, 512)
     return val.real
 
 
-def contour_incomplete_hermite_plain(j, y, n, r, c, half_width=16.0, nodes=8001):
-    """Integral of e^{yw + w^2/4} w^{n-r} (w+2c)^{j-1} along the imaginary axis."""
+def contour_incomplete_hermite_plain(j, y, n, r, c):
+    """Integral of e^{yw + w^2/4} w^{n-r} (w+2c)^{j-1} dw/(2 pi i) along the imaginary
+    axis, w = i t for |t| <= 16, by the trapezoid rule on 8001 nodes."""
+    t = np.linspace(-16.0, 16.0, 8001)
+    w = 1j * t
+    vals = np.exp(y * w + w * w / 4.0) * w ** (n - r) * (w + 2.0 * c) ** (j - 1)
+    return complex(np.trapezoid(vals, t) / (2.0 * math.pi)).real
 
-    def f(w):
-        return np.exp(y * w + w * w / 4.0) * w ** (n - r) * (w + 2.0 * c) ** (j - 1)
 
-    val = _line_quadrature(f, half_width, nodes)
-    return val.real
-
-
-def contour_incomplete_laguerre_tilde(j, x, m, alpha, r, btilde, nodes=1024):
+def contour_incomplete_laguerre_tilde(j, x, m, alpha, r, btilde):
     """Integral of e^{-xz}(1+z)^{m+alpha} / (z^{m-r}(z-(btilde-1))^j) around {0, btilde-1}.
 
     The circle is kept away from the branch point at z = -1, so any real
@@ -92,11 +86,11 @@ def contour_incomplete_laguerre_tilde(j, x, m, alpha, r, btilde, nodes=1024):
     def f(z):
         return np.exp(-x * z) * (1.0 + z) ** (m + alpha) / (z ** (m - r) * (z - eps) ** j)
 
-    val = _circle_quadrature(f, center, radius, nodes)
+    val = _circle_quadrature(f, center, radius, 1024)
     return val.real
 
 
-def contour_incomplete_laguerre_plain(j, x, m, alpha, r, btilde, nodes=1024):
+def contour_incomplete_laguerre_plain(j, x, m, alpha, r, btilde):
     """Integral of e^{xw} w^{m-r} (w-(btilde-1))^{j-1} / (1+w)^{m+alpha} around {-1}.
 
     Requires integer alpha (the point w = -1 must be a pole, not a branch point).
@@ -108,11 +102,11 @@ def contour_incomplete_laguerre_plain(j, x, m, alpha, r, btilde, nodes=1024):
     def f(w):
         return np.exp(x * w) * w ** (m - r) * (w - eps) ** (j - 1) / (1.0 + w) ** (m + int(alpha))
 
-    val = _circle_quadrature(f, -1.0, 0.5, nodes)
+    val = _circle_quadrature(f, -1.0, 0.5, 1024)
     return val.real
 
 
-def contour_chiral_q(k, x, m, alpha, r, c, nodes=1024):
+def contour_chiral_q(k, x, m, alpha, r, c):
     """Integral of x^a e^{-x}/Gamma(a+1) * e^v 0F1(a+1; -xv) / (v^{m-r}(v+c^2)^k) around {0, -c^2}."""
     if c <= 0:
         raise ValueError("oracle requires c > 0 (distinct poles)")
@@ -124,6 +118,6 @@ def contour_chiral_q(k, x, m, alpha, r, c, nodes=1024):
         vals = np.array([hyp0f1_complex(a + 1.0, -x * vi) for vi in np.atleast_1d(v)])
         return np.exp(v) * vals / (v ** (m - r) * (v + c * c) ** k)
 
-    val = _circle_quadrature(f, center, radius, nodes)
+    val = _circle_quadrature(f, center, radius, 1024)
     prefactor = x**a * math.exp(-x) / math.gamma(a + 1.0)
     return prefactor * val.real

@@ -77,11 +77,11 @@ class SignedLogValue:
     def __neg__(self) -> "SignedLogValue":
         return SignedLogValue(-self.sign, self.log_magnitude)
 
-    def scaled(self, log_factor: float, sign: int = 1) -> "SignedLogValue":
-        """Multiply by sign * exp(log_factor) without leaving log space."""
+    def scaled(self, log_factor: float) -> "SignedLogValue":
+        """Multiply by exp(log_factor) without leaving log space."""
         if self.sign == 0:
             return self
-        return SignedLogValue(self.sign * sign, self.log_magnitude + log_factor)
+        return SignedLogValue(self.sign, self.log_magnitude + log_factor)
 
 
 def slog_sum_columns(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

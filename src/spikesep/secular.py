@@ -28,6 +28,7 @@ __all__ = [
 # Entries in one block of secular-function evaluations (256 KiB of float64);
 # 2 MiB blocks ran no faster and moved perfbench pointwise peak RSS 124.7 -> 128.9 MB.
 _BLOCK = 2**15
+_TOL = 1e-13  # relative root tolerance of both solvers
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,9 @@ def _by_blocks(fn, x, width):
                            for s in range(0, x.size, rows)], axis=-1)
 
 
-def _solve_brackets(f, f_fp, width, lo, hi, tol):
+def _solve_brackets(f, f_fp, width, lo, hi):
     """Root in each bracket (lo_k, hi_k) of an increasing f: bisection to 1e-3
-    of the bracket, then safeguarded Newton to tol, all brackets at once.  f and
+    of the bracket, then safeguarded Newton to _TOL, all brackets at once.  f and
     f_fp are `_by_blocks` functions of `width` columns giving f and (f, f')."""
     a, b = lo.copy(), hi.copy()
     gap = b - a
@@ -98,20 +99,18 @@ def _solve_brackets(f, f_fp, width, lo, hi, tol):
         step = xl - fx / np.where(ok, dfx, 1.0)
         ok &= (al < step) & (step < bl)
         x[live] = x_new = np.where(ok, step, 0.5 * (al + bl))
-        live = live[np.abs(x_new - xl) > tol * np.maximum(np.abs(x_new), 1e-300)]
+        live = live[np.abs(x_new - xl) > _TOL * np.maximum(np.abs(x_new), 1e-300)]
     return x
 
 
-def secular_eigenvalues(problem: SecularProblem, tol: float = 1e-13) -> np.ndarray:
+def secular_eigenvalues(problem: SecularProblem) -> np.ndarray:
     """All eigenvalues of diag(a) + mu w w^T (w_i = sqrt(weights_i)), descending."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     mu = problem.coupling
     if mu == 0.0:
         return np.sort(problem.diag)[::-1].copy()
     if mu < 0.0:
         mirrored = SecularProblem(-problem.diag, problem.weights, -mu)
-        return -secular_eigenvalues(mirrored, tol)[::-1]
+        return -secular_eigenvalues(mirrored)[::-1]
 
     order = np.argsort(problem.diag)[::-1]
     diag = problem.diag[order]
@@ -139,7 +138,7 @@ def secular_eigenvalues(problem: SecularProblem, tol: float = 1e-13) -> np.ndarr
         hi = a[0] + total
         if _by_blocks(f, np.array([hi]), a.size)[0] < 0.0:  # rounding right at the bound
             hi = a[0] + 2.0 * total + 1e-12 * max(1.0, abs(a[0]))
-        roots = _solve_brackets(f, f_fp, a.size, a, np.concatenate([[hi], a[:-1]]), tol)
+        roots = _solve_brackets(f, f_fp, a.size, a, np.concatenate([[hi], a[:-1]]))
     return np.sort(np.concatenate([roots, exact]))[::-1]
 
 
@@ -149,7 +148,6 @@ def chiral_secular_eigenvalues(
     v: Optional[Sequence[complex]] = None,
     mu: float = 0.0,
     n: Optional[int] = None,
-    tol: float = 1e-13,
     zero_components: Optional[Sequence[complex]] = None,
 ) -> np.ndarray:
     """Positive eigenvalues of the rank-two-shifted chiral block matrix, ascending.
@@ -163,8 +161,6 @@ def chiral_secular_eigenvalues(
     eigenvalues.  With u, v omitted, solves the eigenvector-averaged condition
     1 = mu * sum_j lambda/(lambda^2 - lam_j^2).
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     order = np.argsort(singulars)
     lam = np.asarray(singulars, dtype=float)[order]
     if not (np.all(np.isfinite(lam)) and math.isfinite(mu)):
@@ -182,7 +178,7 @@ def chiral_secular_eigenvalues(
         # lambda/(lambda^2 - lam_j^2) splits into halves over the poles +-lam_j
         # and the equation is odd, so its m largest roots are the positive ones
         poles = np.concatenate([lam, -lam])
-        roots = secular_eigenvalues(SecularProblem(poles, np.ones(2 * m), 0.5 * mu), tol)
+        roots = secular_eigenvalues(SecularProblem(poles, np.ones(2 * m), 0.5 * mu))
         return roots[m - 1::-1]
     if u is None or v is None:
         raise ValueError("provide both u and v, or neither (averaged mode)")
@@ -230,7 +226,7 @@ def chiral_secular_eigenvalues(
     live = np.arange(a_.size)
     for _ in range(200):
         mid = 0.5 * (a_[live] + b_[live])
-        wide = b_[live] - a_[live] > tol * np.maximum(np.abs(mid), 1e-300)
+        wide = b_[live] - a_[live] > _TOL * np.maximum(np.abs(mid), 1e-300)
         live, mid = live[wide], mid[wide]
         if not live.size:
             break

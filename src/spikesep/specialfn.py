@@ -14,12 +14,9 @@ import numpy as np
 from scipy.special import gammaln, ive
 
 __all__ = [
-    "hermite_weighted",
-    "laguerre_weighted",
     "hermite_weighted_signlog",
     "laguerre_weighted_signlog",
     "laguerre_line_signlog",
-    "bessel_i_scaled",
     "log_0f1",
     "hyp0f1_complex",
     "catalan",
@@ -34,49 +31,8 @@ _RESCALE_HI = 1e250
 _RESCALE_LOG = 600.0
 _RESCALE_UP = math.exp(_RESCALE_LOG)
 _RESCALE_DOWN = math.exp(-_RESCALE_LOG)
-
-
-def hermite_weighted(n: int, x: float) -> np.ndarray:
-    """psi_0(x)..psi_{n-1}(x), psi_p = H_p(x) exp(-x^2/2) / (pi^{1/4} 2^{p/2} sqrt(p!)).
-
-    Direct recurrence on psi_p: psi_{p+1} = sqrt(2/(p+1)) x psi_p - sqrt(p/(p+1)) psi_{p-1}.
-    Values can underflow to 0 far outside the oscillatory region but never overflow.
-    """
-    if n < 1:
-        raise ValueError("need at least one function (n >= 1)")
-    out = np.empty(n)
-    out[0] = math.exp(-0.25 * _LOG_PI - 0.5 * x * x)
-    if n == 1:
-        return out
-    out[1] = math.sqrt(2.0) * x * out[0]
-    for p in range(1, n - 1):
-        out[p + 1] = math.sqrt(2.0 / (p + 1)) * x * out[p] - math.sqrt(p / (p + 1.0)) * out[p - 1]
-    return out
-
-
-def laguerre_weighted(n: int, a: float, x: float) -> np.ndarray:
-    """phi_0(x)..phi_{n-1}(x), phi_p = sqrt(p!/Gamma(p+a+1)) x^{a/2} e^{-x/2} L_p^a(x)."""
-    if n < 1:
-        raise ValueError("need at least one function (n >= 1)")
-    if a <= -1:
-        raise ValueError("Laguerre parameter must satisfy a > -1")
-    if x < 0:
-        raise ValueError("Laguerre functions are defined for x >= 0")
-    out = np.empty(n)
-    if x == 0.0:
-        if a < 0:
-            raise ValueError("x = 0 diverges for a < 0; evaluate at x > 0")
-        out[0] = math.exp(-0.5 * gammaln(a + 1.0)) if a == 0 else 0.0
-    else:
-        out[0] = math.exp(0.5 * a * math.log(x) - 0.5 * x - 0.5 * gammaln(a + 1.0))
-    if n == 1:
-        return out
-    out[1] = (a + 1.0 - x) / math.sqrt(a + 1.0) * out[0]
-    for p in range(1, n - 1):
-        c1 = (2 * p + a + 1.0 - x) / math.sqrt((p + 1.0) * (p + 1.0 + a))
-        c2 = math.sqrt(p * (p + a) / ((p + 1.0) * (p + 1.0 + a)))
-        out[p + 1] = c1 * out[p] - c2 * out[p - 1]
-    return out
+_HYP0F1_TOL = 1e-17
+_HYP0F1_TERMS = 600
 
 
 def _signlog_store(n, x, log0, step):
@@ -130,7 +86,8 @@ def _signlog_store(n, x, log0, step):
 
 
 def hermite_weighted_signlog(n: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """Sign/log arrays of psi_p(x) for p < n over a grid; immune to under/overflow."""
+    """Sign/log arrays of psi_p(x) = H_p(x) e^{-x^2/2} / (pi^{1/4} 2^{p/2} sqrt(p!))
+    for p < n over a grid; immune to under/overflow."""
     if n < 1:
         raise ValueError("need at least one function (n >= 1)")
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -145,7 +102,8 @@ def hermite_weighted_signlog(n: int, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def laguerre_weighted_signlog(n: int, a: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """Sign/log arrays of phi_p(x) for p < n over a grid (x > 0 entrywise)."""
+    """Sign/log arrays of phi_p(x) = sqrt(p!/Gamma(p+a+1)) x^{a/2} e^{-x/2} L_p^a(x)
+    for p < n over a grid (x > 0 entrywise)."""
     if n < 1:
         raise ValueError("need at least one function (n >= 1)")
     if a <= -1:
@@ -183,15 +141,6 @@ def laguerre_line_signlog(n: int, big_m: float, x) -> tuple[np.ndarray, np.ndarr
     return _signlog_store(n, x, log0, step)
 
 
-def bessel_i_scaled(a: float, x: float) -> float:
-    """e^{-x} I_a(x) for a > -1, x >= 0."""
-    if a <= -1:
-        raise ValueError("order must satisfy a > -1")
-    if x < 0:
-        raise ValueError("argument must be nonnegative")
-    return float(ive(a, x))
-
-
 def log_0f1(b: float, z: float) -> float:
     """log of 0F1(b; z) for z >= 0, b > 0, safe for huge z.
 
@@ -207,7 +156,7 @@ def log_0f1(b: float, z: float) -> float:
     return gammaln(b) - 0.5 * (b - 1.0) * math.log(z) + s + math.log(ive(b - 1.0, s))
 
 
-def hyp0f1_complex(b: float, z: complex, tol: float = 1e-17, max_terms: int = 600) -> complex:
+def hyp0f1_complex(b: float, z: complex) -> complex:
     """0F1(b; z) by direct series for complex z of moderate size (|z| <= ~2000).
 
     Oracle-grade helper: raises if the alternating-series cancellation would
@@ -218,11 +167,11 @@ def hyp0f1_complex(b: float, z: complex, tol: float = 1e-17, max_terms: int = 60
     term = complex(1.0)
     total = complex(1.0)
     peak = 1.0
-    for k in range(1, max_terms):
+    for k in range(1, _HYP0F1_TERMS):
         term *= z / ((b + k - 1.0) * k)
         total += term
         peak = max(peak, abs(term))
-        if abs(term) < tol * max(abs(total), 1e-300):
+        if abs(term) < _HYP0F1_TOL * max(abs(total), 1e-300):
             break
     if abs(total) > 0 and peak / abs(total) > 1e10:
         raise ArithmeticError("series cancellation too severe for reliable evaluation")

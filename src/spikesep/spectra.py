@@ -34,7 +34,6 @@ __all__ = [
     "point_mass",
     "stieltjes",
     "moment",
-    "total_mass",
 ]
 
 
@@ -145,10 +144,6 @@ def point_mass(law: LimitLaw) -> tuple[float, float]:
     if isinstance(law, MarchenkoPasturGamma) and law.gamma > 1.0:
         return (0.0, 1.0 - 1.0 / law.gamma)
     return (0.0, 0.0)
-
-
-def total_mass(law: LimitLaw) -> float:
-    return float(law.n) if isinstance(law, Semicircle) else 1.0
 
 
 def stieltjes(law: LimitLaw, z: float) -> float:

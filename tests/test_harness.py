@@ -268,6 +268,33 @@ def test_verify_detects_injected_sign_flip(monkeypatch):
     assert not passed
 
 
+@pytest.mark.parametrize("check, recurrence, calls", [
+    ("_check_hermite_orthonormality", "hermite_weighted_signlog", 1),
+    ("_check_laguerre_orthonormality", "laguerre_weighted_signlog", 3),  # one per parameter a
+])
+def test_orthonormality_checks_run_the_grid_recurrences(monkeypatch, check, recurrence, calls):
+    import spikesep.harness.verify as verify_mod
+
+    original = getattr(verify_mod, recurrence)
+    seen = []
+
+    def counted(*args):
+        seen.append(np.size(args[-1]))
+        return original(*args)
+
+    monkeypatch.setattr(verify_mod, recurrence, counted)
+    passed, measured, tol, _ = getattr(verify_mod, check)()
+    assert passed and measured < tol
+    assert seen == [400] * calls  # every quadrature node in one call
+
+
+def test_stieltjes_oracle_keeps_the_hard_edge_offset():
+    import spikesep.harness.verify as verify_mod
+
+    passed, measured, *_ = verify_mod._check_stieltjes_vs_quadrature()
+    assert passed and measured < 1e-12
+
+
 def test_cli_density_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "d.csv"
     code = main([
@@ -303,10 +330,11 @@ def test_cli_mc_and_scan(tmp_path, capsys):
 
 
 def test_cli_figure_smoke(tmp_path, capsys):
-    code = main(["figure", "fig3", "--outdir", str(tmp_path)])
+    code = main(["figure", "fig3", "fig7", "--outdir", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "fig3a.csv").exists()
     assert (tmp_path / "fig3b.svg").exists()
+    assert (tmp_path / "fig7a.csv").exists()
 
 
 def test_all_figure_presets_emit_csv_and_svg(tmp_path):

@@ -246,8 +246,6 @@ def test_chiral_input_validation():
         chiral_secular_eigenvalues([1.0, 0.0], mu=0.5, n=3)
     with pytest.raises(ValueError):
         chiral_secular_eigenvalues([1.0], u=[1.0], v=None, mu=0.5, n=1)
-    with pytest.raises(ValueError, match="tolerance"):
-        chiral_secular_eigenvalues([1.0], mu=0.5, tol=0.0)
     for bad in ({"singulars": [1.0, np.nan]}, {"singulars": [np.inf, 1.0]}, {"mu": np.nan},
                 {"u": [np.nan, 1.0]}, {"v": [1.0, complex(0.0, np.inf)]},
                 {"n": 3, "zero_components": [np.nan]}):

@@ -12,12 +12,9 @@ from raw_polynomials import hermite_raw, laguerre_raw
 from reference_recurrence import reference_signlog_store
 from spikesep import specialfn
 from spikesep.specialfn import (
-    bessel_i_scaled,
     catalan,
-    hermite_weighted,
     hermite_weighted_signlog,
     laguerre_line_signlog,
-    laguerre_weighted,
     laguerre_weighted_signlog,
     log_0f1,
     narayana,
@@ -52,35 +49,45 @@ def mp_laguerre_weighted(n, a, x, dps=40):
         return [float(v) for v in vals]
 
 
+def _values(signlog):
+    """Float values of a (sign, log) stack."""
+    signs, logs = signlog
+    return signs * np.exp(logs)
+
+
 def test_hermite_first_value():
-    assert hermite_weighted(1, 0.0)[0] == pytest.approx(math.pi ** -0.25, rel=1e-14)
-    assert hermite_weighted(1, 0.0)[0] == pytest.approx(0.7511255, abs=1e-7)
+    psi0 = _values(hermite_weighted_signlog(1, 0.0))[0, 0]
+    assert psi0 == pytest.approx(math.pi ** -0.25, rel=1e-14)
+    assert psi0 == pytest.approx(0.7511255, abs=1e-7)
 
 
 def test_hermite_h2_closed_form():
     # third entry is H_2(1) e^{-1/2} / (pi^{1/4} 2 sqrt(2)); H_2(1) = 2
-    got = hermite_weighted(3, 1.0)[2]
+    got = _values(hermite_weighted_signlog(3, 1.0))[2, 0]
     expect = (4.0 - 2.0) * math.exp(-0.5) / (math.pi**0.25 * 2.0 * math.sqrt(2.0))
     assert got == pytest.approx(expect, rel=1e-14)
 
 
 def test_hermite_empty_request():
     with pytest.raises(ValueError):
-        hermite_weighted(0, 1.0)
+        hermite_weighted_signlog(0, 1.0)
 
 
 def test_hermite_high_order_vs_extended_precision():
-    got = hermite_weighted(501, 0.5)
-    ref = mp_hermite_weighted(501, 0.5)
-    rel = np.abs(got - np.array(ref)) / np.abs(ref)
-    assert np.max(rel) < 1e-10
+    xs = [0.5, 3.0, 25.0]
+    got = _values(hermite_weighted_signlog(501, xs))
+    for col, x in enumerate(xs):
+        ref = np.array(mp_hermite_weighted(501, x))
+        rel = np.abs(got[:, col] - ref) / np.abs(ref)
+        assert np.max(rel) < 1e-10
 
 
 def test_hermite_no_overflow():
-    vals = hermite_weighted(1001, 60.0)
-    assert np.all(np.isfinite(vals))
-    vals = hermite_weighted(2000, 100.0)
-    assert np.all(np.isfinite(vals))
+    # Cramer's bound |psi_p(x)| <= pi^{-1/4} holds at every order and point
+    for n, x in ((1001, 60.0), (2000, 100.0)):
+        signs, logs = hermite_weighted_signlog(n, [x])
+        assert np.all(signs != 0) and np.all(np.isfinite(logs))
+        assert np.all(logs <= -0.25 * math.log(math.pi) + 1e-12)
 
 
 def test_hermite_signlog_tracks_underflowed_values():
@@ -93,33 +100,26 @@ def test_hermite_signlog_tracks_underflowed_values():
 
 
 def test_laguerre_values():
-    assert laguerre_weighted(1, 0.0, 0.0)[0] == pytest.approx(1.0, rel=1e-14)
     # second entry proportional to L_1^2(1) = 2
-    got = laguerre_weighted(2, 2.0, 1.0)
+    got = _values(laguerre_weighted_signlog(2, 2.0, 1.0))[:, 0]
     expect = math.sqrt(1.0 / math.gamma(4.0)) * 1.0 * math.exp(-0.5) * 2.0
     assert got[1] == pytest.approx(expect, rel=1e-13)
 
 
 def test_laguerre_domain_error():
     with pytest.raises(ValueError):
-        laguerre_weighted(3, -1.0, 1.0)
+        laguerre_weighted_signlog(3, -1.0, 1.0)
     with pytest.raises(ValueError):
-        laguerre_weighted(3, 0.5, -1.0)
+        laguerre_weighted_signlog(3, 0.5, -1.0)
 
 
 def test_laguerre_vs_extended_precision():
-    got = laguerre_weighted(50, 0.5, 10.0)
-    ref = mp_laguerre_weighted(50, 0.5, 10.0)
-    rel = np.abs(got - np.array(ref)) / np.abs(ref)
-    assert np.max(rel) < 1e-10
-
-
-def test_laguerre_signlog_matches_native():
-    x = np.array([0.7, 3.3, 19.0])
-    signs, logs = laguerre_weighted_signlog(12, 0.5, x)
-    native = np.array([laguerre_weighted(12, 0.5, xi) for xi in x]).T
-    rec = signs * np.exp(logs)
-    assert np.allclose(rec, native, rtol=1e-12, atol=1e-300)
+    xs = [0.7, 3.3, 10.0, 19.0]
+    got = _values(laguerre_weighted_signlog(50, 0.5, xs))
+    for col, x in enumerate(xs):
+        ref = np.array(mp_laguerre_weighted(50, 0.5, x))
+        rel = np.abs(got[:, col] - ref) / np.abs(ref)
+        assert np.max(rel) < 1e-10
 
 
 def test_laguerre_line_matches_genlaguerre():
@@ -177,23 +177,6 @@ def test_raw_polynomials_capped():
         hermite_raw(31, 0.0)
     with pytest.raises(ValueError):
         laguerre_raw(31, 0.0, 0.0)
-
-
-def test_bessel_scaled_values():
-    assert bessel_i_scaled(0.0, 0.0) == pytest.approx(1.0)
-    # 0F1 series oracle: e^{-4} I_2(4) = e^{-4} * 4 * 0F1(3; 4) / Gamma(3)
-    z = 4.0
-    series = sum(z**k / (math.gamma(3.0 + k) / math.gamma(3.0) * math.factorial(k))
-                 for k in range(30))
-    expect = math.exp(-4.0) * z ** (2 / 2) * series / math.gamma(3.0)
-    assert bessel_i_scaled(2.0, 4.0) == pytest.approx(expect, rel=1e-12)
-
-
-def test_bessel_large_argument_asymptote():
-    for a in (0.0, 1.5):
-        got = bessel_i_scaled(a, 200.0)
-        asym = 1.0 / math.sqrt(2.0 * math.pi * 200.0)
-        assert abs(got - asym) / asym < 0.01
 
 
 def test_log_0f1_consistency():

@@ -14,7 +14,6 @@ from spikesep.spectra import (
     point_mass,
     stieltjes,
     support,
-    total_mass,
 )
 
 ALL_LAWS = [Semicircle(9), MarchenkoPasturFixedDiff(6), MarchenkoPasturGamma(2.5)]
@@ -73,7 +72,6 @@ def test_mp_gamma_mass_with_point_mass():
 def test_mp_fixed_diff_unit_mass():
     law = MarchenkoPasturFixedDiff(5)
     assert _quad_density(law, lambda x: np.ones_like(x)) == pytest.approx(1.0, abs=1e-8)
-    assert total_mass(law) == 1.0
 
 
 def test_stieltjes_semicircle_edge_value():

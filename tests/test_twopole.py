@@ -16,6 +16,8 @@ from spikesep.kernels import (
     chiral,
     chiral_pq,
     common,
+    density_shifted_chiral,
+    density_spiked_lue,
     hermite,
     incomplete_hermite,
     incomplete_laguerre,
@@ -123,3 +125,17 @@ def test_family_index_out_of_range_raises(value, j, kind):
     with pytest.raises(ValueError, match="family index"):
         value(kind, j)
     value(kind, 1)  # in range
+
+
+HALF_LINE_DENSITIES = [
+    lambda x: density_spiked_lue(SpikedLUE(5, 1.0, 1, 0.5), x),
+    lambda x: density_shifted_chiral(ShiftedChiral(5, 1.0, 1, 1.0), x),
+]
+
+
+@pytest.mark.parametrize("x", [math.nan, [1.0, math.nan], [-1.0, 1.0]],
+                         ids=["nan", "array-nan", "negative"])
+@pytest.mark.parametrize("density", HALF_LINE_DENSITIES, ids=["lue", "chiral"])
+def test_half_line_densities_reject_nan_and_negative_points(density, x):
+    with pytest.raises(ValueError, match="x >= 0"):
+        density(x)
