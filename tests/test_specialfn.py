@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, gammaln
 
 from raw_polynomials import hermite_raw, laguerre_raw
 from reference_recurrence import reference_signlog_store
@@ -120,6 +120,17 @@ def test_laguerre_vs_extended_precision():
         ref = np.array(mp_laguerre_weighted(50, 0.5, x))
         rel = np.abs(got[:, col] - ref) / np.abs(ref)
         assert np.max(rel) < 1e-10
+
+
+def test_laguerre_signlog_matches_native():
+    # phi_p in double precision from scipy's L_p^a and the closed-form weight
+    x = np.array([0.7, 3.3, 19.0])
+    signs, logs = laguerre_weighted_signlog(12, 0.5, x)
+    p = np.arange(12)[:, None]
+    weight = np.exp(0.5 * (gammaln(p + 1.0) - gammaln(p + 1.5)) + 0.25 * np.log(x) - 0.5 * x)
+    native = weight * eval_genlaguerre(p, 0.5, x)
+    rec = signs * np.exp(logs)
+    assert np.allclose(rec, native, rtol=1e-12, atol=1e-300)
 
 
 def test_laguerre_line_matches_genlaguerre():
