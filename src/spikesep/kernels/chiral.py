@@ -101,7 +101,7 @@ class ShiftedChiral:
     def _weighted(self, x):
         """phi_p^alpha(x), p < m: the rows the bulk and the families share, plus
         the merged-pole series' rows when the families take that branch."""
-        if np.any(x <= 0):
+        if not np.all(x > 0):  # NaN fails this too
             raise ValueError("evaluate the p/q families at x > 0")
         extra = _TAYLOR_TERMS if self.r and self.c * self.c < _SMALL_CSQ else 0
         return laguerre_weighted_signlog(self.m + extra, self.alpha, x)
@@ -190,7 +190,7 @@ def kernel_shifted_chiral(model: ShiftedChiral, x, y):
     """
 
     def evaluate(xs, ys):
-        if np.any(xs <= 0) or np.any(ys <= 0):
+        if not (np.all(xs > 0) and np.all(ys > 0)):  # NaN fails this too
             raise ValueError("kernel arguments must be > 0")
         u, v = xs * xs, ys * ys
         wu = 0.5 * model.alpha * np.log(u) - 0.5 * u

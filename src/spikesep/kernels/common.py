@@ -69,11 +69,19 @@ def materialize_columns(sign, log):
 
 
 def combine_positive_logs(logs):
-    """Column-wise log-sum-exp of nonnegative contributions (nterms, npts)."""
-    logs = np.asarray(logs)
+    """Column-wise log-sum-exp of nonnegative contributions (nterms, npts).
+
+    `logs` is overwritten when every column is live.  Pass it in F order:
+    each column is then one contiguous run, which numpy sums pairwise, as it
+    sums the F-ordered copy `logs[:, live]` that the other case forms.
+    """
     m = np.max(logs, axis=0)
-    out = np.full(m.shape, -np.inf)
     live = np.isfinite(m)
+    if live.all():
+        logs -= m
+        np.exp(logs, out=logs)
+        return m + np.log(np.sum(logs, axis=0))
+    out = np.full(m.shape, -np.inf)
     if np.any(live):
         out[live] = m[live] + np.log(np.sum(np.exp(logs[:, live] - m[live]), axis=0))
     return out

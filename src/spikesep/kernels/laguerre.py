@@ -21,7 +21,7 @@ from scipy.special import gammaln
 from ..ensembles import spiked_gram
 from ..logspace import SignedLogValue
 from ..secular import SeparationPrediction
-from ..specialfn import laguerre_line_signlog, laguerre_weighted_signlog
+from ..specialfn import laguerre_stack_signlog, laguerre_weighted_signlog
 from .common import half_line, pairwise, sampled_rows
 from .twopole import (
     bulk_sum,
@@ -122,32 +122,45 @@ class SpikedLUE:
         return self.m, lambda source: spiked_gram(source, n, sqrt_sigma, beta), lambda e: e
 
     def _weighted(self, x):
-        """None: the bulk (parameter alpha + r) and the families' lines
-        (parameter sums M and M - 1) share no recurrence."""
-        return None
+        """The one stack the bulk and the families share: the column groups
+        phi_p^{alpha+r}(x) | T_q^{(M)}(x) | T_q^{(M-1)}(x), M = m + alpha, from
+        one recurrence (`laguerre_stack_signlog`), with the merged-pole
+        series' rows when the families take that branch; phi_p^alpha alone
+        at rank 0."""
+        if not np.all(x > 0):  # NaN fails this too
+            raise ValueError("evaluate the LUE at x > 0")
+        if self.r == 0:
+            return laguerre_weighted_signlog(self.m, self.alpha, x)
+        extra = _TAYLOR_TERMS if abs(self.btilde - 1.0) < _SMALL_EPS else 0
+        return laguerre_stack_signlog(self.m + extra, self.alpha + self.r, self.m + self.alpha, x)
 
     def _bulk(self, points, stack, npts):
-        """K_{m-r}^{alpha+r} at the npts pairs, from its own recurrence on the
-        points; the stack is dropped before the families build their lines."""
-        n_bulk = self.m - self.r
-        own = laguerre_weighted_signlog(n_bulk, self.alpha + self.r, points) if n_bulk else None
-        return bulk_sum(own, n_bulk, npts)
+        """K_{m-r}^{alpha+r} at the npts pairs: the first m - r rows of the
+        stack's first column group."""
+        s, lg = stack
+        k = points.size
+        return bulk_sum((s[:, :k], lg[:, :k]), self.m - self.r, npts)
 
     def families(self, x, stack=None):
-        """Sign/log stacks (r, npts) of Ltilde_j(x) and Lambda_j(x), unconjugated
-        (`stack` is unused: see `_weighted`)."""
+        """Sign/log stacks (r, npts) of Ltilde_j(x) and Lambda_j(x), r >= 1,
+        unconjugated, from the line groups of `stack` = `_weighted(x)` (built
+        here when not given)."""
         m, alpha, r, btilde = self.m, self.alpha, self.r, self.btilde
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x <= 0):
-            raise ValueError("evaluate the incomplete Laguerre families at x > 0")
+        signs, logs = self._weighted(x) if stack is None else stack
         npts = x.size
         q0 = m - r
         eps = SignedLogValue.from_float(btilde - 1.0)
         big_m = m + alpha
-        merged = abs(btilde - 1.0) < _SMALL_EPS
-        rows = max(q0 + r + (_TAYLOR_TERMS if merged else 0), 1)
-        tline_s, tline_l = laguerre_line_signlog(rows, big_m, x)
-        t_line = (tline_s, lambda q, log_binom, log_power: tline_l[q] + (log_binom + log_power)[:, None])
+        merged = signs.shape[0] > m  # `_weighted` added the series' rows
+        tline_s, tline_l = signs[:, npts : 2 * npts], logs[:, npts : 2 * npts]
+
+        def t_term(q, log_binom, log_power):
+            out = tline_l[q]
+            out += (log_binom + log_power)[:, None]
+            return out
+
+        t_line = (tline_s, t_term)
         logx = np.log(x)
 
         def residue_at_eps(j):
@@ -176,9 +189,8 @@ class SpikedLUE:
 
         tsign, tlog = completing_family(t_line, q0, r, eps, merged, residue_at_eps)
         # Lambda_j's line: q!/Gamma(M) x^{alpha+r-1-l} e^{-x} times the line with
-        # parameter sum M-1, built only now so that it and the residues' terms
-        # are never held at once
-        pline_s, pline_l = laguerre_line_signlog(m, big_m - 1.0, x)
+        # parameter sum M-1
+        pline_s, pline_l = signs[:m, 2 * npts :], logs[:m, 2 * npts :]
         log_fact = gammaln(np.arange(m) + 1.0)
         log_gm = gammaln(big_m)
         x_power = alpha + r - 1 - (np.arange(m) - q0)
@@ -204,8 +216,11 @@ def kernel_laguerre(n: int, a: float, x, y):
     model = SpikedLUE(n, a, 0, 1.0)  # rank 0: the bulk alone
 
     def evaluate(xs, ys):
-        if np.any(xs < 0) or np.any(ys < 0):
+        if not (np.all(xs >= 0) and np.all(ys >= 0)):  # NaN fails this too
             raise ValueError("Laguerre kernel arguments must be >= 0")
+        if a < 0 and not (np.all(xs > 0) and np.all(ys > 0)):
+            raise ValueError("x = 0 needs a >= 0 (phi_p(0) diverges for a < 0)")
+        # phi_p(0) is 0 (a > 0) or finite (a = 0); 1e-300 stands in for it
         return spiked_values(model, np.maximum(xs, 1e-300), np.maximum(ys, 1e-300))
 
     return pairwise(evaluate, x, y)
@@ -239,7 +254,7 @@ def kernel_spiked_lue(model: SpikedLUE, x, y):
     a_bulk = model.alpha + model.r
 
     def evaluate(xs, ys):
-        if np.any(xs <= 0) or np.any(ys <= 0):
+        if not (np.all(xs > 0) and np.all(ys > 0)):  # NaN fails this too
             raise ValueError("kernel arguments must be > 0")
         wx = 0.5 * a_bulk * np.log(xs) - 0.5 * xs
         wy = -0.5 * a_bulk * np.log(ys) + 0.5 * ys

@@ -23,10 +23,12 @@ it forms it (2 log c for the chiral family).
 
 `spiked_values` is the one evaluation path of the three models.  On the
 points x (the diagonal) or [x; y] it asks the model for `_weighted(points)`,
-the stack its bulk and families share (None for the LUE, whose bulk builds
-its own), `_bulk(points, stack, npts)` and `families(points, stack)`, the
-(left sign, left log, right sign, right log) (r, points) stacks, and pairs
-the families.  `family_value` reads one row of a family at one point.
+the stack its bulk and families share (for the LUE three column groups of
+one recurrence: the bulk's weighted functions and the families' two
+coefficient lines), `_bulk(points, stack, npts)` and
+`families(points, stack)`, the (left sign, left log, right sign, right log)
+(r, points) stacks, and pairs the families.  `family_value` reads one row
+of a family at one point.
 """
 
 from __future__ import annotations
@@ -80,7 +82,9 @@ def bulk_sum(stack, n_bulk, npts):
         return np.zeros(npts, dtype=np.int8), np.full(npts, -np.inf)
     s, lg = stack
     if lg.shape[1] == npts:
-        return np.ones(npts, dtype=np.int8), combine_positive_logs(2.0 * lg[:n_bulk])
+        # f_p(x)^2: the doubled logs in one F-ordered temporary, summed in place
+        doubled = np.multiply(lg[:n_bulk], 2.0, out=np.empty((n_bulk, npts), order="F"))
+        return np.ones(npts, dtype=np.int8), combine_positive_logs(doubled)
     return pair_and_sum(s[:n_bulk, :npts], lg[:n_bulk, :npts], s[:n_bulk, npts:], lg[:n_bulk, npts:])
 
 
@@ -177,6 +181,7 @@ def completing_family(line, q0, r, eps, merged, residue_at_eps):
             sgs, lgs = residue_at_eps(j)
             zs, zl = residue_at_zero(line, q0, j, eps)
             sgs, lgs = np.concatenate((sgs, zs)), np.concatenate((lgs, zl))
+            del zs, zl  # the residue block is not held through the sum
         out_sign[j - 1], out_log[j - 1] = slog_sum_columns(sgs, lgs)
     return out_sign, out_log
 
@@ -197,15 +202,15 @@ def spiked_values(model, x, y=None, wx=0.0, wy=0.0, bulk=True):
 
     x and y are 1-d, column i of x paired with column i of y; y=None takes
     the diagonal.  The bulk (left out by bulk=False) enters the family sum in
-    a second signed log-sum; with r == 0 it is the value and the families are
-    not built.  A value beyond a double raises OverflowError.
+    a second signed log-sum; with r == 0 it is the value (0 without it) and
+    the families are not built.  A value beyond a double raises OverflowError.
     """
     npts = x.size
     points = x if y is None else np.concatenate([x, y])
     stack = model._weighted(points)
+    if model.r == 0:  # no families: the bulk alone, or nothing
+        return materialize_columns(*model._bulk(points, stack, npts)) if bulk else np.zeros(npts)
     terms = model._bulk(points, stack, npts) if bulk else None
-    if bulk and model.r == 0:
-        return materialize_columns(*terms)
     ls, ll, rs, rl = model.families(points, stack)
     if y is not None:
         ls, ll, rs, rl = ls[:, :npts], ll[:, :npts], rs[:, npts:], rl[:, npts:]

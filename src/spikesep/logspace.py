@@ -28,6 +28,7 @@ __all__ = ["SignedLogValue", "slog_sum_columns"]
 _NEG_INF = float("-inf")
 _NARROW = 16  # stacks of fewer columns keep the per-column math.fsum loop
 _U = 2.0**-53  # unit roundoff of a double
+_SPLIT_ROWS = 64  # rows per block of the error-free extraction, so q never copies all of x
 
 
 @dataclass(frozen=True)
@@ -151,10 +152,13 @@ def _correctly_rounded_sums(x: np.ndarray, live: np.ndarray) -> np.ndarray:
     if n <= 2:
         return x.sum(axis=0)  # one IEEE addition is already correctly rounded
     sigma = 2.0 ** math.ceil(math.log2(n + 1))
-    q = x + sigma
-    q -= sigma
-    x -= q
-    tau = q.sum(axis=0)
+    tau = np.zeros(x.shape[1])
+    for start in range(0, n, _SPLIT_ROWS):  # q in blocks: its sum is exact in any order
+        part = x[start : start + _SPLIT_ROWS]
+        q = part + sigma
+        q -= sigma
+        part -= q
+        tau += q.sum(axis=0)
     rho = x.sum(axis=0)
     total = tau + rho
     back = total - tau

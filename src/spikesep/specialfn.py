@@ -3,11 +3,16 @@
 Weighted orthonormal Hermite and Laguerre functions are evaluated by
 three-term recurrences on the weighted functions themselves; the raw
 polynomials H_p, L_p^a overflow doubles long before the sizes used here
-(p up to ~2000).
+(p up to ~2000).  Every recurrence runs through one row loop,
+`_signlog_store`: a caller writes the x-dependent coefficient block into
+the stack it will fill and hands over the per-row scalars (cached per
+size), so each row is a few in-place ufuncs.  `laguerre_stack_signlog`
+runs the spiked LUE's three recurrences as column groups of one stack.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -17,6 +22,7 @@ __all__ = [
     "hermite_weighted_signlog",
     "laguerre_weighted_signlog",
     "laguerre_line_signlog",
+    "laguerre_stack_signlog",
     "log_0f1",
     "hyp0f1_complex",
     "catalan",
@@ -31,45 +37,67 @@ _RESCALE_HI = 1e250
 _RESCALE_LOG = 600.0
 _RESCALE_UP = math.exp(_RESCALE_LOG)
 _RESCALE_DOWN = math.exp(-_RESCALE_LOG)
+_NO_COLUMNS = np.empty(0, dtype=np.intp)
 _HYP0F1_TOL = 1e-17
 _HYP0F1_TERMS = 600
 
 
-def _signlog_store(n, x, log0, step):
+def _signlog_store(vals, log0, groups):
     """Run a rescaled two-carrier recurrence and store sign/log of every row.
 
-    `step(p, v_p, v_pm1, x)` returns v_{p+1} for carriers scaled by a common
-    running offset; the offset is adjusted whenever the carriers leave
-    [1e-250, 1e250], so no degree or argument underflows silently.  Each row
-    stores its carrier, and each rescale the columns it moved, so signs and
-    logs are taken once over the whole stack at the end, with the offsets
-    accumulated in the same order as the carriers were rescaled.  One
-    min/max test per row (NaN-blind, like the masks) keeps the masked
-    rescale off the common path.
+    `vals` is the (n, columns) stack to fill: on entry rows 1..n-1 hold the
+    x-dependent coefficient block A_0..A_{n-2}.  Row 0 is the carrier 1, row
+    1 is A_0, and each later row is formed in place,
+        v_{p+1} = (A_p v_p - b[p] v_{p-1}) / d[p],
+    for every (columns, b, d) in `groups`: b[p] is a scalar or a vector over
+    the group's columns, and d is None when the group does not divide.  The
+    products and the difference run in the order the closed forms write
+    them, so every carrier has the bits of a per-row scalar-coefficient step.
+
+    The carriers are scaled by a running per-column offset that moves by
+    e^{-+600} wherever mag = max(|v_{p+1}|, |v_p|) leaves [1e-250, 1e250],
+    so no degree or argument underflows silently.  The test per row reads
+    |v_{p+1}| alone (fmin/fmax, NaN-blind like the masks) and fires whenever
+    the mag test would: mag < 1e-250 implies |v_{p+1}| < 1e-250, and a
+    processed carrier is at most 1e250 (or inf, whose non-NaN successor is
+    inf too), so mag > 1e250 exactly where |v_{p+1}| > 1e250.  The rescale
+    moves those columns down, and up the columns among |v_{p+1}| < 1e-250
+    with 0 < mag < 1e-250.  Each rescale stores the columns it moved, so
+    signs and logs are taken once over the whole stack at the end, with the
+    offsets accumulated in the order the carriers were rescaled.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = np.empty((n, x.size))
+    n, ncols = vals.shape
     vals[0] = 1.0
     rescales = []  # (first row of the new offset, columns scaled up, columns scaled down)
-    v_prev = np.zeros(x.size)
-    abs_prev = vals[0]
+    scratch = np.empty(ncols)
+    v_prev = v_curr = vals[0]
     for p in range(n - 1):
-        v_curr = vals[p]
-        vals[p + 1] = step(p, v_curr, v_prev, x)
-        abs_next = np.abs(vals[p + 1])
-        mag = np.maximum(abs_next, abs_prev)
-        lo, hi = np.fmin.reduce(mag, initial=1.0), np.fmax.reduce(mag, initial=1.0)
+        row = vals[p + 1]
+        if p:
+            np.multiply(row, v_curr, out=row)
+            for cols, b, _ in groups:
+                np.multiply(b[p], v_prev[cols], out=scratch[cols])
+            np.subtract(row, scratch, out=row)
+            for cols, _, d in groups:
+                if d is not None:
+                    np.divide(row[cols], d[p], out=row[cols])
+        size = np.abs(row, out=scratch)  # |v_{p+1}|
+        lo, hi = np.fmin.reduce(size, initial=1.0), np.fmax.reduce(size, initial=1.0)
         if lo < _RESCALE_LO or hi > _RESCALE_HI:
-            v_curr = v_curr.copy()  # row p is stored as it was; only its carrier moves
-            up = np.flatnonzero((mag > 0) & (mag < _RESCALE_LO))
-            down = np.flatnonzero(mag > _RESCALE_HI)
-            vals[p + 1, up] *= _RESCALE_UP
-            v_curr[up] *= _RESCALE_UP
-            vals[p + 1, down] *= _RESCALE_DOWN
-            v_curr[down] *= _RESCALE_DOWN
-            rescales.append((p + 1, up, down))
-            abs_next = np.abs(vals[p + 1])
-        v_prev, abs_prev = v_curr, abs_next
+            down = np.flatnonzero(size > _RESCALE_HI) if hi > _RESCALE_HI else _NO_COLUMNS
+            up = _NO_COLUMNS
+            if lo < _RESCALE_LO:
+                small = np.flatnonzero(size < _RESCALE_LO)
+                mag = np.maximum(size[small], np.abs(v_curr[small]))
+                up = small[(mag > 0) & (mag < _RESCALE_LO)]
+            if up.size or down.size:
+                v_curr = v_curr.copy()  # row p is stored as it was; only its carrier moves
+                row[up] *= _RESCALE_UP
+                v_curr[up] *= _RESCALE_UP
+                row[down] *= _RESCALE_DOWN
+                v_curr[down] *= _RESCALE_DOWN
+                rescales.append((p + 1, up, down))
+        v_prev, v_curr = v_curr, row
     signs = np.sign(vals, out=np.empty(vals.shape, dtype=np.int8), casting="unsafe")
     logs = np.abs(vals, out=vals)
     with np.errstate(divide="ignore"):
@@ -85,6 +113,48 @@ def _signlog_store(n, x, log0, step):
     return signs, logs
 
 
+def _readonly(a):
+    """a, made read-only: the cached coefficient vectors are shared by every call."""
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=64)
+def _hermite_rows(n):
+    """x-independent coefficients of psi_{p+1} = (s1_p x) psi_p - s2_p psi_{p-1},
+    p < n - 1: s1 as a column, s2 as floats."""
+    p = np.arange(n - 1)
+    return _readonly(np.sqrt(2.0 / (p + 1))[:, None]), np.sqrt(p / (p + 1.0)).tolist()
+
+
+@functools.lru_cache(maxsize=64)
+def _laguerre_rows(n, a):
+    """x-independent coefficients of phi_{p+1} = ((2p+a+1) - x)/d_p phi_p - c2_p phi_{p-1},
+    p < n - 1: (2p+a+1) and d_p as columns, c2_p as floats."""
+    p = np.arange(n - 1)
+    pf = p + 1.0
+    denom = pf * (pf + a)
+    shift = _readonly((2 * p + a + 1.0)[:, None])
+    return shift, _readonly(np.sqrt(denom)[:, None]), np.sqrt(p * (p + a) / denom).tolist()
+
+
+def _laguerre_block(out, a, x):
+    """Write the phi^a coefficient block into `out` (rows 1.. of a stack);
+    returns the per-row c2_p."""
+    shift, scale, c2 = _laguerre_rows(out.shape[0] + 1, a)
+    np.subtract(shift, x, out=out)
+    np.divide(out, scale, out=out)
+    return c2
+
+
+def _line_block(out, big_m, x):
+    """Write the T^{(big_m)} coefficient block (M - x) - q into `out`; returns
+    the per-row divisors q + 1."""
+    q = np.arange(float(out.shape[0]))
+    np.subtract(big_m - x, q[:, None], out=out)
+    return (q + 1.0).tolist()
+
+
 def hermite_weighted_signlog(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     """Sign/log arrays of psi_p(x) = H_p(x) e^{-x^2/2} / (pi^{1/4} 2^{p/2} sqrt(p!))
     for p < n over a grid; immune to under/overflow."""
@@ -92,33 +162,35 @@ def hermite_weighted_signlog(n: int, x) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least one function (n >= 1)")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     log0 = -0.25 * _LOG_PI - 0.5 * x * x
-
-    def step(p, v, v1, xs):
-        if p == 0:
-            return math.sqrt(2.0) * xs * v
-        return math.sqrt(2.0 / (p + 1)) * xs * v - math.sqrt(p / (p + 1.0)) * v1
-
-    return _signlog_store(n, x, log0, step)
+    vals = np.empty((n, x.size))
+    s1, s2 = _hermite_rows(n)
+    np.multiply(s1, x, out=vals[1:])
+    return _signlog_store(vals, log0, ((slice(None), s2, None),))
 
 
-def laguerre_weighted_signlog(n: int, a: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """Sign/log arrays of phi_p(x) = sqrt(p!/Gamma(p+a+1)) x^{a/2} e^{-x/2} L_p^a(x)
-    for p < n over a grid (x > 0 entrywise)."""
+def _laguerre_log0(a, x):
+    return 0.5 * a * np.log(x) - 0.5 * x - 0.5 * gammaln(a + 1.0)
+
+
+def _laguerre_grid(n, a, x):
+    """x as a 1-d grid, once n >= 1, a > -1 and x > 0 entrywise are checked."""
     if n < 1:
         raise ValueError("need at least one function (n >= 1)")
     if a <= -1:
         raise ValueError("Laguerre parameter must satisfy a > -1")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x <= 0):
+    if not np.all(x > 0):  # NaN fails this too
         raise ValueError("signlog Laguerre grid must be strictly positive")
-    log0 = 0.5 * a * np.log(x) - 0.5 * x - 0.5 * gammaln(a + 1.0)
+    return x
 
-    def step(p, v, v1, xs):
-        c1 = (2 * p + a + 1.0 - xs) / math.sqrt((p + 1.0) * (p + 1.0 + a))
-        c2 = math.sqrt(p * (p + a) / ((p + 1.0) * (p + 1.0 + a)))
-        return c1 * v - c2 * v1
 
-    return _signlog_store(n, x, log0, step)
+def laguerre_weighted_signlog(n: int, a: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """Sign/log arrays of phi_p(x) = sqrt(p!/Gamma(p+a+1)) x^{a/2} e^{-x/2} L_p^a(x)
+    for p < n over a grid (x > 0 entrywise; NaN raises)."""
+    x = _laguerre_grid(n, a, x)
+    vals = np.empty((n, x.size))
+    c2 = _laguerre_block(vals[1:], a, x)
+    return _signlog_store(vals, _laguerre_log0(a, x), ((slice(None), c2, None),))
 
 
 def laguerre_line_signlog(n: int, big_m: float, x) -> tuple[np.ndarray, np.ndarray]:
@@ -131,14 +203,28 @@ def laguerre_line_signlog(n: int, big_m: float, x) -> tuple[np.ndarray, np.ndarr
     if n < 1:
         raise ValueError("need at least one coefficient (n >= 1)")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    log0 = np.zeros(x.size)
+    vals = np.empty((n, x.size))
+    divisors = _line_block(vals[1:], big_m, x)
+    return _signlog_store(vals, np.zeros(x.size), ((slice(None), [x] * (n - 1), divisors),))
 
-    def step(q, v, v1, xs):
-        if q == 0:
-            return (big_m - xs) * v
-        return ((big_m - xs - q) * v - xs * v1) / (q + 1.0)
 
-    return _signlog_store(n, x, log0, step)
+def laguerre_stack_signlog(n: int, a: float, big_m: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """Sign/log stack (n, 3 npts) of [phi_p^a(x) | T_q^{(big_m)}(x) | T_q^{(big_m-1)}(x)].
+
+    The three column groups are `laguerre_weighted_signlog(n, a, x)` and
+    `laguerre_line_signlog(n, big_m, x)` at big_m and big_m - 1, bit for bit,
+    from one row loop: the spiked LUE's bulk (a = alpha + r) and its two
+    coefficient lines (big_m = m + alpha).  x > 0 entrywise; NaN raises.
+    """
+    x = _laguerre_grid(n, a, x)
+    k = x.size
+    vals = np.empty((n, 3 * k))
+    c2 = _laguerre_block(vals[1:, :k], a, x)
+    divisors = _line_block(vals[1:, k : 2 * k], big_m, x)
+    _line_block(vals[1:, 2 * k :], big_m - 1.0, x)
+    log0 = np.concatenate([_laguerre_log0(a, x), np.zeros(2 * k)])
+    lines = [np.concatenate([x, x])] * (n - 1)
+    return _signlog_store(vals, log0, ((slice(0, k), c2, None), (slice(k, 3 * k), lines, divisors)))
 
 
 def log_0f1(b: float, z: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,26 +225,77 @@ def test_families_rows_match_incomplete_laguerre(model):
 @pytest.mark.parametrize("model", [SpikedLUE(12, 1.0, 3, 0.3), SpikedLUE(12, 1.0, 3, 0.99)])
 def test_density_and_kernel_recurrence_counts(monkeypatch, model):
     # residue branch and merged-pole branch: the bulk (parameter alpha + r)
-    # runs one recurrence of its own, the families one line each for T and Lambda
+    # and the two coefficient lines (parameter sums M and M - 1) come from one
+    # recurrence per call, on three column groups of the call's points
     calls = []
-    bulk, line = laguerre_module.laguerre_weighted_signlog, laguerre_module.laguerre_line_signlog
+    stack = laguerre_module.laguerre_stack_signlog
 
-    def counted_bulk(n, a, x):
-        calls.append(("bulk", np.size(x)))
-        return bulk(n, a, x)
+    def counted_stack(n, a, big_m, x):
+        calls.append(np.size(x))
+        out = stack(n, a, big_m, x)
+        assert out[0].shape[1] == 3 * np.size(x)
+        return out
 
-    def counted_line(n, big_m, x):
-        calls.append(("line", np.size(x)))
-        return line(n, big_m, x)
+    def unexpected(*args):
+        raise AssertionError("a second recurrence ran")
 
-    monkeypatch.setattr(laguerre_module, "laguerre_weighted_signlog", counted_bulk)
-    monkeypatch.setattr(laguerre_module, "laguerre_line_signlog", counted_line)
+    monkeypatch.setattr(laguerre_module, "laguerre_stack_signlog", counted_stack)
+    monkeypatch.setattr(laguerre_module, "laguerre_weighted_signlog", unexpected)
     x = np.linspace(0.2, 9.0, 23)
     density_spiked_lue(model, x)
-    assert calls == [("bulk", 23), ("line", 23), ("line", 23)]
+    assert calls == [23]
     calls.clear()
     kernel_spiked_lue(model, x, x[::-1])
-    assert calls == [("bulk", 46), ("line", 46), ("line", 46)]
+    assert calls == [46]
     calls.clear()
     lue_spike_term(model, x, x[::-1])
-    assert calls == [("line", 46), ("line", 46)]
+    assert calls == [46]
+
+
+@pytest.mark.parametrize(
+    "model, lo, hi",
+    [
+        (SpikedLUE(500, 0.5, 1, 0.3), 1700.0, 2950.0),  # a benchmark scan's grid
+        (SpikedLUE(500, 0.5, 1, 0.99), 1.0, 2100.0),  # the merged-pole curve
+    ],
+)
+def test_density_memory_peak(model, lo, hi):
+    # one stack holds the bulk and both lines through the families; the peak
+    # stays below what the three groups held alongside each family's
+    # temporaries would reach (about 14.5 MiB at 501 points)
+    x = np.linspace(lo, hi, 501)
+    density_spiked_lue(model, x)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        density_spiked_lue(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12.5 * 2**20
+
+
+def test_nan_points_raise():
+    model = SpikedLUE(5, 1.0, 2, 0.4)
+    x = np.array([1.0, np.nan])
+    with pytest.raises(ValueError):
+        kernel_spiked_lue(model, x, np.array([1.0, 2.0]))
+    with pytest.raises(ValueError):
+        kernel_spiked_lue(model, np.array([1.0, 2.0]), x)
+    with pytest.raises(ValueError):
+        model.families(x)
+    with pytest.raises(ValueError):
+        lue_spike_term(model, x, x)
+    with pytest.raises(ValueError):
+        kernel_laguerre(3, 0.5, np.nan, 1.0)
+
+
+def test_kernel_laguerre_at_zero():
+    # phi_p(0) diverges for a < 0: a zero argument raises, as the density does
+    for x, y in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0)):
+        with pytest.raises(ValueError, match="x = 0"):
+            kernel_laguerre(3, -0.5, x, y)
+    with pytest.raises(ValueError, match="x = 0"):
+        density_spiked_lue(SpikedLUE(3, -0.5, 0, 1.0), 0.0)
+    # a >= 0: phi_p(0) is finite, and K_n(0, 0) = sum_p phi_p(0)^2
+    assert kernel_laguerre(3, 0.0, 0.0, 0.0) == pytest.approx(3.0, rel=1e-12)
+    assert abs(kernel_laguerre(3, 0.5, 0.0, 1.0)) < 1e-70  # phi_p(0) = 0 for a > 0

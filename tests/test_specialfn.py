@@ -1,20 +1,21 @@
 import math
-from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
 from raw_polynomials import hermite_raw, laguerre_raw
-from reference_recurrence import reference_signlog_store
+from reference_recurrence import ReferenceRecurrences
 from spikesep import specialfn
+from spikesep.harness.config import GridSpec
 from spikesep.specialfn import (
     catalan,
     hermite_weighted_signlog,
     laguerre_line_signlog,
+    laguerre_stack_signlog,
     laguerre_weighted_signlog,
     log_0f1,
     narayana,
@@ -144,36 +145,100 @@ def test_laguerre_line_matches_genlaguerre():
         assert np.allclose(got, ref, rtol=1e-11)
 
 
+def _assert_matches_reference(recurrence):
+    """recurrence(ns) calls one of the recurrences of the namespace ns: the
+    public one must equal the per-row reference with the closed-form steps,
+    bit for bit.  Returns the rescale events the reference fired."""
+    reference = ReferenceRecurrences()
+    with np.errstate(invalid="ignore"):  # NaN grid points
+        signs, logs = recurrence(specialfn)
+        ref_signs, ref_logs = recurrence(reference)
+    assert signs.dtype == ref_signs.dtype and logs.dtype == ref_logs.dtype
+    assert np.array_equal(signs, ref_signs)
+    assert np.array_equal(logs, ref_logs, equal_nan=True)
+    return set(reference.events)
+
+
 @pytest.mark.parametrize(
     "recurrence, fired",
     [
         # |x| = 45 lies past the oscillatory edge: the carriers grow by ~e^1000;
         # x = 0 makes every odd row exactly zero
-        (lambda: hermite_weighted_signlog(
+        (lambda f: f.hermite_weighted_signlog(
             600, np.array([-45.0, -44.5, -3.0, 0.0, 1e-300, 0.5, 30.0, 45.0])), {"down"}),
         # a NaN column must not hide the rescale another column needs
-        (lambda: hermite_weighted_signlog(600, np.array([np.nan, 45.0, 1.0])), {"down"}),
-        (lambda: laguerre_weighted_signlog(
+        (lambda f: f.hermite_weighted_signlog(600, np.array([np.nan, 45.0, 1.0])), {"down"}),
+        (lambda f: f.laguerre_weighted_signlog(
             400, 2.5, np.array([1e-6, 0.3, 40.0, 900.0, 2500.0, 4000.0])), {"down"}),
         # past its degree 20 the line at integer M falls like x^(q-20): at
         # x = 1e-300 below 1e-250 within two rows, and at x = 0 it is exactly
         # zero from q = 21 on
-        (lambda: laguerre_line_signlog(
+        (lambda f: f.laguerre_line_signlog(
             300, 20.0, np.array([0.0, 1e-300, 1e-280, 0.5, 7.0, 60.0, 2500.0])), {"up", "down"}),
+        # the spiked LUE's three recurrences on one row loop
+        (lambda f: f.laguerre_stack_signlog(
+            300, 2.5, 20.0, np.array([1e-300, 1e-280, 0.5, 7.0, 60.0, 2500.0, 4000.0])),
+         {"up", "down"}),
     ],
 )
-def test_recurrence_matches_per_row_reference(monkeypatch, recurrence, fired):
-    with np.errstate(invalid="ignore"):  # the NaN grid point
-        signs, logs = recurrence()
-        events = []
-        monkeypatch.setattr(
-            specialfn, "_signlog_store", partial(reference_signlog_store, events=events)
-        )
-        ref_signs, ref_logs = recurrence()
-    assert fired <= set(events)
-    assert signs.dtype == ref_signs.dtype and logs.dtype == ref_logs.dtype
-    assert np.array_equal(signs, ref_signs)
-    assert np.array_equal(logs, ref_logs, equal_nan=True)
+def test_recurrence_matches_per_row_reference(recurrence, fired):
+    assert fired <= _assert_matches_reference(recurrence)
+
+
+_J_GUE, _J_CHIRAL = math.sqrt(1000.0), 2.0 * math.sqrt(500.0)
+
+
+@pytest.mark.parametrize(
+    "recurrence",
+    [
+        # the N = 500 scan grids and merged-pole curves: the GUE and chiral
+        # stacks (the merged curves add 120 and 160 rows; the chiral model
+        # runs in the squared variable) and the spiked LUE's one stack
+        # (alpha + r = 1.5, M = m + alpha = 500.5)
+        lambda f: f.hermite_weighted_signlog(500, GridSpec(0.85 * _J_GUE, 1.42 * _J_GUE, 401).points()),
+        lambda f: f.hermite_weighted_signlog(620, GridSpec(-1.1 * _J_GUE, 1.1 * _J_GUE, 501).points()),
+        lambda f: f.laguerre_stack_signlog(500, 1.5, 500.5, GridSpec(1700.0, 2950.0, 501).points()),
+        lambda f: f.laguerre_stack_signlog(660, 1.5, 500.5, GridSpec(1.0, 2100.0, 501).points()),
+        lambda f: f.laguerre_weighted_signlog(
+            500, 2.0, GridSpec(0.85 * _J_CHIRAL, 1.45 * _J_CHIRAL, 401).points() ** 2),
+        lambda f: f.laguerre_weighted_signlog(660, 2.0, GridSpec(0.05, 1.1 * _J_CHIRAL, 501).points() ** 2),
+    ],
+)
+def test_recurrence_matches_reference_on_benchmark_grids(recurrence):
+    _assert_matches_reference(recurrence)
+
+
+_POINT = st.one_of(st.sampled_from([0.0, 1e-300, math.nan]), st.floats(-4000.0, 4000.0))
+
+
+@given(
+    n=st.integers(1, 700),
+    points=st.lists(_POINT, min_size=1, max_size=5),
+    a=st.floats(-0.9, 8.0),
+    big_m=st.floats(0.0, 900.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_recurrence_matches_reference_on_random_grids(n, points, a, big_m):
+    x = np.array(points)
+    _assert_matches_reference(lambda f: f.hermite_weighted_signlog(n, x))
+    _assert_matches_reference(lambda f: f.laguerre_line_signlog(n, big_m, x))
+    positive = x[x > 0]
+    if positive.size:
+        _assert_matches_reference(lambda f: f.laguerre_weighted_signlog(n, a, positive))
+        _assert_matches_reference(lambda f: f.laguerre_stack_signlog(n, a, big_m, positive))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: laguerre_weighted_signlog(3, 0.5, x),
+        lambda x: laguerre_stack_signlog(3, 0.5, 4.5, x),
+    ],
+)
+def test_laguerre_grids_reject_nan(call):
+    for x in ([np.nan], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="strictly positive"):
+            call(np.array(x))
 
 
 def test_recurrence_on_an_empty_grid():
