@@ -3,7 +3,9 @@
 
 Usage:
   python scripts/run_verify.py [--suite all] [--out verify_report.json]
-Exit status 0 if every check passed, 1 otherwise.
+Each check's line gives its measured value as a percentage of its tolerance
+("pass/fail" for a tolerance-0 check).  Exit status 0 if every check passed, 1
+otherwise.
 """
 
 import argparse
@@ -28,8 +30,10 @@ def main():
             fh.write(text + "\n")
     for check in report["checks"]:
         mark = "PASS" if check["passed"] else "FAIL"
+        margin = "pass/fail" if check["margin"] is None else f"{100 * check['margin']:.2g}% of tol"
         print(f"{mark} {check['suite']}.{check['name']} ({check['seconds']:.1f}s): "
-              f"measured {check['measured']:.3e} (tol {check['tolerance']:.0e}) {check['detail']}")
+              f"measured {check['measured']:.3e} (tol {check['tolerance']:.0e}, {margin}) "
+              f"{check['detail']}")
     print(f"{report['n_checks'] - report['n_failed']}/{report['n_checks']} checks passed "
           f"in {report['elapsed_seconds']}s")
     return 0 if report["passed"] else 1

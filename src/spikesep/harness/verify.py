@@ -13,6 +13,7 @@ import functools
 import math
 import time
 from dataclasses import asdict, dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -46,14 +47,7 @@ from ..kernels.contour import (
     contour_incomplete_laguerre_tilde,
 )
 from ..secular import SecularProblem, chiral_secular_eigenvalues, secular_eigenvalues
-from ..specialfn import (
-    catalan,
-    hermite_weighted_signlog,
-    laguerre_weighted_signlog,
-    narayana,
-    narayana_generating_closed_form,
-    narayana_polynomial,
-)
+from ..specialfn import hermite_weighted_signlog, laguerre_weighted_signlog
 from .experiments import sample_batch
 
 __all__ = ["run_verify", "CheckResult", "SUITES"]
@@ -68,6 +62,7 @@ class CheckResult:
     tolerance: float
     detail: str = ""
     seconds: float = 0.0
+    margin: Optional[float] = None  # measured / tolerance; None for a pass/fail (tolerance 0) check
 
 
 @functools.lru_cache(maxsize=None)
@@ -102,33 +97,6 @@ def _check_laguerre_orthonormality():
         gram = (phi * (2.0 * us * ws)[:, None]).T @ phi
         worst = max(worst, float(np.max(np.abs(gram - np.eye(20)))))
     return worst < 1e-8, worst, 1e-8, "a in {0, 0.5, 3}, x=u^2 substitution"
-
-
-def _check_catalan_moments():
-    worst = 0.0
-    law = spectra.Semicircle(7)
-    j = law.edge
-    xs, ws = _gl_nodes(-0.5 * math.pi, 0.5 * math.pi, 600)
-    for k in range(0, 9):
-        quad = float(np.sum(ws * (j * np.sin(xs)) ** (2 * k)
-                            * spectra.density(law, j * np.sin(xs)) * j * np.cos(xs)))
-        closed = spectra.moment(law, 2 * k)
-        worst = max(worst, abs(quad - closed) / abs(closed))
-    return worst < 1e-8, worst, 1e-8, "semicircle even moments k <= 8 vs quadrature"
-
-
-def _check_narayana_identities():
-    worst = 0.0
-    for k in range(1, 21):
-        row = sum(narayana(k, jj) for jj in range(k))
-        if row != catalan(k):
-            return False, float(k), 0.0, f"row sum mismatch at k={k}"
-    # generating function at p=q=1, t=0.1
-    closed = narayana_generating_closed_form(1.0, 1.0, 0.1)
-    series = sum(narayana_polynomial(k, 1.0, 1.0) * 0.1 ** (k + 1) for k in range(1, 40))
-    rel = abs(closed - series) / abs(closed)
-    worst = max(worst, rel)
-    return worst < 1e-12, worst, 1e-12, "row sums k <= 20 exact; generating function at t=0.1"
 
 
 # ---------------------------------------------------------------------------
@@ -166,23 +134,56 @@ def _check_stieltjes_vs_quadrature():
     return worst < 1e-10, worst, 1e-10, "3 laws x 3 evaluation points"
 
 
-def _check_moment_duality():
-    worst = 0.0
-    for law in (spectra.Semicircle(5), spectra.MarchenkoPasturFixedDiff(4),
-                spectra.MarchenkoPasturGamma(1.8)):
-        _, hi = spectra.support(law)
-        z = 2.0 * hi
-        if isinstance(law, spectra.MarchenkoPasturGamma):
-            _, pm = spectra.point_mass(law)
-            series = pm / z + sum(
-                (spectra.moment(law, k) / law.gamma if k else 1.0 / law.gamma) / z ** (k + 1)
-                for k in range(41)
-            )
-        else:
-            series = sum(spectra.moment(law, k) / z ** (k + 1) for k in range(41))
-        closed = spectra.stieltjes(law, z)
-        worst = max(worst, abs(series - closed) / abs(closed))
-    return worst < 1e-8, worst, 1e-8, "moment series vs closed form at z = 2x edge"
+def _bisect_root(spike_at, edge, spike):
+    """The z > edge where the increasing spike_at(z) reaches spike, to adjacent doubles."""
+    lo, hi = edge, 2.0 * edge
+    while spike_at(hi) < spike:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if spike_at(mid) < spike else (lo, mid)
+    return hi
+
+
+def _check_predictor_vs_law():
+    """Each closed-form predictor against its secular equation's large-N limit,
+    a condition on the law's Stieltjes transform G solved for the spike that
+    puts the separated eigenvalue at z: GUE c G(z)/N = 1 and chiral
+    sqrt(z) G(z) = 1/c (z = sigma^2) for the shift c = spike J/2; LUE
+    z G(z) - 1 = 1/(s - 1) for the covariance spike s, where in the
+    proportional regime gamma G - (gamma - 1)/z is the m x m transform and
+    m z the eigenvalue.  The root must be the location, the edge's spike the
+    threshold."""
+    sc, fd = spectra.Semicircle(500), spectra.MarchenkoPasturFixedDiff(500)
+    g2, stieltjes = spectra.MarchenkoPasturGamma(2.0), spectra.stieltjes
+    gue, chiral = ShiftedGUE(500, 1, 0.0), ShiftedChiral(500, 3.0, 1, 0.0)
+    fixed = SpikedLUE(500, 3.0, 1, 0.5)
+    proportional = SpikedLUE(250, 250.0, 1, 0.5, regime="proportional")
+    cases = [  # (predictor of the spike, spike at z, law's edge, location at z)
+        (gue.predictor, lambda z: 2.0 * sc.n / (gue.bulk_edge * stieltjes(sc, z)),
+         sc.edge, lambda z: z),
+        (chiral.predictor, lambda z: 2.0 / (chiral.bulk_edge * math.sqrt(z) * stieltjes(fd, z)),
+         4.0 * fd.m, math.sqrt),
+        (lambda s: fixed.predictor(1.0 / s), lambda z: 1.0 + 1.0 / (z * stieltjes(fd, z) - 1.0),
+         4.0 * fd.m, lambda z: z),
+        (lambda s: proportional.predictor(1.0 / s),
+         lambda z: 1.0 + 1.0 / (g2.gamma * (z * stieltjes(g2, z) - 1.0)),
+         g2.upper_edge, lambda z: proportional.m * z),
+    ]
+    worst = worst_threshold = 0.0
+    for predict, spike_at, edge, location_at in cases:
+        threshold = predict(1.0).threshold
+        at_edge = spike_at(edge * (1.0 + 1e-12))
+        worst_threshold = max(worst_threshold, abs(threshold - at_edge) / at_edge)
+        for f in (1.05, 1.5, 2.0, 3.0, 10.0):
+            pred = predict(f * threshold)
+            if not pred.above_threshold:
+                return False, 1.0, 0.0, f"no separation predicted at {f} x threshold"
+            root = location_at(_bisect_root(spike_at, edge, f * threshold))
+            worst = max(worst, abs(pred.location - root) / root)
+    if worst_threshold >= 1e-5:
+        return False, worst_threshold, 1e-5, "a threshold is not the spike at the law's edge"
+    return (worst < 1e-12, worst, 1e-12,
+            f"4 models x 5 spikes; thresholds within {worst_threshold:.1e} of the edge spike")
 
 
 # ---------------------------------------------------------------------------
@@ -631,12 +632,10 @@ SUITES = {
     "specialfn": [
         ("hermite_orthonormality", _check_hermite_orthonormality),
         ("laguerre_orthonormality", _check_laguerre_orthonormality),
-        ("catalan_moments", _check_catalan_moments),
-        ("narayana_identities", _check_narayana_identities),
     ],
     "spectra": [
         ("stieltjes_vs_quadrature", _check_stieltjes_vs_quadrature),
-        ("moment_duality", _check_moment_duality),
+        ("predictor_vs_law", _check_predictor_vs_law),
     ],
     "secular": [
         ("secular_vs_dense", _check_secular_vs_dense),
@@ -684,8 +683,9 @@ def run_verify(suite: str = "all") -> dict:
             start = time.perf_counter()
             passed, measured, tol, detail = fn()
             seconds = time.perf_counter() - start
-            checks.append(CheckResult(sname, cname, bool(passed), float(measured), float(tol),
-                                      detail, seconds))
+            measured, tol = float(measured), float(tol)
+            checks.append(CheckResult(sname, cname, bool(passed), measured, tol, detail, seconds,
+                                      measured / tol if tol else None))
     report = {
         "suite": suite,
         "passed": all(c.passed for c in checks),

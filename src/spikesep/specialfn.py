@@ -1,4 +1,4 @@
-"""Stable special functions and combinatorics used by every other module.
+"""Stable special functions used by every other module.
 
 Weighted orthonormal Hermite and Laguerre functions are evaluated by
 three-term recurrences on the weighted functions themselves; the raw
@@ -25,10 +25,6 @@ __all__ = [
     "laguerre_stack_signlog",
     "log_0f1",
     "hyp0f1_complex",
-    "catalan",
-    "narayana",
-    "narayana_polynomial",
-    "narayana_generating_closed_form",
 ]
 
 _LOG_PI = math.log(math.pi)
@@ -263,40 +259,3 @@ def hyp0f1_complex(b: float, z: complex) -> complex:
         raise ArithmeticError("series cancellation too severe for reliable evaluation")
     return total
 
-
-def catalan(k: int) -> int:
-    """k-th Catalan number, exact."""
-    if k < 0:
-        raise ValueError("index must be nonnegative")
-    if k > 64:
-        raise OverflowError("Catalan numbers supported up to k = 64")
-    return math.comb(2 * k, k) // (k + 1)
-
-
-def narayana(k: int, j: int) -> int:
-    """Narayana number N(k, j) = (1/k) C(k, j+1) C(k, j), exact, 0 <= j <= k-1."""
-    if k < 1:
-        raise ValueError("row index must be positive")
-    if k > 64:
-        raise OverflowError("Narayana numbers supported up to k = 64")
-    if not 0 <= j <= k - 1:
-        raise ValueError("column index must satisfy 0 <= j <= k-1")
-    num = math.comb(k, j + 1) * math.comb(k, j)
-    q, rem = divmod(num, k)
-    if rem:
-        raise ArithmeticError("Narayana value failed integrality check")
-    return q
-
-
-def narayana_polynomial(k: int, p: float, q: float) -> float:
-    """A_k(p, q) = sum_i N(k, i-1) p^i q^{k+1-i}."""
-    return sum(narayana(k, i - 1) * p**i * q ** (k + 1 - i) for i in range(1, k + 1))
-
-
-def narayana_generating_closed_form(p: float, q: float, t: float) -> float:
-    """t * sum_k A_k(p,q) t^k = (1 - u - v - sqrt(1 - 2(u+v) + (u-v)^2)) / 2."""
-    u, v = p * t, q * t
-    disc = 1.0 - 2.0 * (u + v) + (u - v) ** 2
-    if disc < 0:
-        raise ValueError("outside the convergence region of the generating function")
-    return 0.5 * (1.0 - u - v - math.sqrt(disc))

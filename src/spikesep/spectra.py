@@ -4,13 +4,12 @@ Conventions:
   * Semicircle(n): counting density with total mass n on (-J, J), J = sqrt(2n).
   * MarchenkoPasturFixedDiff(m): unit-mass density on (0, 4m) in the unscaled
     eigenvalue variable (aspect difference n - m held fixed).
-  * MarchenkoPasturGamma(gamma): unit-mass law in the scaled variable
-    x = lambda/(gamma*m); absolutely continuous part on (c, d) with
-    c = (1-sqrt(gamma))^2, d = (1+sqrt(gamma))^2, plus point mass
-    1 - 1/gamma at 0 for gamma > 1.  `density` returns the a.c. part,
-    `point_mass` the atom, and `stieltjes` the transform of the full law.
-    `moment` follows the Narayana expansion, i.e. the moments of
-    gamma * (a.c. part), which is itself a unit-mass density.
+  * MarchenkoPasturGamma(gamma): unit-mass law of the n x n Wishart
+    matrix, n = gamma*m, in the scaled variable x = lambda/m; absolutely
+    continuous part on (c, d) with c = (1-sqrt(gamma))^2,
+    d = (1+sqrt(gamma))^2, plus point mass 1 - 1/gamma at 0 for gamma > 1.
+    `density` returns the a.c. part, `point_mass` the atom, and `stieltjes`
+    the transform of the full law.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-
-from .specialfn import catalan, narayana
 
 __all__ = [
     "Semicircle",
@@ -33,7 +30,6 @@ __all__ = [
     "density",
     "point_mass",
     "stieltjes",
-    "moment",
 ]
 
 
@@ -92,11 +88,11 @@ class DensityCurve:
         self.values = np.asarray(self.values, dtype=float)
         if self.grid.ndim != 1 or self.grid.size < 2:
             raise ValueError("grid must be a 1-d array with at least two points")
-        if np.any(np.diff(self.grid) <= 0):
+        if not np.all(np.diff(self.grid) > 0):  # NaN fails this too
             raise ValueError("grid must be strictly increasing")
         if self.values.shape != self.grid.shape:
             raise ValueError("values must match grid length")
-        if np.any(self.values < 0):
+        if not np.all(self.values >= 0):
             raise ValueError("density values must be nonnegative (clamp before building)")
 
     def mass(self) -> float:
@@ -114,8 +110,10 @@ def support(law: LimitLaw) -> tuple[float, float]:
 
 
 def density(law: LimitLaw, x):
-    """Absolutely continuous density at x (vectorized); zero outside support."""
+    """Absolutely continuous density at x (vectorized); zero outside support; NaN raises."""
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("density at a NaN point")
     if isinstance(law, Semicircle):
         j = law.edge
         inside = np.abs(x) < j
@@ -149,16 +147,16 @@ def point_mass(law: LimitLaw) -> tuple[float, float]:
 def stieltjes(law: LimitLaw, z: float) -> float:
     """integral rho(x)/(z-x) dx (plus the atom's weight/z where applicable).
 
-    Defined for real z strictly outside the support; principal values are out
-    of scope and raise.
+    Defined for real z strictly outside the support, 0 at +-inf; principal
+    values, the atom and NaN are out of scope and raise.
     """
+    if math.isnan(z):
+        raise ValueError("z must not be NaN")
     if isinstance(law, Semicircle):
         j = law.edge
         if abs(z) <= j:
             raise ValueError("z must lie strictly outside the support")
-        if z < 0:
-            return -stieltjes(law, -z)
-        return (2.0 * law.n * z / j**2) * (1.0 - math.sqrt(1.0 - (j / z) ** 2))
+        return 2.0 * law.n / (z * (1.0 + math.sqrt(1.0 - (j / z) ** 2)))
     if isinstance(law, MarchenkoPasturFixedDiff):
         m = law.m
         if not (z > 4.0 * m or z < 0.0):
@@ -168,29 +166,11 @@ def stieltjes(law: LimitLaw, z: float) -> float:
         g = law.gamma
         if not (z > law.upper_edge or z < law.lower_edge):
             raise ValueError("z must lie strictly outside the support")
-        if law.lower_edge > 0 and 0.0 < z < law.lower_edge:
-            raise ValueError("evaluation inside the spectral gap is out of scope")
+        if 0.0 <= z < law.lower_edge:
+            raise ValueError("evaluation at the atom or inside the spectral gap is out of scope")
         disc = 1.0 - 2.0 * (g + 1.0) / z + ((g - 1.0) / z) ** 2
         core = 0.5 * (1.0 - (g - 1.0) / z - math.sqrt(disc))
         atom = (1.0 - 1.0 / g) / z
         return atom + core / g
     raise TypeError(f"unknown law {law!r}")
 
-
-def moment(law: LimitLaw, k: int) -> float:
-    """k-th moment under the module conventions (see module docstring)."""
-    if k < 0 or k > 64:
-        raise ValueError("moment order must be in 0..64")
-    if isinstance(law, Semicircle):
-        if k % 2:
-            return 0.0
-        j = law.edge
-        half = k // 2
-        return (2.0 * law.n / j) * (j / 2.0) ** (k + 1) * catalan(half)
-    if isinstance(law, MarchenkoPasturFixedDiff):
-        return catalan(k) * float(law.m) ** k
-    if isinstance(law, MarchenkoPasturGamma):
-        if k == 0:
-            return 1.0
-        return float(sum(narayana(k, i - 1) * law.gamma**i for i in range(1, k + 1)))
-    raise TypeError(f"unknown law {law!r}")

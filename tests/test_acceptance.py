@@ -235,8 +235,7 @@ def test_criterion_7_oracle_equivalences():
     checks = {
         "secular_vs_dense": V._check_secular_vs_dense(),
         "stieltjes_quadrature": V._check_stieltjes_vs_quadrature(),
-        "catalan_moments": V._check_catalan_moments(),
-        "narayana": V._check_narayana_identities(),
+        "predictor_vs_law": V._check_predictor_vs_law(),
         "hermite_contour": V._check_hermite_contour(),
         "laguerre_contour": V._check_laguerre_contour(),
         "chiral_contour": V._check_chiral_contour(),

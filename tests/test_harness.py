@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,17 @@ def test_exact_density_curve_meta():
     assert np.all(curve.values >= 0)
 
 
+def test_exact_density_curve_rejects_nan():
+    class NaNDensity:
+        tag, mass = "nan density", 1.0
+
+        def density(self, x):
+            return np.where(x > 0.5, np.nan, 1.0)
+
+    with pytest.raises(ValueError):
+        exact_density_curve(NaNDensity(), np.linspace(0.0, 1.0, 5))
+
+
 def test_sample_batch_chiral_counts_positive_only():
     edges = np.linspace(0.0, 12.0, 25)
     counts, largest = sample_batch(ShiftedChiral(8, 2.0, 1, 3.0), 2, 50, 5, edges)
@@ -250,6 +262,8 @@ def test_verify_report_shape():
     report = run_verify("spectra")
     assert report["passed"] and report["n_checks"] == 2
     assert all(check["seconds"] >= 0 for check in report["checks"])
+    assert all(check["margin"] == check["measured"] / check["tolerance"]
+               for check in report["checks"])
     with pytest.raises(ValueError):
         run_verify("nonsense")
 
@@ -286,6 +300,38 @@ def test_orthonormality_checks_run_the_grid_recurrences(monkeypatch, check, recu
     passed, measured, tol, _ = getattr(verify_mod, check)()
     assert passed and measured < tol
     assert seen == [400] * calls  # every quadrature node in one call
+
+
+def test_verify_margin_is_none_at_zero_tolerance(monkeypatch):
+    import spikesep.harness.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "SUITES", {"stub": [("pass_fail", lambda: (True, 0.0, 0.0, ""))]})
+    assert run_verify("stub")["checks"][0]["margin"] is None
+
+
+def _scaled_location(original):
+    def predictor(self, spike):
+        pred = original(self, spike)
+        return replace(pred, location=pred.location * (1.0 + 1e-9)) if pred.above_threshold else pred
+    return predictor
+
+
+def _moved_fixed_threshold(original):
+    def predictor(self, spike):
+        pred = original(self, spike)
+        return replace(pred, threshold=2.001) if self.regime == "fixed" else pred
+    return predictor
+
+
+@pytest.mark.parametrize("model, mutate", [(ShiftedGUE, _scaled_location),
+                                           (SpikedLUE, _moved_fixed_threshold)])
+def test_predictor_vs_law_detects_a_moved_predictor(monkeypatch, model, mutate):
+    import spikesep.harness.verify as verify_mod
+
+    assert verify_mod._check_predictor_vs_law()[0]
+    monkeypatch.setattr(model, "predictor", mutate(model.predictor))
+    passed, *_ = verify_mod._check_predictor_vs_law()
+    assert not passed
 
 
 def test_stieltjes_oracle_keeps_the_hard_edge_offset():

@@ -12,15 +12,11 @@ from reference_recurrence import ReferenceRecurrences
 from spikesep import specialfn
 from spikesep.harness.config import GridSpec
 from spikesep.specialfn import (
-    catalan,
     hermite_weighted_signlog,
     laguerre_line_signlog,
     laguerre_stack_signlog,
     laguerre_weighted_signlog,
     log_0f1,
-    narayana,
-    narayana_generating_closed_form,
-    narayana_polynomial,
 )
 
 
@@ -260,25 +256,3 @@ def test_log_0f1_consistency():
         series = mpmath.hyp0f1(b, z)
         assert log_0f1(b, z) == pytest.approx(float(mpmath.log(series)), rel=1e-12)
 
-
-def test_catalan_sequence():
-    assert [catalan(k) for k in range(6)] == [1, 1, 2, 5, 14, 42]
-    with pytest.raises(OverflowError):
-        catalan(65)
-
-
-def test_narayana_row():
-    assert [narayana(4, j) for j in range(4)] == [1, 6, 6, 1]
-    assert sum(narayana(4, j) for j in range(4)) == catalan(4)
-
-
-@given(st.integers(min_value=1, max_value=20))
-def test_narayana_row_sums_are_catalan(k):
-    assert sum(narayana(k, j) for j in range(k)) == catalan(k)
-
-
-def test_narayana_generating_function():
-    p, q, t = 1.0, 1.0, 0.1
-    closed = narayana_generating_closed_form(p, q, t)
-    series = sum(narayana_polynomial(k, p, q) * t ** (k + 1) for k in range(1, 60))
-    assert abs(closed - series) / abs(closed) < 1e-12

@@ -10,7 +10,6 @@ from spikesep.spectra import (
     MarchenkoPasturGamma,
     Semicircle,
     density,
-    moment,
     point_mass,
     stieltjes,
     support,
@@ -56,8 +55,6 @@ def test_semicircle_density_values():
 
 def test_semicircle_mass_and_moments():
     law = Semicircle(7)
-    assert moment(law, 0) == pytest.approx(7.0, rel=1e-14)
-    assert moment(law, 3) == 0.0
     assert _quad_density(law, lambda x: np.ones_like(x)) == pytest.approx(7.0, rel=1e-12)
 
 
@@ -82,16 +79,6 @@ def test_stieltjes_semicircle_edge_value():
         stieltjes(law, 0.5 * j)
 
 
-def test_stieltjes_vs_catalan_series():
-    law = Semicircle(6)
-    j = law.edge
-    z = 5.0 * j
-    # moment orders are capped at 64, so the even series runs to k = 32; the
-    # truncation tail at z = 5J is ~ (1/25)^33, far below the tolerance
-    series = sum(moment(law, 2 * k) / z ** (2 * k + 1) for k in range(33))
-    assert stieltjes(law, z) == pytest.approx(series, rel=1e-12)
-
-
 def test_mp_gamma_reduces_to_fixed_diff_at_gamma_one():
     m = 4
     fd = MarchenkoPasturFixedDiff(m)
@@ -102,9 +89,7 @@ def test_mp_gamma_reduces_to_fixed_diff_at_gamma_one():
 
 
 def test_mp_gamma_moments():
-    assert moment(MarchenkoPasturGamma(1.5), 3) == pytest.approx(11.625, rel=1e-14)
-    assert moment(MarchenkoPasturGamma(2.0), 2) == pytest.approx(6.0, rel=1e-14)
-    # quadrature oracle: moments of gamma * (a.c. part)
+    # the second moment of gamma * (a.c. part), a unit-mass density
     law = MarchenkoPasturGamma(2.0)
     quad = law.gamma * _quad_density(law, lambda x: x**2)
     assert quad == pytest.approx(6.0, abs=1e-8)
@@ -121,19 +106,27 @@ def test_stieltjes_matches_quadrature(law):
         assert stieltjes(law, z) == pytest.approx(quad, rel=1e-10)
 
 
+def test_stieltjes_rejects_the_atom_and_nan():
+    with pytest.raises(ValueError):
+        stieltjes(MarchenkoPasturGamma(2.0), 0.0)
+    for law in ALL_LAWS:
+        with pytest.raises(ValueError):
+            stieltjes(law, math.nan)
+
+
 @pytest.mark.parametrize("law", ALL_LAWS)
-def test_moment_stieltjes_duality(law):
+def test_stieltjes_vanishes_at_infinity(law):
+    assert stieltjes(law, math.inf) == 0.0
+    assert stieltjes(law, -math.inf) == 0.0
+
+
+@pytest.mark.parametrize("law", ALL_LAWS)
+def test_density_rejects_nan(law):
     _, hi = support(law)
-    z = 2.0 * hi
-    if isinstance(law, MarchenkoPasturGamma):
-        _, pm = point_mass(law)
-        series = pm / z + sum(
-            (moment(law, k) / law.gamma if k else 1.0 / law.gamma) / z ** (k + 1)
-            for k in range(41)
-        )
-    else:
-        series = sum(moment(law, k) / z ** (k + 1) for k in range(41))
-    assert stieltjes(law, z) == pytest.approx(series, rel=1e-8)
+    with pytest.raises(ValueError):
+        density(law, math.nan)
+    with pytest.raises(ValueError):
+        density(law, np.array([0.5 * hi, math.nan]))
 
 
 @pytest.mark.parametrize("law", ALL_LAWS)
@@ -150,6 +143,10 @@ def test_density_curve_validation():
         DensityCurve(np.array([0.0, 0.0, 1.0]), np.zeros(3))
     with pytest.raises(ValueError):
         DensityCurve(np.array([0.0, 1.0]), np.array([-0.1, 0.0]))
+    with pytest.raises(ValueError):
+        DensityCurve(np.array([0.0, 1.0]), np.array([math.nan, 0.0]))
+    with pytest.raises(ValueError):
+        DensityCurve(np.array([0.0, math.nan, 1.0]), np.zeros(3))
     curve = DensityCurve(np.linspace(0, 1, 5), np.ones(5), {"mass": 1.0})
     assert curve.mass() == pytest.approx(1.0)
 
