@@ -14,9 +14,9 @@ perfbench/run.py runs from the checkout at --root (default: this
 repository), so the same script measures the tree before and after a
 change; the file is always written to this repository's root.  Each run
 keeps perfbench's result line, notes and provenance as printed.  The file
-also records the --root tree's commit, whether its src/ differs from that
-commit ("dirty"), so a run of an uncommitted tree is not taken for its
-parent, and its src line count ("src_lines").  Nothing under perfbench/ is
+also records the --root tree's commit, whether its src/ or perfbench/
+differs from that commit ("dirty"), so a run of an uncommitted tree is not
+taken for its parent, and its src line count ("src_lines").  Nothing under perfbench/ is
 written; traced runs leave their span file in .bench_out/, as perfbench
 does.
 
@@ -79,8 +79,9 @@ def summarize(runs: list) -> dict:
 
 
 def tree_state(root: Path) -> dict:
-    """The commit checked out at root, whether src/ has changes git reports
-    against it, and the line count of src/spikesep/**/*.py as it stands."""
+    """The commit checked out at root, whether src/ or perfbench/ has changes
+    git reports against it, and the line count of src/spikesep/**/*.py as it
+    stands."""
 
     def git(*args):
         try:
@@ -91,7 +92,7 @@ def tree_state(root: Path) -> dict:
         return proc.stdout if proc.returncode == 0 else None
 
     head = git("rev-parse", "HEAD")
-    status = git("status", "--porcelain", "--", "src")
+    status = git("status", "--porcelain", "--", "src", "perfbench")
     src_lines = sum(len(path.read_text().splitlines())
                     for path in (root / "src" / "spikesep").rglob("*.py"))
     return {"commit": head.strip() if head else None,

@@ -17,6 +17,7 @@ from ..spectra import DensityCurve
 from .config import ComparisonReport, ExperimentConfig, worker_count
 
 __all__ = [
+    "clamped_curve",
     "exact_density_curve",
     "empirical_density_curve",
     "run_density_experiment",
@@ -28,15 +29,24 @@ __all__ = [
 _NEGATIVE_CLAMP = -1e-10  # roundoff-negative densities below this are an error
 
 
-def exact_density_curve(model, grid: np.ndarray) -> DensityCurve:
-    """Exact beta=2 density on the grid; tiny roundoff negatives clamped to 0."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(model.density(grid), dtype=float)
+def clamped_curve(grid, values, meta: dict) -> DensityCurve:
+    """DensityCurve of exact density values: a value below -1e-10 raises, and
+    roundoff negatives above it are set to 0 and counted in meta["clamped"]
+    (absent when there are none)."""
+    values = np.asarray(values, dtype=float)
     if np.any(values < _NEGATIVE_CLAMP):
         raise ArithmeticError("exact density went negative beyond roundoff tolerance")
-    values = np.clip(values, 0.0, None)
+    clamped = int(np.count_nonzero(values < 0.0))
+    if clamped:
+        meta = {**meta, "clamped": clamped}
+    return DensityCurve(grid, np.clip(values, 0.0, None), meta)
+
+
+def exact_density_curve(model, grid: np.ndarray) -> DensityCurve:
+    """Exact beta=2 density on the grid, through `clamped_curve`."""
+    grid = np.asarray(grid, dtype=float)
     meta = {"model": model.tag, "mass": model.mass, "kind": "exact"}
-    return DensityCurve(grid, values, meta)
+    return clamped_curve(grid, model.density(grid), meta)
 
 
 def sample_batch(model, beta: int, trials: int, master_seed: int, edges: np.ndarray,

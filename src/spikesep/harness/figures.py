@@ -23,6 +23,7 @@ from .config import ComparisonReport, ExperimentConfig, GridSpec
 from .emit import emit_csv, emit_svg
 from .experiments import (
     _scan_point,
+    clamped_curve,
     compare_curves,
     empirical_density_curve,
     exact_density_curve,
@@ -45,14 +46,14 @@ def _window_l1(curve_a: DensityCurve, curve_b: DensityCurve, lo: float, hi: floa
 def _gue_curve(order: int, grid: np.ndarray, center: float = 0.0, tag: str = "") -> DensityCurve:
     u = grid - center
     vals = kernel_gue(order, u, u)
-    return DensityCurve(grid, np.clip(vals, 0.0, None), {"model": tag or f"gue n={order}", "kind": "exact"})
+    return clamped_curve(grid, vals, {"model": tag or f"gue n={order}", "kind": "exact"})
 
 
 def _lue_curve(order: int, a: float, grid: np.ndarray, scale: float = 1.0, tag: str = "") -> DensityCurve:
     """Density of the order x order LUE with parameter a, eigenvalues scaled by 1/scale."""
     u = np.maximum(scale * grid, 1e-300)
     vals = scale * kernel_laguerre(order, a, u, u)
-    return DensityCurve(grid, np.clip(vals, 0.0, None), {"model": tag or f"lue n={order} a={a:g}", "kind": "exact"})
+    return clamped_curve(grid, vals, {"model": tag or f"lue n={order} a={a:g}", "kind": "exact"})
 
 
 def _chiral_curve(order: int, a: float, grid: np.ndarray, tag: str = "") -> DensityCurve:
@@ -60,7 +61,7 @@ def _chiral_curve(order: int, a: float, grid: np.ndarray, tag: str = "") -> Dens
     pos = grid > 0
     x = grid[pos]
     vals[pos] = 2.0 * x * kernel_laguerre(order, a, x * x, x * x)
-    return DensityCurve(grid, np.clip(vals, 0.0, None), {"model": tag or f"chiral m={order} a={a:g}", "kind": "exact"})
+    return clamped_curve(grid, vals, {"model": tag or f"chiral m={order} a={a:g}", "kind": "exact"})
 
 
 def fig1(outdir: Path, master_seed: int, trials: int = 200_000) -> dict:

@@ -19,9 +19,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from ..ensembles import spiked_gram
-from ..logspace import SignedLogValue
+from ..logspace import SignedLogValue, slog_sum_columns
 from ..secular import SeparationPrediction
-from ..specialfn import laguerre_stack_signlog, laguerre_weighted_signlog
+from ..specialfn import laguerre_line_signlog, laguerre_weighted_signlog
 from .common import half_line, pairwise, sampled_rows
 from .twopole import (
     bulk_sum,
@@ -122,29 +122,69 @@ class SpikedLUE:
         return self.m, lambda source: spiked_gram(source, n, sqrt_sigma, beta), lambda e: e
 
     def _weighted(self, x):
-        """The one stack the bulk and the families share: the column groups
-        phi_p^{alpha+r}(x) | T_q^{(M)}(x) | T_q^{(M-1)}(x), M = m + alpha, from
-        one recurrence (`laguerre_stack_signlog`), with the merged-pole
-        series' rows when the families take that branch; phi_p^alpha alone
-        at rank 0."""
+        """The stack the bulk and the families share: phi_p^alpha(x), p < m, at
+        rank 0; else the lines T_q^{(M)}(x) | T_q^{(M-1)}(x), M = m + alpha, as
+        one line call on [x; x], with the merged-pole series' rows when the
+        families take that branch."""
         if not np.all(x > 0):  # NaN fails this too
             raise ValueError("evaluate the LUE at x > 0")
         if self.r == 0:
             return laguerre_weighted_signlog(self.m, self.alpha, x)
         extra = _TAYLOR_TERMS if abs(self.btilde - 1.0) < _SMALL_EPS else 0
-        return laguerre_stack_signlog(self.m + extra, self.alpha + self.r, self.m + self.alpha, x)
+        big_m = np.repeat([self.m + self.alpha, self.m + self.alpha - 1.0], x.size)
+        return laguerre_line_signlog(self.m + extra, big_m, np.concatenate([x, x]))
 
     def _bulk(self, points, stack, npts):
-        """K_{m-r}^{alpha+r} at the npts pairs: the first m - r rows of the
-        stack's first column group."""
-        s, lg = stack
-        k = points.size
-        return bulk_sum((s[:, :k], lg[:, :k]), self.m - self.r, npts)
+        """K_n^a at the npts pairs, n = m - r, a = alpha + r: at rank 0 the sum
+        over phi_p^alpha, else Christoffel-Darboux in the lines' entries
+        (T_q^{(M)} = L_q^{(M-q)}, N = n!/Gamma(n+a)), each a two-term sum:
+            K(x, x) = N x^a e^{-x} [T^{(M-1)}_{n-1} T^{(M)}_{n-1} - T^{(M)}_n T^{(M-1)}_{n-2}],
+            K(x, y) = -N (xy)^{a/2} e^{-(x+y)/2}
+                      [T^{(M)}_n(x) T^{(M-1)}_{n-1}(y) - T^{(M-1)}_{n-1}(x) T^{(M)}_n(y)] / (x - y),
+        the first wherever x == y.  The second's bracket cancels as y -> x and
+        takes in the rounding of the lines' logs (up to about x/2), so it loses
+        accuracy like 1/|x - y|: at m = 500, alpha = 0.5, r = 1 and
+        |x - y| = 1e-3 it is off by up to 7e-10 of the local max |K| on
+        [1400, 1500] and 1e-8 near the soft edge 4m (1e-6 and 1.3e-5 at
+        |x - y| = 1e-6).  No caller evaluates pairs that close.
+        """
+        n, a = self.m - self.r, self.alpha + self.r
+        if self.r == 0 or n == 0:
+            return bulk_sum(stack, n, npts)
+        signs, logs = stack
+        k = points.size  # T^{(M)} in the first k columns, T^{(M-1)} in the next k
+        x, y = points[:npts], points[k - npts :]  # y is x on the diagonal
+
+        def entry(shift, q, cols):
+            """(sign, log) of T_q^{(M - shift)} at the point columns cols; T_{-1} = 0."""
+            if q < 0:
+                return np.zeros(cols.size, dtype=np.int8), np.full(cols.size, -np.inf)
+            return signs[q, cols + shift * k], logs[q, cols + shift * k]
+
+        def cross(f, g, u, v):
+            """(sign, log) of f g - u v from (sign, log) pairs."""
+            return slog_sum_columns(np.array([f[0] * g[0], -(u[0] * v[0])]),
+                                    np.array([f[1] + g[1], u[1] + v[1]]))
+
+        out_sign, out_log = np.zeros(npts, dtype=np.int8), np.empty(npts)
+        log_norm = gammaln(n + 1.0) - gammaln(n + a)
+        on = np.flatnonzero(x == y)
+        out_sign[on], lg = cross(entry(1, n - 1, on), entry(0, n - 1, on), entry(0, n, on),
+                                 entry(1, n - 2, on))
+        out_log[on] = lg + (log_norm + a * np.log(x[on]) - x[on])
+        off = np.flatnonzero(x != y)
+        xs, ys, at_y = x[off], y[off], off + (k - npts)
+        sg, lg = cross(entry(0, n, off), entry(1, n - 1, at_y), entry(1, n - 1, off),
+                       entry(0, n, at_y))
+        out_sign[off] = np.where(xs > ys, -sg, sg)
+        weight = log_norm + 0.5 * a * (np.log(xs) + np.log(ys)) - 0.5 * (xs + ys)
+        out_log[off] = lg + weight - np.log(np.abs(xs - ys))
+        return out_sign, out_log
 
     def families(self, x, stack=None):
         """Sign/log stacks (r, npts) of Ltilde_j(x) and Lambda_j(x), r >= 1,
-        unconjugated, from the line groups of `stack` = `_weighted(x)` (built
-        here when not given)."""
+        unconjugated, from the two line halves of `stack` = `_weighted(x)`
+        (built here when not given)."""
         m, alpha, r, btilde = self.m, self.alpha, self.r, self.btilde
         x = np.atleast_1d(np.asarray(x, dtype=float))
         signs, logs = self._weighted(x) if stack is None else stack
@@ -153,7 +193,7 @@ class SpikedLUE:
         eps = SignedLogValue.from_float(btilde - 1.0)
         big_m = m + alpha
         merged = signs.shape[0] > m  # `_weighted` added the series' rows
-        tline_s, tline_l = signs[:, npts : 2 * npts], logs[:, npts : 2 * npts]
+        tline_s, tline_l = signs[:, :npts], logs[:, :npts]
 
         def t_term(q, log_binom, log_power):
             out = tline_l[q]
@@ -190,7 +230,7 @@ class SpikedLUE:
         tsign, tlog = completing_family(t_line, q0, r, eps, merged, residue_at_eps)
         # Lambda_j's line: q!/Gamma(M) x^{alpha+r-1-l} e^{-x} times the line with
         # parameter sum M-1
-        pline_s, pline_l = signs[:m, 2 * npts :], logs[:m, 2 * npts :]
+        pline_s, pline_l = signs[:m, npts:], logs[:m, npts:]
         log_fact = gammaln(np.arange(m) + 1.0)
         log_gm = gammaln(big_m)
         x_power = alpha + r - 1 - (np.arange(m) - q0)

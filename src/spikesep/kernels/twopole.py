@@ -23,9 +23,9 @@ it forms it (2 log c for the chiral family).
 
 `spiked_values` is the one evaluation path of the three models.  On the
 points x (the diagonal) or [x; y] it asks the model for `_weighted(points)`,
-the stack its bulk and families share (for the LUE three column groups of
-one recurrence: the bulk's weighted functions and the families' two
-coefficient lines), `_bulk(points, stack, npts)` and
+the stack its bulk and families share (for the LUE at rank r >= 1 the
+families' two coefficient lines, from which its bulk follows by
+Christoffel-Darboux), `_bulk(points, stack, npts)` and
 `families(points, stack)`, the (left sign, left log, right sign, right log)
 (r, points) stacks, and pairs the families.  `family_value` reads one row
 of a family at one point.

@@ -6,8 +6,10 @@ polynomials H_p, L_p^a overflow doubles long before the sizes used here
 (p up to ~2000).  Every recurrence runs through one row loop,
 `_signlog_store`: a caller writes the x-dependent coefficient block into
 the stack it will fill and hands over the per-row scalars (cached per
-size), so each row is a few in-place ufuncs.  `laguerre_stack_signlog`
-runs the spiked LUE's three recurrences as column groups of one stack.
+size), so each row is a few in-place ufuncs.  A line takes one parameter
+sum per point, so the spiked LUE's two coefficient lines (M and M - 1) run
+as one call on its points laid twice, and its bulk comes from four entries
+of them by Christoffel-Darboux (`kernels.laguerre.SpikedLUE._bulk`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "hermite_weighted_signlog",
     "laguerre_weighted_signlog",
     "laguerre_line_signlog",
-    "laguerre_stack_signlog",
     "log_0f1",
     "hyp0f1_complex",
 ]
@@ -38,17 +39,17 @@ _HYP0F1_TOL = 1e-17
 _HYP0F1_TERMS = 600
 
 
-def _signlog_store(vals, log0, groups):
+def _signlog_store(vals, log0, b, d=None):
     """Run a rescaled two-carrier recurrence and store sign/log of every row.
 
     `vals` is the (n, columns) stack to fill: on entry rows 1..n-1 hold the
     x-dependent coefficient block A_0..A_{n-2}.  Row 0 is the carrier 1, row
     1 is A_0, and each later row is formed in place,
         v_{p+1} = (A_p v_p - b[p] v_{p-1}) / d[p],
-    for every (columns, b, d) in `groups`: b[p] is a scalar or a vector over
-    the group's columns, and d is None when the group does not divide.  The
-    products and the difference run in the order the closed forms write
-    them, so every carrier has the bits of a per-row scalar-coefficient step.
+    where b[p] is a scalar or a vector over the columns, and d is None when
+    the recurrence does not divide.  The products and the difference run in
+    the order the closed forms write them, so every carrier has the bits of
+    a per-row scalar-coefficient step.
 
     The carriers are scaled by a running per-column offset that moves by
     e^{-+600} wherever mag = max(|v_{p+1}|, |v_p|) leaves [1e-250, 1e250],
@@ -71,12 +72,10 @@ def _signlog_store(vals, log0, groups):
         row = vals[p + 1]
         if p:
             np.multiply(row, v_curr, out=row)
-            for cols, b, _ in groups:
-                np.multiply(b[p], v_prev[cols], out=scratch[cols])
+            np.multiply(b[p], v_prev, out=scratch)
             np.subtract(row, scratch, out=row)
-            for cols, _, d in groups:
-                if d is not None:
-                    np.divide(row[cols], d[p], out=row[cols])
+            if d is not None:
+                np.divide(row, d[p], out=row)
         size = np.abs(row, out=scratch)  # |v_{p+1}|
         lo, hi = np.fmin.reduce(size, initial=1.0), np.fmax.reduce(size, initial=1.0)
         if lo < _RESCALE_LO or hi > _RESCALE_HI:
@@ -134,23 +133,6 @@ def _laguerre_rows(n, a):
     return shift, _readonly(np.sqrt(denom)[:, None]), np.sqrt(p * (p + a) / denom).tolist()
 
 
-def _laguerre_block(out, a, x):
-    """Write the phi^a coefficient block into `out` (rows 1.. of a stack);
-    returns the per-row c2_p."""
-    shift, scale, c2 = _laguerre_rows(out.shape[0] + 1, a)
-    np.subtract(shift, x, out=out)
-    np.divide(out, scale, out=out)
-    return c2
-
-
-def _line_block(out, big_m, x):
-    """Write the T^{(big_m)} coefficient block (M - x) - q into `out`; returns
-    the per-row divisors q + 1."""
-    q = np.arange(float(out.shape[0]))
-    np.subtract(big_m - x, q[:, None], out=out)
-    return (q + 1.0).tolist()
-
-
 def hermite_weighted_signlog(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     """Sign/log arrays of psi_p(x) = H_p(x) e^{-x^2/2} / (pi^{1/4} 2^{p/2} sqrt(p!))
     for p < n over a grid; immune to under/overflow."""
@@ -161,15 +143,12 @@ def hermite_weighted_signlog(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     vals = np.empty((n, x.size))
     s1, s2 = _hermite_rows(n)
     np.multiply(s1, x, out=vals[1:])
-    return _signlog_store(vals, log0, ((slice(None), s2, None),))
+    return _signlog_store(vals, log0, s2)
 
 
-def _laguerre_log0(a, x):
-    return 0.5 * a * np.log(x) - 0.5 * x - 0.5 * gammaln(a + 1.0)
-
-
-def _laguerre_grid(n, a, x):
-    """x as a 1-d grid, once n >= 1, a > -1 and x > 0 entrywise are checked."""
+def laguerre_weighted_signlog(n: int, a: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """Sign/log arrays of phi_p(x) = sqrt(p!/Gamma(p+a+1)) x^{a/2} e^{-x/2} L_p^a(x)
+    for p < n over a grid (x > 0 entrywise; NaN raises)."""
     if n < 1:
         raise ValueError("need at least one function (n >= 1)")
     if a <= -1:
@@ -177,56 +156,37 @@ def _laguerre_grid(n, a, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(x > 0):  # NaN fails this too
         raise ValueError("signlog Laguerre grid must be strictly positive")
-    return x
-
-
-def laguerre_weighted_signlog(n: int, a: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """Sign/log arrays of phi_p(x) = sqrt(p!/Gamma(p+a+1)) x^{a/2} e^{-x/2} L_p^a(x)
-    for p < n over a grid (x > 0 entrywise; NaN raises)."""
-    x = _laguerre_grid(n, a, x)
     vals = np.empty((n, x.size))
-    c2 = _laguerre_block(vals[1:], a, x)
-    return _signlog_store(vals, _laguerre_log0(a, x), ((slice(None), c2, None),))
+    shift, scale, c2 = _laguerre_rows(n, a)
+    np.subtract(shift, x, out=vals[1:])
+    np.divide(vals[1:], scale, out=vals[1:])
+    log0 = 0.5 * a * np.log(x) - 0.5 * x - 0.5 * gammaln(a + 1.0)
+    return _signlog_store(vals, log0, c2)
 
 
-def laguerre_line_signlog(n: int, big_m: float, x) -> tuple[np.ndarray, np.ndarray]:
+def laguerre_line_signlog(n: int, big_m, x) -> tuple[np.ndarray, np.ndarray]:
     """Sign/log arrays of T_q(x) = [z^q] e^{-xz}(1+z)^{big_m} for q < n.
 
     T_q equals the generalized Laguerre polynomial L_q^{big_m - q}(x); the whole
     line of degree/parameter pairs comes from one recurrence,
     (q+1) T_{q+1} = (big_m - x - q) T_q - x T_{q-1},  T_0 = 1, T_1 = big_m - x.
+    big_m is a float or one value per point, so one call runs several lines.
     """
     if n < 1:
         raise ValueError("need at least one coefficient (n >= 1)")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     vals = np.empty((n, x.size))
-    divisors = _line_block(vals[1:], big_m, x)
-    return _signlog_store(vals, np.zeros(x.size), ((slice(None), [x] * (n - 1), divisors),))
-
-
-def laguerre_stack_signlog(n: int, a: float, big_m: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """Sign/log stack (n, 3 npts) of [phi_p^a(x) | T_q^{(big_m)}(x) | T_q^{(big_m-1)}(x)].
-
-    The three column groups are `laguerre_weighted_signlog(n, a, x)` and
-    `laguerre_line_signlog(n, big_m, x)` at big_m and big_m - 1, bit for bit,
-    from one row loop: the spiked LUE's bulk (a = alpha + r) and its two
-    coefficient lines (big_m = m + alpha).  x > 0 entrywise; NaN raises.
-    """
-    x = _laguerre_grid(n, a, x)
-    k = x.size
-    vals = np.empty((n, 3 * k))
-    c2 = _laguerre_block(vals[1:, :k], a, x)
-    divisors = _line_block(vals[1:, k : 2 * k], big_m, x)
-    _line_block(vals[1:, 2 * k :], big_m - 1.0, x)
-    log0 = np.concatenate([_laguerre_log0(a, x), np.zeros(2 * k)])
-    lines = [np.concatenate([x, x])] * (n - 1)
-    return _signlog_store(vals, log0, ((slice(0, k), c2, None), (slice(k, 3 * k), lines, divisors)))
+    q = np.arange(n - 1.0)
+    np.subtract(big_m - x, q[:, None], out=vals[1:])
+    return _signlog_store(vals, np.zeros(x.size), [x] * (n - 1), (q + 1.0).tolist())
 
 
 def log_0f1(b: float, z: float) -> float:
     """log of 0F1(b; z) for z >= 0, b > 0, safe for huge z.
 
-    Uses 0F1(b; z) = Gamma(b) z^{-(b-1)/2} I_{b-1}(2 sqrt(z)).
+    Uses 0F1(b; z) = Gamma(b) z^{-(b-1)/2} I_{b-1}(2 sqrt(z)).  Where the
+    scaled Bessel value underflows (b large against z) it sums the series
+    sum_k z^k / ((b)_k k!) instead, in logs relative to its largest term.
     """
     if b <= 0:
         raise ValueError("parameter must be positive")
@@ -235,7 +195,18 @@ def log_0f1(b: float, z: float) -> float:
     if z == 0.0:
         return 0.0
     s = 2.0 * math.sqrt(z)
-    return gammaln(b) - 0.5 * (b - 1.0) * math.log(z) + s + math.log(ive(b - 1.0, s))
+    bessel = ive(b - 1.0, s)
+    if bessel >= np.finfo(float).tiny:  # not underflowed, not even to a subnormal
+        return gammaln(b) - 0.5 * (b - 1.0) * math.log(z) + s + math.log(bessel)
+    terms = [0.0]  # log z^k / ((b)_k k!)
+    while True:
+        k = len(terms)
+        ratio = z / ((b + k - 1.0) * k)  # falls with k
+        if ratio <= 0.5 and terms[-1] < max(terms) - 40.0:
+            break  # the rest sum to below e^{-40} of the largest term
+        terms.append(terms[-1] + math.log(ratio))
+    top = terms.pop(terms.index(max(terms)))
+    return top + math.log1p(math.fsum(math.exp(t - top) for t in terms))
 
 
 def hyp0f1_complex(b: float, z: complex) -> complex:

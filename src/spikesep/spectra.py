@@ -161,7 +161,7 @@ def stieltjes(law: LimitLaw, z: float) -> float:
         m = law.m
         if not (z > 4.0 * m or z < 0.0):
             raise ValueError("z must lie strictly outside the support")
-        return (1.0 - math.sqrt(1.0 - 4.0 * m / z)) / (2.0 * m)
+        return 2.0 / (z * (1.0 + math.sqrt(1.0 - 4.0 * m / z)))
     if isinstance(law, MarchenkoPasturGamma):
         g = law.gamma
         if not (z > law.upper_edge or z < law.lower_edge):
@@ -169,7 +169,7 @@ def stieltjes(law: LimitLaw, z: float) -> float:
         if 0.0 <= z < law.lower_edge:
             raise ValueError("evaluation at the atom or inside the spectral gap is out of scope")
         disc = 1.0 - 2.0 * (g + 1.0) / z + ((g - 1.0) / z) ** 2
-        core = 0.5 * (1.0 - (g - 1.0) / z - math.sqrt(disc))
+        core = 2.0 / (z - (g - 1.0) + z * math.sqrt(disc))
         atom = (1.0 - 1.0 / g) / z
         return atom + core / g
     raise TypeError(f"unknown law {law!r}")

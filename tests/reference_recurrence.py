@@ -102,9 +102,3 @@ class ReferenceRecurrences:
     def laguerre_line_signlog(self, n, big_m, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return reference_signlog_store(n, x, np.zeros(x.size), line_step(big_m), self.events)
-
-    def laguerre_stack_signlog(self, n, a, big_m, x):
-        """The three recurrences run one by one and laid side by side."""
-        parts = [self.laguerre_weighted_signlog(n, a, x), self.laguerre_line_signlog(n, big_m, x),
-                 self.laguerre_line_signlog(n, big_m - 1.0, x)]
-        return np.hstack([s for s, _ in parts]), np.hstack([lg for _, lg in parts])

@@ -1,6 +1,7 @@
 """scripts/bench.py's pairing of parent and change runs (no benchmark is run)."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,26 @@ def test_tree_state_counts_src_lines(bench, tmp_path):
     (tmp_path / "src" / "other.py").write_text("not counted\n")
     state = bench.tree_state(tmp_path)
     assert state["src_lines"] == 6
+
+
+def test_tree_state_dirty_covers_src_and_perfbench(bench, tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    (tmp_path / "src" / "spikesep").mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "src" / "spikesep" / "a.py").write_text("a = 1\n")
+    (tmp_path / "perfbench" / "run.py").write_text("b = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    assert bench.tree_state(tmp_path)["dirty"] is False
+    (tmp_path / "notes.md").write_text("outside the measured trees\n")
+    assert bench.tree_state(tmp_path)["dirty"] is False
+    for path in (tmp_path / "perfbench" / "run.py", tmp_path / "src" / "spikesep" / "a.py"):
+        original = path.read_text()
+        path.write_text(original + "c = 2\n")
+        assert bench.tree_state(tmp_path)["dirty"] is True, path.name
+        path.write_text(original)
+        assert bench.tree_state(tmp_path)["dirty"] is False

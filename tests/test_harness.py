@@ -251,6 +251,49 @@ def test_exact_density_curve_rejects_nan():
         exact_density_curve(NaNDensity(), np.linspace(0.0, 1.0, 5))
 
 
+class _StubDensity:
+    tag, mass = "stub density", 1.0
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def density(self, x):
+        return self.values
+
+
+def test_exact_density_curve_counts_clamped_values():
+    grid = np.linspace(0.0, 1.0, 4)
+    curve = exact_density_curve(_StubDensity([1.0, -1e-12, 0.5, -1e-10]), grid)
+    assert curve.meta["clamped"] == 2
+    assert np.array_equal(curve.values, [1.0, 0.0, 0.5, 0.0])
+    assert "clamped" not in exact_density_curve(_StubDensity([1.0, 0.0, 0.5, 0.2]), grid).meta
+    with pytest.raises(ArithmeticError, match="negative"):
+        exact_density_curve(_StubDensity([1.0, -2e-10, 0.5, 0.2]), grid)
+
+
+def test_figure_curves_share_the_clamp(monkeypatch):
+    from spikesep.harness import figures
+
+    grid = np.linspace(0.25, 1.0, 4)
+    curves = {
+        "gue": lambda: figures._gue_curve(3, grid),
+        "lue": lambda: figures._lue_curve(3, 0.5, grid),
+        "chiral": lambda: figures._chiral_curve(3, 0.5, grid),
+    }
+    for stub, clamped in (([1.0, -1e-12, 0.5, 0.2], 1), ([1.0, 0.3, 0.5, 0.2], None)):
+        monkeypatch.setattr(figures, "kernel_gue", lambda order, x, y: np.array(stub))
+        monkeypatch.setattr(figures, "kernel_laguerre", lambda order, a, x, y: np.array(stub))
+        for name, curve in curves.items():
+            out = curve()
+            assert out.meta.get("clamped") == clamped, name
+            assert np.all(out.values >= 0.0), name
+    monkeypatch.setattr(figures, "kernel_gue", lambda order, x, y: np.array([1.0, -1e-9, 0.5, 0.2]))
+    monkeypatch.setattr(figures, "kernel_laguerre", lambda order, a, x, y: np.array([1.0, -1e-9, 0.5, 0.2]))
+    for name, curve in curves.items():
+        with pytest.raises(ArithmeticError, match="negative"):
+            curve()
+
+
 def test_sample_batch_chiral_counts_positive_only():
     edges = np.linspace(0.0, 12.0, 25)
     counts, largest = sample_batch(ShiftedChiral(8, 2.0, 1, 3.0), 2, 50, 5, edges)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
@@ -13,6 +14,7 @@ from spikesep.kernels import (
     kernel_spiked_lue,
 )
 from spikesep.kernels import laguerre as laguerre_module
+from spikesep.kernels.common import materialize_columns
 from spikesep.kernels.laguerre import lue_spike_term
 from spikesep.kernels.contour import (
     contour_incomplete_laguerre_plain,
@@ -210,6 +212,75 @@ def test_kernel_matrix_is_a_broadcast_call():
     assert np.array_equal(k, [[kernel_spiked_lue(model, a, b) for b in pts] for a in pts])
 
 
+def _bulk(model, x, y=None):
+    """The model's bulk K_{m-r}^{alpha+r} at the pairs (x, y), or on the diagonal."""
+    points = x if y is None else np.concatenate([x, y])
+    return materialize_columns(*model._bulk(points, model._weighted(points), x.size))
+
+
+def _mp_bulk_diagonal(n, a, x, dps=50):
+    """sum_{p<n} phi_p^a(x)^2 from the phi recurrence at dps digits."""
+    with mpmath.workdps(dps):
+        xm, am = mpmath.mpf(x), mpmath.mpf(a)
+        prev, cur = 0, xm ** (am / 2) * mpmath.exp(-xm / 2) / mpmath.sqrt(mpmath.gamma(am + 1))
+        total = cur * cur
+        for p in range(n - 1):
+            c1 = (2 * p + am + 1 - xm) / mpmath.sqrt((p + 1) * (p + 1 + am))
+            c2 = mpmath.sqrt(p * (p + am) / ((p + 1) * (p + 1 + am)))
+            prev, cur = cur, c1 * cur - c2 * prev
+            total += cur * cur
+        return float(total)
+
+
+@pytest.mark.parametrize(
+    "alpha, lo, hi",
+    [(0.5, 0.01, 2950.0), (3.0, 1000.0, 2900.0)],  # the LUE scans reach x = 2950
+)
+def test_christoffel_darboux_diagonal_against_mpmath(alpha, lo, hi):
+    model = SpikedLUE(500, alpha, 1, 0.3)
+    x = np.concatenate([np.geomspace(lo, hi, 8), np.linspace(lo, hi, 13)[1:-1]])
+    ref = np.array([_mp_bulk_diagonal(499, alpha + 1, xi) for xi in x])
+    assert np.max(np.abs(_bulk(model, x) / ref - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "m, alpha, lo, hi, per_gap",
+    [
+        (5, 0.5, 0.01, 40.0, 0.0),
+        (5, 3.0, 0.01, 40.0, 0.0),
+        (500, 0.5, 0.01, 2950.0, 0.0),
+        # near the soft edge 4m the lines' logs reach 1000, and their
+        # rounding, amplified by the bracket's cancellation, grows like
+        # 1/|x - y| (the loss `_bulk` documents)
+        (500, 0.5, 1000.0, 2900.0, 1e-11),
+    ],
+)
+def test_christoffel_darboux_off_diagonal_against_phi_sum(m, alpha, lo, hi, per_gap):
+    model = SpikedLUE(m, alpha, 1, 0.3)
+    x = np.linspace(lo, hi, 401)
+    k_max = np.max(kernel_laguerre(m - 1, alpha + 1, x, x))
+    for gap in (1e-3, 1e-2, 0.1, 1.0, 10.0):
+        y = np.where(x < 0.5 * (lo + hi), x + gap, x - gap)
+        err = np.max(np.abs(_bulk(model, x, y) - kernel_laguerre(m - 1, alpha + 1, x, y)))
+        assert err < max(1e-10, per_gap / gap) * k_max, gap
+
+
+@pytest.mark.parametrize("m, alpha", [(2, 0.5), (5, 2.0)])
+def test_christoffel_darboux_edge_ranks(m, alpha):
+    x = np.array([0.3, 2.0, 7.5])
+    y = np.array([1.1, 2.0, 0.2])  # one pair on the diagonal
+    # n = m - r = 1: the bulk is phi_0(x) phi_0(y) at parameter alpha + r
+    a = alpha + m - 1
+    phi0 = lambda t: np.exp(0.5 * a * np.log(t) - 0.5 * t - 0.5 * gammaln(a + 1.0))
+    model = SpikedLUE(m, alpha, m - 1, 0.3)
+    assert np.allclose(_bulk(model, x), phi0(x) ** 2, rtol=1e-14, atol=0)
+    assert np.allclose(_bulk(model, x, y), phi0(x) * phi0(y), rtol=1e-13, atol=0)
+    # n = 0: r = m, and the bulk is zero
+    full = SpikedLUE(m, alpha, m, 0.3)
+    assert np.array_equal(_bulk(full, x), np.zeros(3))
+    assert np.array_equal(_bulk(full, x, y), np.zeros(3))
+
+
 @pytest.mark.parametrize("model", [SpikedLUE(5, 1.0, 2, 0.4), SpikedLUE(5, 1.0, 2, 0.99)])
 def test_families_rows_match_incomplete_laguerre(model):
     x = np.linspace(0.2, 12.0, 41)
@@ -224,32 +295,45 @@ def test_families_rows_match_incomplete_laguerre(model):
 
 @pytest.mark.parametrize("model", [SpikedLUE(12, 1.0, 3, 0.3), SpikedLUE(12, 1.0, 3, 0.99)])
 def test_density_and_kernel_recurrence_counts(monkeypatch, model):
-    # residue branch and merged-pole branch: the bulk (parameter alpha + r)
-    # and the two coefficient lines (parameter sums M and M - 1) come from one
-    # recurrence per call, on three column groups of the call's points
+    # residue branch and merged-pole branch: the two coefficient lines
+    # (parameter sums M and M - 1), which also give the bulk, come from one
+    # recurrence per call, on the call's points laid twice
     calls = []
-    stack = laguerre_module.laguerre_stack_signlog
+    line = laguerre_module.laguerre_line_signlog
 
-    def counted_stack(n, a, big_m, x):
+    def counted_line(n, big_m, x):
         calls.append(np.size(x))
-        out = stack(n, a, big_m, x)
-        assert out[0].shape[1] == 3 * np.size(x)
-        return out
+        big = model.m + model.alpha
+        assert np.array_equal(big_m, np.repeat([big, big - 1.0], np.size(x) // 2))
+        return line(n, big_m, x)
 
     def unexpected(*args):
         raise AssertionError("a second recurrence ran")
 
-    monkeypatch.setattr(laguerre_module, "laguerre_stack_signlog", counted_stack)
+    monkeypatch.setattr(laguerre_module, "laguerre_line_signlog", counted_line)
     monkeypatch.setattr(laguerre_module, "laguerre_weighted_signlog", unexpected)
     x = np.linspace(0.2, 9.0, 23)
     density_spiked_lue(model, x)
-    assert calls == [23]
+    assert calls == [46]
     calls.clear()
     kernel_spiked_lue(model, x, x[::-1])
-    assert calls == [46]
+    assert calls == [92]
     calls.clear()
     lue_spike_term(model, x, x[::-1])
-    assert calls == [46]
+    assert calls == [92]
+    calls.clear()
+    incomplete_laguerre("tilde", 1, 2.0, model.m, model.alpha, model.r, model.btilde)
+    assert calls == [2]
+
+
+def test_rank_zero_bulk_runs_the_phi_recurrence(monkeypatch):
+    # at r = 0 there are no lines: the bulk is the phi_p^alpha sum
+    def unexpected(*args):
+        raise AssertionError("a line recurrence ran at rank 0")
+
+    monkeypatch.setattr(laguerre_module, "laguerre_line_signlog", unexpected)
+    x = np.linspace(0.2, 9.0, 23)
+    assert np.allclose(density_spiked_lue(SpikedLUE(4, 1.0, 0, 0.5), x), kernel_laguerre(4, 1.0, x, x))
 
 
 @pytest.mark.parametrize(
@@ -260,8 +344,8 @@ def test_density_and_kernel_recurrence_counts(monkeypatch, model):
     ],
 )
 def test_density_memory_peak(model, lo, hi):
-    # one stack holds the bulk and both lines through the families; the peak
-    # stays below what the three groups held alongside each family's
+    # one stack holds both lines through the bulk and the families; the peak
+    # stays below what three groups held alongside each family's
     # temporaries would reach (about 14.5 MiB at 501 points)
     x = np.linspace(lo, hi, 501)
     density_spiked_lue(model, x)  # warm caches outside the measurement

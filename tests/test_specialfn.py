@@ -11,10 +11,10 @@ from raw_polynomials import hermite_raw, laguerre_raw
 from reference_recurrence import ReferenceRecurrences
 from spikesep import specialfn
 from spikesep.harness.config import GridSpec
+from spikesep.kernels import SpikedLUE
 from spikesep.specialfn import (
     hermite_weighted_signlog,
     laguerre_line_signlog,
-    laguerre_stack_signlog,
     laguerre_weighted_signlog,
     log_0f1,
 )
@@ -171,9 +171,10 @@ def _assert_matches_reference(recurrence):
         # zero from q = 21 on
         (lambda f: f.laguerre_line_signlog(
             300, 20.0, np.array([0.0, 1e-300, 1e-280, 0.5, 7.0, 60.0, 2500.0])), {"up", "down"}),
-        # the spiked LUE's three recurrences on one row loop
-        (lambda f: f.laguerre_stack_signlog(
-            300, 2.5, 20.0, np.array([1e-300, 1e-280, 0.5, 7.0, 60.0, 2500.0, 4000.0])),
+        # the spiked LUE's two lines (parameter sums M and M - 1) on one row loop
+        (lambda f: f.laguerre_line_signlog(
+            300, np.repeat([20.0, 19.0], 7),
+            np.tile([1e-300, 1e-280, 0.5, 7.0, 60.0, 2500.0, 4000.0], 2)),
          {"up", "down"}),
     ],
 )
@@ -189,12 +190,14 @@ _J_GUE, _J_CHIRAL = math.sqrt(1000.0), 2.0 * math.sqrt(500.0)
     [
         # the N = 500 scan grids and merged-pole curves: the GUE and chiral
         # stacks (the merged curves add 120 and 160 rows; the chiral model
-        # runs in the squared variable) and the spiked LUE's one stack
-        # (alpha + r = 1.5, M = m + alpha = 500.5)
+        # runs in the squared variable) and the spiked LUE's two lines
+        # (M = m + alpha = 500.5 and M - 1) in one call
         lambda f: f.hermite_weighted_signlog(500, GridSpec(0.85 * _J_GUE, 1.42 * _J_GUE, 401).points()),
         lambda f: f.hermite_weighted_signlog(620, GridSpec(-1.1 * _J_GUE, 1.1 * _J_GUE, 501).points()),
-        lambda f: f.laguerre_stack_signlog(500, 1.5, 500.5, GridSpec(1700.0, 2950.0, 501).points()),
-        lambda f: f.laguerre_stack_signlog(660, 1.5, 500.5, GridSpec(1.0, 2100.0, 501).points()),
+        lambda f: f.laguerre_line_signlog(
+            500, np.repeat([500.5, 499.5], 501), np.tile(GridSpec(1700.0, 2950.0, 501).points(), 2)),
+        lambda f: f.laguerre_line_signlog(
+            660, np.repeat([500.5, 499.5], 501), np.tile(GridSpec(1.0, 2100.0, 501).points(), 2)),
         lambda f: f.laguerre_weighted_signlog(
             500, 2.0, GridSpec(0.85 * _J_CHIRAL, 1.45 * _J_CHIRAL, 401).points() ** 2),
         lambda f: f.laguerre_weighted_signlog(660, 2.0, GridSpec(0.05, 1.1 * _J_CHIRAL, 501).points() ** 2),
@@ -218,22 +221,24 @@ def test_recurrence_matches_reference_on_random_grids(n, points, a, big_m):
     x = np.array(points)
     _assert_matches_reference(lambda f: f.hermite_weighted_signlog(n, x))
     _assert_matches_reference(lambda f: f.laguerre_line_signlog(n, big_m, x))
+    _assert_matches_reference(
+        lambda f: f.laguerre_line_signlog(n, np.repeat([big_m, big_m - 1.0], x.size), np.tile(x, 2)))
     positive = x[x > 0]
     if positive.size:
         _assert_matches_reference(lambda f: f.laguerre_weighted_signlog(n, a, positive))
-        _assert_matches_reference(lambda f: f.laguerre_stack_signlog(n, a, big_m, positive))
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda x: laguerre_weighted_signlog(3, 0.5, x),
-        lambda x: laguerre_stack_signlog(3, 0.5, 4.5, x),
+        # the spiked LUE's two lines accept x = 0; the model checks its points
+        lambda x: SpikedLUE(3, 0.5, 1, 0.5).families(x),
     ],
 )
 def test_laguerre_grids_reject_nan(call):
     for x in ([np.nan], [1.0, np.nan]):
-        with pytest.raises(ValueError, match="strictly positive"):
+        with pytest.raises(ValueError, match="strictly positive|at x > 0"):
             call(np.array(x))
 
 
@@ -256,3 +261,13 @@ def test_log_0f1_consistency():
         series = mpmath.hyp0f1(b, z)
         assert log_0f1(b, z) == pytest.approx(float(mpmath.log(series)), rel=1e-12)
 
+
+def test_log_0f1_where_the_bessel_value_underflows():
+    # ive(b - 1, 2 sqrt(z)) underflows for b large against z (b = 171, z = 0.01
+    # is the chiral residue at r = 170); compared as 0F1 to 1e-12 relative,
+    # i.e. log 0F1 to 1e-12 absolute
+    for b in (0.5, 1.0, 2.5, 10.0, 50.0, 100.0, 170.0, 171.0, 200.0, 250.0, 300.0):
+        for z in np.geomspace(1e-6, 1e4, 21):
+            with mpmath.workdps(50):
+                ref = float(mpmath.log(mpmath.hyp0f1(b, z)))
+            assert abs(log_0f1(b, z) - ref) < 1e-12, (b, z)

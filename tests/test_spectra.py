@@ -1,6 +1,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -104,6 +105,28 @@ def test_stieltjes_matches_quadrature(law):
         _, weight = point_mass(law)
         quad += weight / z
         assert stieltjes(law, z) == pytest.approx(quad, rel=1e-10)
+
+
+def _mp_stieltjes(law, z):
+    """The transforms' closed forms at 50 digits."""
+    with mpmath.workdps(50):
+        z = mpmath.mpf(z)
+        if isinstance(law, Semicircle):
+            j = mpmath.sqrt(2 * law.n)
+            return float(2 * law.n * (z - mpmath.sign(z) * mpmath.sqrt(z * z - j * j)) / (j * j))
+        if isinstance(law, MarchenkoPasturFixedDiff):
+            return float((1 - mpmath.sqrt(1 - 4 * law.m / z)) / (2 * law.m))
+        g = mpmath.mpf(law.gamma)
+        disc = 1 - 2 * (g + 1) / z + ((g - 1) / z) ** 2
+        return float((1 - 1 / g) / z + (1 - (g - 1) / z - mpmath.sqrt(disc)) / (2 * g))
+
+
+@pytest.mark.parametrize("law", ALL_LAWS)
+def test_stieltjes_far_from_the_support_against_mpmath(law):
+    # 1 - sqrt(1 - edge/z) cancels as z grows; the rationalised forms do not
+    lo, hi = support(law)
+    for z in (1e4 * hi, 1e8 * hi, -1e8 * hi, 1e12 * hi):
+        assert stieltjes(law, z) == pytest.approx(_mp_stieltjes(law, z), rel=1e-13, abs=0), z
 
 
 def test_stieltjes_rejects_the_atom_and_nan():
