@@ -142,11 +142,13 @@ class SpikedLUE:
             K(x, y) = -N (xy)^{a/2} e^{-(x+y)/2}
                       [T^{(M)}_n(x) T^{(M-1)}_{n-1}(y) - T^{(M-1)}_{n-1}(x) T^{(M)}_n(y)] / (x - y),
         the first wherever x == y.  The second's bracket cancels as y -> x and
-        takes in the rounding of the lines' logs (up to about x/2), so it loses
-        accuracy like 1/|x - y|: at m = 500, alpha = 0.5, r = 1 and
-        |x - y| = 1e-3 it is off by up to 7e-10 of the local max |K| on
-        [1400, 1500] and 1e-8 near the soft edge 4m (1e-6 and 1.3e-5 at
-        |x - y| = 1e-6).  No caller evaluates pairs that close.
+        past the soft edge, and takes in the lines' log rounding, about
+        u (|log| + n) (u the unit roundoff): its error against
+        sqrt(K(x, x) K(y, y)) grows like 1/|x - y|.  Where that predicted
+        error exceeds 1e-11 (at m = 500, alpha = 0.5: pairs closer than 0.03
+        to 0.1 in the bulk, a few units near the edge, every pair past it)
+        the sum over phi_p^a, from a second recurrence on those pairs alone,
+        replaces it.
         """
         n, a = self.m - self.r, self.alpha + self.r
         if self.r == 0 or n == 0:
@@ -162,23 +164,34 @@ class SpikedLUE:
             return signs[q, cols + shift * k], logs[q, cols + shift * k]
 
         def cross(f, g, u, v):
-            """(sign, log) of f g - u v from (sign, log) pairs."""
-            return slog_sum_columns(np.array([f[0] * g[0], -(u[0] * v[0])]),
-                                    np.array([f[1] + g[1], u[1] + v[1]]))
+            """(sign, log) of f g - u v from (sign, log) pairs, and the log of its larger term."""
+            first, second = f[1] + g[1], u[1] + v[1]
+            sign, log = slog_sum_columns(np.array([f[0] * g[0], -(u[0] * v[0])]),
+                                         np.array([first, second]))
+            return sign, log, np.maximum(first, second)
 
-        out_sign, out_log = np.zeros(npts, dtype=np.int8), np.empty(npts)
         log_norm = gammaln(n + 1.0) - gammaln(n + a)
-        on = np.flatnonzero(x == y)
-        out_sign[on], lg = cross(entry(1, n - 1, on), entry(0, n - 1, on), entry(0, n, on),
-                                 entry(1, n - 2, on))
-        out_log[on] = lg + (log_norm + a * np.log(x[on]) - x[on])
+        every = np.arange(k)  # the diagonal bracket at x and, for pairs, at y
+        d_sign, d_log, d_peak = cross(entry(1, n - 1, every), entry(0, n - 1, every),
+                                      entry(0, n, every), entry(1, n - 2, every))
+        out_sign, out_log = d_sign[:npts], d_log[:npts] + (log_norm + a * np.log(x) - x)
         off = np.flatnonzero(x != y)
         xs, ys, at_y = x[off], y[off], off + (k - npts)
-        sg, lg = cross(entry(0, n, off), entry(1, n - 1, at_y), entry(1, n - 1, off),
-                       entry(0, n, at_y))
+        sg, lg, peak = cross(entry(0, n, off), entry(1, n - 1, at_y), entry(1, n - 1, off),
+                             entry(0, n, at_y))
         out_sign[off] = np.where(xs > ys, -sg, sg)
+        log_gap = np.log(np.abs(xs - ys))
         weight = log_norm + 0.5 * a * (np.log(xs) + np.log(ys)) - 0.5 * (xs + ys)
-        out_log[off] = lg + weight - np.log(np.abs(xs - ys))
+        out_log[off] = lg + weight - log_gap
+        # the rounding of the bracket's larger term or of the diagonal brackets'
+        # (the envelope where a line vanishes), over sqrt(K(x, x) K(y, y))
+        big = np.maximum(peak, 0.5 * (d_peak[off] + d_peak[at_y]))
+        loss = (big + np.log(np.finfo(float).eps * (np.abs(big) + n)) - log_gap
+                - 0.5 * (d_log[off] + d_log[at_y]))
+        near = off[~(loss <= math.log(1e-11))]  # NaN routes too
+        if near.size:
+            phi = laguerre_weighted_signlog(n, a, np.concatenate([x[near], y[near]]))
+            out_sign[near], out_log[near] = bulk_sum(phi, n, near.size)
         return out_sign, out_log
 
     def families(self, x, stack=None):

@@ -218,18 +218,25 @@ def _bulk(model, x, y=None):
     return materialize_columns(*model._bulk(points, model._weighted(points), x.size))
 
 
-def _mp_bulk_diagonal(n, a, x, dps=50):
-    """sum_{p<n} phi_p^a(x)^2 from the phi recurrence at dps digits."""
+def _mp_bulk(n, a, x, y=None, dps=50):
+    """sum_{p<n} phi_p^a(x) phi_p^a(y), y = x by default, from the phi recurrence at dps digits."""
     with mpmath.workdps(dps):
-        xm, am = mpmath.mpf(x), mpmath.mpf(a)
-        prev, cur = 0, xm ** (am / 2) * mpmath.exp(-xm / 2) / mpmath.sqrt(mpmath.gamma(am + 1))
-        total = cur * cur
-        for p in range(n - 1):
-            c1 = (2 * p + am + 1 - xm) / mpmath.sqrt((p + 1) * (p + 1 + am))
-            c2 = mpmath.sqrt(p * (p + am) / ((p + 1) * (p + 1 + am)))
-            prev, cur = cur, c1 * cur - c2 * prev
-            total += cur * cur
-        return float(total)
+        am = mpmath.mpf(a)
+
+        def phis(t):
+            t = mpmath.mpf(t)
+            prev, cur = 0, t ** (am / 2) * mpmath.exp(-t / 2) / mpmath.sqrt(mpmath.gamma(am + 1))
+            out = [cur]
+            for p in range(n - 1):
+                c1 = (2 * p + am + 1 - t) / mpmath.sqrt((p + 1) * (p + 1 + am))
+                c2 = mpmath.sqrt(p * (p + am) / ((p + 1) * (p + 1 + am)))
+                prev, cur = cur, c1 * cur - c2 * prev
+                out.append(cur)
+            return out
+
+        left = phis(x)
+        right = left if y is None else phis(y)
+        return float(mpmath.fsum(u * v for u, v in zip(left, right)))
 
 
 @pytest.mark.parametrize(
@@ -239,30 +246,52 @@ def _mp_bulk_diagonal(n, a, x, dps=50):
 def test_christoffel_darboux_diagonal_against_mpmath(alpha, lo, hi):
     model = SpikedLUE(500, alpha, 1, 0.3)
     x = np.concatenate([np.geomspace(lo, hi, 8), np.linspace(lo, hi, 13)[1:-1]])
-    ref = np.array([_mp_bulk_diagonal(499, alpha + 1, xi) for xi in x])
+    ref = np.array([_mp_bulk(499, alpha + 1, xi) for xi in x])
     assert np.max(np.abs(_bulk(model, x) / ref - 1.0)) < 1e-9
 
 
 @pytest.mark.parametrize(
-    "m, alpha, lo, hi, per_gap",
+    "m, alpha, lo, hi",
     [
-        (5, 0.5, 0.01, 40.0, 0.0),
-        (5, 3.0, 0.01, 40.0, 0.0),
-        (500, 0.5, 0.01, 2950.0, 0.0),
-        # near the soft edge 4m the lines' logs reach 1000, and their
-        # rounding, amplified by the bracket's cancellation, grows like
-        # 1/|x - y| (the loss `_bulk` documents)
-        (500, 0.5, 1000.0, 2900.0, 1e-11),
+        (5, 0.5, 0.01, 40.0),
+        (5, 3.0, 0.01, 40.0),
+        (500, 0.5, 0.01, 2950.0),
+        (500, 0.5, 1000.0, 2900.0),  # the soft edge 4m, where the lines' logs reach 1000
+        (500, 3.0, 1000.0, 2900.0),
     ],
 )
-def test_christoffel_darboux_off_diagonal_against_phi_sum(m, alpha, lo, hi, per_gap):
+def test_christoffel_darboux_off_diagonal_against_phi_sum(m, alpha, lo, hi):
+    # the pairs `_bulk` sends to the phi sum meet it exactly; the rest test the bracket
     model = SpikedLUE(m, alpha, 1, 0.3)
     x = np.linspace(lo, hi, 401)
     k_max = np.max(kernel_laguerre(m - 1, alpha + 1, x, x))
     for gap in (1e-3, 1e-2, 0.1, 1.0, 10.0):
         y = np.where(x < 0.5 * (lo + hi), x + gap, x - gap)
         err = np.max(np.abs(_bulk(model, x, y) - kernel_laguerre(m - 1, alpha + 1, x, y)))
-        assert err < max(1e-10, per_gap / gap) * k_max, gap
+        assert err < 1e-10 * k_max, gap
+
+
+def test_close_pairs_take_the_phi_sum(monkeypatch):
+    # one ulp apart the bracket cancels completely; those pairs, and only
+    # those, run the phi recurrence, while the pair one apart keeps the bracket
+    model = SpikedLUE(500, 0.5, 1, 0.3)
+    x = np.array([1450.0, 1990.0, 2000.0, 1450.0])
+    y = np.append(np.nextafter(x[:3], np.inf), 1451.0)
+    calls = []
+    phi = laguerre_module.laguerre_weighted_signlog
+
+    def counted(n, a, points):
+        calls.append(np.size(points))
+        return phi(n, a, points)
+
+    monkeypatch.setattr(laguerre_module, "laguerre_weighted_signlog", counted)
+    got = _bulk(model, x, y)
+    assert calls == [6]
+    ref = np.array([_mp_bulk(499, 1.5, u, v) for u, v in zip(x, y)])
+    scale = np.sqrt([_mp_bulk(499, 1.5, u) * _mp_bulk(499, 1.5, v) for u, v in zip(x, y)])
+    err = np.abs(got - ref) / scale  # against sqrt(K(x, x) K(y, y))
+    assert np.all(err[:3] < 1e-12)
+    assert err[3] < 1e-11  # the level below which `_bulk` keeps the bracket
 
 
 @pytest.mark.parametrize("m, alpha", [(2, 0.5), (5, 2.0)])

@@ -228,18 +228,22 @@ def test_recurrence_matches_reference_on_random_grids(n, points, a, big_m):
         _assert_matches_reference(lambda f: f.laguerre_weighted_signlog(n, a, positive))
 
 
+def _raises(message, fn, *args):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
 @pytest.mark.parametrize(
     "call",
     [
-        lambda x: laguerre_weighted_signlog(3, 0.5, x),
+        lambda x: _raises("strictly positive", laguerre_weighted_signlog, 3, 0.5, x),
         # the spiked LUE's two lines accept x = 0; the model checks its points
-        lambda x: SpikedLUE(3, 0.5, 1, 0.5).families(x),
+        lambda x: _raises("at x > 0", SpikedLUE(3, 0.5, 1, 0.5).families, x),
     ],
 )
 def test_laguerre_grids_reject_nan(call):
     for x in ([np.nan], [1.0, np.nan]):
-        with pytest.raises(ValueError, match="strictly positive|at x > 0"):
-            call(np.array(x))
+        call(np.array(x))
 
 
 def test_recurrence_on_an_empty_grid():
