@@ -4,6 +4,7 @@
     python3 scripts/bench.py --tag after --seed 1
     python3 scripts/bench.py --tag before --root ../parent-checkout
     python3 scripts/bench.py --tag pairs --against ../parent-checkout --pairs 10 --workload exact-n500
+    python3 scripts/bench.py --tag pr --root HEAD --against HEAD~1 --pairs 5
 
 Every workload runs for perfbench's default 16 s --pairs times (default 3)
 with --trace 0 (end-to-end metrics) and once with --trace 1 (per-layer
@@ -12,7 +13,10 @@ wider than a metric's bound, so the file also records, per workload, each
 end-to-end metric's median and quartiles over its untraced runs ("summary").
 perfbench/run.py runs from the checkout at --root (default: this
 repository), so the same script measures the tree before and after a
-change; the file is always written to this repository's root.  Each run
+change; the file is always written to this repository's root.  --root and
+--against take a directory or a git revision of this repository; a
+revision is cloned into a temporary directory, measured there and removed,
+so it is measured as committed, and its tree state records the full sha.  Each run
 keeps perfbench's result line, notes and provenance as printed.  The file
 also records the --root tree's commit, whether its src/ or perfbench/
 differs from that commit ("dirty"), so a run of an uncommitted tree is not
@@ -31,10 +35,12 @@ gives the metric; equal values count for neither side.
 """
 
 import argparse
+import contextlib
 import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -99,6 +105,21 @@ def tree_state(root: Path) -> dict:
             "dirty": None if status is None else bool(status.strip()), "src_lines": src_lines}
 
 
+def checkout(spec: str, repo: Path, clones: contextlib.ExitStack) -> Path:
+    """The directory spec names, else a fresh clone of repo at the git revision
+    spec, in a temporary directory that closing `clones` removes."""
+    if Path(spec).is_dir():
+        return Path(spec).resolve()
+    sha = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{spec}^{{commit}}"],
+                         cwd=repo, capture_output=True, text=True)
+    if sha.returncode != 0:
+        raise ValueError(f"{spec!r} is neither a directory nor a git revision of {repo}")
+    clone = Path(clones.enter_context(tempfile.TemporaryDirectory(prefix="bench-")))
+    subprocess.run(["git", "clone", "--quiet", "--no-checkout", str(repo), str(clone)], check=True)
+    subprocess.run(["git", "checkout", "--quiet", sha.stdout.strip()], cwd=clone, check=True)
+    return clone
+
+
 def pair_stats(parent_runs: list, change_runs: list) -> dict:
     """Per workload and end-to-end metric: each pair's change/parent ratio and
     how many pairs the change won (None where a side failed or read 0)."""
@@ -131,17 +152,27 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True, help="the output is BENCH_<tag>.json")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--root", type=Path, default=REPO, help="checkout whose perfbench runs")
-    parser.add_argument("--against", type=Path, help="parent checkout to alternate with --root")
+    parser.add_argument("--root", default=str(REPO),
+                        help="checkout directory or git revision whose perfbench runs")
+    parser.add_argument("--against",
+                        help="parent checkout directory or git revision to alternate with --root")
     parser.add_argument("--pairs", type=int, default=UNTRACED_RUNS,
                         help="untraced runs per workload (pairs with --against)")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="run only this workload (repeatable; default all)")
     args = parser.parse_args(argv)
+    with contextlib.ExitStack() as clones:
+        try:
+            trees = {side: checkout(spec, REPO, clones)
+                     for side, spec in (("root", args.root), ("against", args.against))
+                     if spec is not None}
+        except ValueError as err:
+            parser.error(str(err))
+        return measure(args, trees, parser)
 
-    trees = {"root": args.root.resolve()}
-    if args.against is not None:
-        trees["against"] = args.against.resolve()
+
+def measure(args, trees: dict, parser) -> int:
+    """The runs of main on the checkouts `trees` ("root", and "against" if given)."""
     for tree in trees.values():
         if not (tree / "perfbench" / "run.py").is_file():
             parser.error(f"no perfbench/run.py under {tree}")
@@ -149,7 +180,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     runs = {side: [] for side in trees}
 
-    def measure(side, workload, trace):
+    def measure_one(side, workload, trace):
         run = run_one(trees[side], workload, args.seed, trace)
         ok = run.get("result", {}).get("correct", False)
         print(f"{side} {workload} trace {trace}: {'correct' if ok else 'FAILED'}", flush=True)
@@ -158,8 +189,8 @@ def main(argv=None) -> int:
     for workload in args.workload or WORKLOADS:
         for i in range(args.pairs):
             for side in sorted(trees, reverse=i % 2 == 1):  # "against" first on even pairs
-                measure(side, workload, 0)
-        measure("root", workload, 1)
+                measure_one(side, workload, 0)
+        measure_one("root", workload, 1)
     out = REPO / f"BENCH_{args.tag}.json"
     record = {"tag": args.tag, "seed": args.seed, "root": tree_state(trees["root"]),
               "summary": summarize(runs["root"]), "runs": runs["root"]}

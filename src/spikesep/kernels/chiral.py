@@ -24,11 +24,11 @@ from ..specialfn import laguerre_weighted_signlog, log_0f1
 from .common import half_line, pairwise, sampled_rows, shift_prediction
 from .hermite import kernel_gue
 from .twopole import (
+    _leibniz_terms,
     bulk_sum,
     completing_family,
     family_value,
     plain_family,
-    power_sign,
     rising_log,
     spiked_values,
 )
@@ -41,9 +41,6 @@ __all__ = [
     "density_shifted_chiral",
     "chiral_asymptotic_pq",
 ]
-
-_SMALL_CSQ = 0.02  # merged-pole branch when |eps| = c^2 falls below this
-_TAYLOR_TERMS = 160  # Laguerre rows added for the merged-pole series
 
 
 @dataclass(frozen=True)
@@ -58,12 +55,12 @@ class ShiftedChiral:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("matrix size must be positive")
-        if self.alpha <= -1:
-            raise ValueError("need alpha > -1")
+        if not -1 < self.alpha < math.inf:  # NaN fails this too
+            raise ValueError("need finite alpha > -1")
         if not 0 <= self.r <= self.m:
             raise ValueError("rank must satisfy 0 <= r <= m")
-        if self.c < 0:
-            raise ValueError("shift must be nonnegative")
+        if not 0 <= self.c < math.inf:
+            raise ValueError("shift must be finite and nonnegative")
 
     @property
     def mass(self) -> float:
@@ -99,12 +96,10 @@ class ShiftedChiral:
                 lambda e: np.sqrt(np.clip(e, 0.0, None)))
 
     def _weighted(self, x):
-        """phi_p^alpha(x), p < m: the rows the bulk and the families share, plus
-        the merged-pole series' rows when the families take that branch."""
+        """phi_p^alpha(x), p < m: the rows the bulk and the families share."""
         if not np.all(x > 0):  # NaN fails this too
             raise ValueError("evaluate the p/q families at x > 0")
-        extra = _TAYLOR_TERMS if self.r and self.c * self.c < _SMALL_CSQ else 0
-        return laguerre_weighted_signlog(self.m + extra, self.alpha, x)
+        return laguerre_weighted_signlog(self.m, self.alpha, x)
 
     def _bulk(self, points, stack, npts):
         """K_{m-r}^alpha at the npts pairs: the first m - r rows of the stack."""
@@ -115,62 +110,63 @@ class ShiftedChiral:
         from `stack` = `_weighted(x)` (built here when not given)."""
         m, alpha, r, c = self.m, self.alpha, self.r, self.c
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        ls, wl = self._weighted(x) if stack is None else stack
         npts = x.size
         q0 = m - r
         csq = c * c
         eps = SignedLogValue.from_log(-1, 2.0 * math.log(c)) if c > 0 else SignedLogValue.zero()
-        merged = ls.shape[0] > m  # `_weighted` added the series' rows
         logx = np.log(x)
-        qs = np.arange(ls.shape[0])
-        log_fact = gammaln(qs + 1.0)
-        # plain L_q^alpha = phi_q x^{-alpha/2} e^{x/2} sqrt(Gamma(q+alpha+1)/q!)
-        adj = 0.5 * (gammaln(qs + alpha + 1.0) - log_fact)
-        ll = wl + adj[:, None] - 0.5 * alpha * logx[None, :] + 0.5 * x[None, :]
         wlog = alpha * logx - x  # x^alpha e^{-x}
-        # p_k's line q! L^alpha_q(x); q_k's line x^alpha e^{-x} L^alpha_q(x) / Gamma(q+alpha+1)
-        log_gamma_a = gammaln(qs + 1.0 + alpha)
-        s_line = (
-            ls,
-            lambda q, log_binom, log_power: ll[q] + (log_binom + log_fact[q] + log_power)[:, None],
-        )
-        t_line = (
-            ls,
-            lambda q, log_binom, log_power: ll[q] + wlog
-            + (log_binom + log_power - log_gamma_a[q])[:, None],
-        )
+        stack = self._weighted(x) if stack is None else stack
+        s_line, t_line = _lines(x, stack, alpha)
 
         # residue at -c^2: triple Leibniz over e^v, 0F1(a+1;-xv), v^{-q0}
-        f1log = [] if merged else [
-            np.array([log_0f1(alpha + 1.0 + i, xi * csq) for xi in x]) for i in range(r)
-        ]
+        f1log = np.array([[log_0f1(alpha + 1.0 + i, xi * csq) for xi in x] for i in range(r)])
 
         def residue_at_eps(k):
-            sgs, lgs = [], []
-            for i in range(k):
-                for l_ in range(k - i):
-                    s_ = k - 1 - i - l_
-                    zero_rise, rise = rising_log(q0, l_)
-                    if zero_rise:
-                        continue
-                    poch_a = gammaln(alpha + 1.0 + i) - gammaln(alpha + 1.0)
-                    base = (
-                        -gammaln(i + 1.0)
-                        - gammaln(l_ + 1.0)
-                        - gammaln(s_ + 1.0)
-                        - poch_a
-                        - gammaln(alpha + 1.0)
-                        + rise
-                        - csq
-                        - 2.0 * (q0 + l_) * math.log(c)
-                    )
-                    sgs.append(np.full(npts, power_sign(-1, i + q0), dtype=np.int8))
-                    lgs.append(base + i * logx + f1log[i] + wlog)
-            return sgs, lgs
+            i, l_, _, log_multinomial = _leibniz_terms(k)
+            poch_a = gammaln(alpha + 1.0 + i) - gammaln(alpha + 1.0)
+            base = (
+                log_multinomial
+                - poch_a
+                - gammaln(alpha + 1.0)
+                + rising_log(q0, l_)
+                - csq
+                - 2.0 * (q0 + l_) * math.log(c)
+            )
+            sgs = np.repeat(np.where((i + q0) % 2, -1, 1).astype(np.int8)[:, None], npts, axis=1)
+            return sgs, base[:, None] + i[:, None] * logx + f1log[i] + wlog
+
+        def grow(cols, rows):
+            return _lines(x[cols], stack.grow(cols, rows), alpha, m)[1]
 
         psign, plog = plain_family(s_line, q0, r, eps)
-        qsign, qlog = completing_family(t_line, q0, r, eps, merged, residue_at_eps)
+        qsign, qlog = completing_family(t_line, grow, q0, r, eps, residue_at_eps)
         return psign, plog, qsign, qlog
+
+
+def _lines(x, stack, alpha, first=0):
+    """p_k's line q! L^alpha_q(x) and q_k's line x^alpha e^{-x} L^alpha_q(x) /
+    Gamma(q+alpha+1) on the stack's rows of phi_q^alpha(x), of degrees first,
+    first + 1, ..."""
+    ls, wl = stack
+    logx = np.log(x)
+    qs = np.arange(first, first + ls.shape[0])
+    log_fact = gammaln(qs + 1.0)
+    # plain L_q^alpha = phi_q x^{-alpha/2} e^{x/2} sqrt(Gamma(q+alpha+1)/q!)
+    adj = 0.5 * (gammaln(qs + alpha + 1.0) - log_fact)
+    ll = wl + adj[:, None] - 0.5 * alpha * logx[None, :] + 0.5 * x[None, :]
+    wlog = alpha * logx - x
+    log_gamma_a = gammaln(qs + 1.0 + alpha)
+    s_line = (
+        ls,
+        lambda q, log_binom, log_power: ll[q] + (log_binom + log_fact[q] + log_power)[:, None],
+    )
+    t_line = (
+        ls,
+        lambda q, log_binom, log_power: ll[q] + wlog
+        + (log_binom + log_power - log_gamma_a[q])[:, None],
+    )
+    return s_line, t_line
 
 
 def chiral_pq(kind: str, k: int, x: float, m: int, alpha: float, r: int, c: float) -> SignedLogValue:

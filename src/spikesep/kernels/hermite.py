@@ -27,7 +27,6 @@ from .twopole import (
     completing_family,
     family_value,
     plain_family,
-    power_sign,
     rising_log,
     spiked_values,
 )
@@ -44,8 +43,6 @@ __all__ = [
 ]
 
 _LOG_PI = math.log(math.pi)
-_SMALL_SHIFT = 0.25  # merged-pole branch when 2c = |eps| falls below this
-_TAYLOR_TERMS = 120  # recurrence rows added for the merged-pole series
 
 
 @dataclass(frozen=True)
@@ -61,8 +58,8 @@ class ShiftedGUE:
             raise ValueError("matrix size must be positive")
         if not 0 <= self.r <= self.n:
             raise ValueError("rank must satisfy 0 <= r <= n")
-        if self.c < 0:
-            raise ValueError("shift must be nonnegative")
+        if not 0 <= self.c < math.inf:  # NaN fails this too
+            raise ValueError("shift must be finite and nonnegative")
 
     @property
     def mass(self) -> float:
@@ -96,10 +93,10 @@ class ShiftedGUE:
         return self.n, lambda source: shifted_hermitian(source, self.n, spikes, beta), lambda e: e
 
     def _weighted(self, x):
-        """psi_p(x), p < n: the rows the bulk and the families share, plus the
-        merged-pole series' rows when the families take that branch."""
-        extra = _TAYLOR_TERMS if self.r and 2.0 * self.c < _SMALL_SHIFT else 0
-        return hermite_weighted_signlog(self.n + extra, x)
+        """psi_p(x), p < n: the rows the bulk and the families share."""
+        if not np.all(np.isfinite(x)):
+            raise ValueError("evaluate the GUE at finite x")
+        return hermite_weighted_signlog(self.n, x)
 
     def _bulk(self, points, stack, npts):
         """K_{n-r}^GUE at the npts pairs: the first n - r rows of the stack."""
@@ -110,59 +107,62 @@ class ShiftedGUE:
         from `stack` = `_weighted(x)` (built here when not given)."""
         n, r, c = self.n, self.r, self.c
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        psign, plog = self._weighted(x) if stack is None else stack
         q0 = n - r
         eps = SignedLogValue.from_float(-2.0 * c)
-        merged = psign.shape[0] > n  # `_weighted` added the series' rows
-        x2half = 0.5 * x * x
-        # psi_q with the e^{-x^2/2} weight stripped back off, as coefficient lines:
-        # T_q = A_q = (-1)^q H_q(x)/(2^q q!),  S_q = (-1)^q e^{-x^2} H_q(x)/sqrt(pi),
-        # using H_q(x) = psi_q(x) e^{x^2/2} pi^{1/4} 2^{q/2} sqrt(q!)
-        qs = np.arange(psign.shape[0])
-        signs = psign * np.where(qs % 2, -1, 1).astype(np.int8)[:, None]
-        half_lgam = 0.5 * gammaln(qs + 1.0)
-        coef_log = 0.25 * _LOG_PI - qs * (0.5 * math.log(2.0)) - half_lgam
-        s_coef = 0.5 * qs * math.log(2.0)
-        # term(q, ...) -> (k, npts); per-degree scalars enter as a column
-        t_line = (
-            signs,
-            lambda q, log_binom, log_power: plog[q] + x2half + coef_log[q][:, None]
-            + (log_binom + log_power)[:, None],
-        )
-        s_line = (
-            signs,
-            lambda q, log_binom, log_power: plog[q] - x2half + s_coef[q][:, None]
-            + half_lgam[q][:, None] - 0.25 * _LOG_PI + (log_binom + log_power)[:, None],
-        )
+        stack = self._weighted(x) if stack is None else stack
+        t_line, s_line = _lines(x, stack)
 
         # residue at -2c: e^{2cx - c^2} sum_k coef(k) H_k(x - c), k < r
-        hsmall = _raw_hermite_small(0 if merged else max(r - 1, 0), x - c)
+        hsmall = _raw_hermite_small(r - 1, x - c)
         hsign = np.sign(hsmall).astype(np.int8)
         with np.errstate(divide="ignore"):
             hlog = np.log(np.abs(hsmall))
         expo = 2.0 * c * x - c * c
 
-        def residue_at_eps(j):
-            sgs, lgs = [], []
-            for k in range(j):
-                l_ = j - 1 - k
-                zero_rise, rise = rising_log(q0, l_)
-                if zero_rise:
-                    continue
-                base = (
-                    -k * math.log(2.0)
-                    - gammaln(k + 1.0)
-                    - gammaln(l_ + 1.0)
-                    + rise
-                    - (q0 + l_) * eps.log_magnitude
-                )
-                sgs.append(hsign[k] * power_sign(-1, q0 + k))
-                lgs.append(expo + base + hlog[k])
-            return sgs, lgs
+        # the parts of each term's log that depend on k alone, or on l = j - 1 - k alone
+        ks = np.arange(r)
+        by_k = -ks * math.log(2.0) - gammaln(ks + 1.0)
+        by_l = (gammaln(ks + 1.0), rising_log(q0, ks), (q0 + ks) * eps.log_magnitude)
+        hsign *= np.where((q0 + ks) % 2, -1, 1).astype(np.int8)[:, None]
 
-        tsign, tlog = completing_family(t_line, q0, r, eps, merged, residue_at_eps)
+        def residue_at_eps(j):
+            l_ = np.arange(j - 1, -1, -1)
+            base = by_k[:j] - by_l[0][l_] + by_l[1][l_] - by_l[2][l_]
+            return hsign[:j], expo + base[:, None] + hlog[:j]
+
+        def grow(cols, rows):
+            return _lines(x[cols], stack.grow(cols, rows), n)[0]
+
+        tsign, tlog = completing_family(t_line, grow, q0, r, eps, residue_at_eps)
         gsign, glog = plain_family(s_line, q0, r, eps)
         return tsign, tlog, gsign, glog
+
+
+def _lines(x, stack, first=0):
+    """The coefficient lines (T_q, S_q) of psi_q(x) on the stack's rows, of
+    degrees first, first + 1, ...,
+    with the e^{-x^2/2} weight stripped back off:
+    T_q = A_q = (-1)^q H_q(x)/(2^q q!),  S_q = (-1)^q e^{-x^2} H_q(x)/sqrt(pi),
+    using H_q(x) = psi_q(x) e^{x^2/2} pi^{1/4} 2^{q/2} sqrt(q!)."""
+    psign, plog = stack
+    x2half = 0.5 * x * x
+    qs = np.arange(first, first + psign.shape[0])
+    signs = psign * np.where(qs % 2, -1, 1).astype(np.int8)[:, None]
+    half_lgam = 0.5 * gammaln(qs + 1.0)
+    coef_log = 0.25 * _LOG_PI - qs * (0.5 * math.log(2.0)) - half_lgam
+    s_coef = 0.5 * qs * math.log(2.0)
+    # term(q, ...) -> (k, npts); per-degree scalars enter as a column
+    t_line = (
+        signs,
+        lambda q, log_binom, log_power: plog[q] + x2half + coef_log[q][:, None]
+        + (log_binom + log_power)[:, None],
+    )
+    s_line = (
+        signs,
+        lambda q, log_binom, log_power: plog[q] - x2half + s_coef[q][:, None]
+        + half_lgam[q][:, None] - 0.25 * _LOG_PI + (log_binom + log_power)[:, None],
+    )
+    return t_line, s_line
 
 
 def kernel_gue(n: int, x, y):

@@ -24,11 +24,11 @@ from ..secular import SeparationPrediction
 from ..specialfn import laguerre_line_signlog, laguerre_weighted_signlog
 from .common import half_line, pairwise, sampled_rows
 from .twopole import (
+    _leibniz_terms,
     bulk_sum,
     completing_family,
     family_value,
     plain_family,
-    power_sign,
     rising_log,
     spiked_values,
 )
@@ -41,9 +41,6 @@ __all__ = [
     "density_spiked_lue",
     "lue_spike_term",
 ]
-
-_SMALL_EPS = 0.02  # merged-pole branch when |eps| = |btilde - 1| falls below this
-_TAYLOR_TERMS = 160  # coefficient-line rows added for the merged-pole series
 
 
 @dataclass(frozen=True)
@@ -64,12 +61,12 @@ class SpikedLUE:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("matrix size must be positive")
-        if self.alpha <= -1:
-            raise ValueError("need alpha > -1")
+        if not -1 < self.alpha < math.inf:  # NaN fails this too
+            raise ValueError("need finite alpha > -1")
         if not 0 <= self.r <= self.m:
             raise ValueError("rank must satisfy 0 <= r <= m")
-        if self.btilde <= 0:
-            raise ValueError("inverse-covariance spike btilde must be > 0")
+        if not 0 < self.btilde < math.inf:
+            raise ValueError("inverse-covariance spike btilde must be finite and > 0")
         if self.regime not in ("fixed", "proportional"):
             raise ValueError("regime must be 'fixed' or 'proportional'")
         if self.regime == "proportional" and self.alpha < 0:
@@ -124,15 +121,13 @@ class SpikedLUE:
     def _weighted(self, x):
         """The stack the bulk and the families share: phi_p^alpha(x), p < m, at
         rank 0; else the lines T_q^{(M)}(x) | T_q^{(M-1)}(x), M = m + alpha, as
-        one line call on [x; x], with the merged-pole series' rows when the
-        families take that branch."""
+        one line call on [x; x]."""
         if not np.all(x > 0):  # NaN fails this too
             raise ValueError("evaluate the LUE at x > 0")
         if self.r == 0:
             return laguerre_weighted_signlog(self.m, self.alpha, x)
-        extra = _TAYLOR_TERMS if abs(self.btilde - 1.0) < _SMALL_EPS else 0
         big_m = np.repeat([self.m + self.alpha, self.m + self.alpha - 1.0], x.size)
-        return laguerre_line_signlog(self.m + extra, big_m, np.concatenate([x, x]))
+        return laguerre_line_signlog(self.m, big_m, np.concatenate([x, x]))
 
     def _bulk(self, points, stack, npts):
         """K_n^a at the npts pairs, n = m - r, a = alpha + r: at rank 0 the sum
@@ -200,50 +195,37 @@ class SpikedLUE:
         (built here when not given)."""
         m, alpha, r, btilde = self.m, self.alpha, self.r, self.btilde
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        signs, logs = self._weighted(x) if stack is None else stack
+        stack = self._weighted(x) if stack is None else stack
+        signs, logs = stack
         npts = x.size
         q0 = m - r
         eps = SignedLogValue.from_float(btilde - 1.0)
         big_m = m + alpha
-        merged = signs.shape[0] > m  # `_weighted` added the series' rows
-        tline_s, tline_l = signs[:, :npts], logs[:, :npts]
-
-        def t_term(q, log_binom, log_power):
-            out = tline_l[q]
-            out += (log_binom + log_power)[:, None]
-            return out
-
-        t_line = (tline_s, t_term)
         logx = np.log(x)
 
         def residue_at_eps(j):
             # triple Leibniz over e^{-x z}, (1+z)^{M}, z^{-q0}
-            sgs, lgs = [], []
-            for i in range(j):
-                for k in range(j - i):
-                    l_ = j - 1 - i - k
-                    zero_rise, rise = rising_log(q0, l_)
-                    if zero_rise:
-                        continue
-                    base = (
-                        -gammaln(i + 1.0)
-                        - gammaln(k + 1.0)
-                        - gammaln(l_ + 1.0)
-                        + gammaln(big_m + 1.0)
-                        - gammaln(big_m + 1.0 - k)
-                        + (big_m - k) * math.log(btilde)
-                        + rise
-                        - (q0 + l_) * eps.log_magnitude
-                    )
-                    sgn = power_sign(-1, i + l_) * power_sign(eps.sign, q0 + l_)
-                    sgs.append(np.full(npts, sgn, dtype=np.int8))
-                    lgs.append(base - x * (btilde - 1.0) + i * logx)
-            return sgs, lgs
+            i, k, l_, log_multinomial = _leibniz_terms(j)
+            base = (
+                log_multinomial
+                + gammaln(big_m + 1.0)
+                - gammaln(big_m + 1.0 - k)
+                + (big_m - k) * math.log(btilde)
+                + rising_log(q0, l_)
+                - (q0 + l_) * eps.log_magnitude
+            )
+            odd = (i + l_ + (q0 + l_) * (eps.sign < 0)) % 2
+            sgs = np.repeat(np.where(odd, -1, 1).astype(np.int8)[:, None], npts, axis=1)
+            return sgs, base[:, None] - x * (btilde - 1.0) + i[:, None] * logx
 
-        tsign, tlog = completing_family(t_line, q0, r, eps, merged, residue_at_eps)
+        def grow(cols, rows):
+            return _t_line(*stack.grow(cols, rows))
+
+        t_line = _t_line(signs[:, :npts], logs[:, :npts])
+        tsign, tlog = completing_family(t_line, grow, q0, r, eps, residue_at_eps)
         # Lambda_j's line: q!/Gamma(M) x^{alpha+r-1-l} e^{-x} times the line with
         # parameter sum M-1
-        pline_s, pline_l = signs[:m, npts:], logs[:m, npts:]
+        pline_s, pline_l = signs[:, npts:], logs[:, npts:]
         log_fact = gammaln(np.arange(m) + 1.0)
         log_gm = gammaln(big_m)
         x_power = alpha + r - 1 - (np.arange(m) - q0)
@@ -256,6 +238,17 @@ class SpikedLUE:
         )
         lsign, llog = plain_family(s_line, q0, r, eps)
         return tsign, tlog, lsign, llog
+
+
+def _t_line(signs, logs):
+    """Ltilde_j's line: T_q^{(M)} itself."""
+
+    def term(q, log_binom, log_power):
+        out = logs[q]
+        out += (log_binom + log_power)[:, None]
+        return out
+
+    return signs, term
 
 
 def kernel_laguerre(n: int, a: float, x, y):

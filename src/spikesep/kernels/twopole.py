@@ -8,8 +8,11 @@ chiral).  In terms of a family's coefficient lines S_q and T_q every closed
 form is one of
     plain family   S_j      = sum_{l<j} C(j-1,l) (-eps)^{j-1-l} S_{q0+l}
     residue at 0            (-1)^j sum_{p<q0} C(j+p-1,p) eps^{-(j+p)} T_{q0-1-p}
-    merged poles   Ttilde_j = sum_t C(j+t-1,t) eps^t T_{q0+j-1+t}   (|eps| small)
-or the residue at eps, which each family supplies itself.
+    merged poles   Ttilde_j = sum_t C(j+t-1,t) eps^t T_{q0+j-1+t}
+or the residue at eps, which each family supplies itself.  Ttilde_j is the
+residue pair wherever it cancels little, else the merged-pole series, read
+per point from how deep the pair cancels there (`completing_family`); the
+series grows its line as far as it needs.
 
 A coefficient line is a pair (signs, term): signs is the (q, npts) sign stack
 of T_q, and term(qs, log_binom, log_power) takes (k,) arrays of degrees, log C
@@ -34,12 +37,13 @@ of a family at one point.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
 from scipy.special import gammaln
 
-from ..logspace import SignedLogValue, slog_sum_columns
+from ..logspace import SignedLogValue, _shifted_sums, _shifted_terms, slog_sum_columns
 from .common import combine_positive_logs, materialize_columns, pair_and_sum
 
 __all__ = [
@@ -55,15 +59,29 @@ __all__ = [
 ]
 
 _CUTOFF_NATS = 45.0  # the merged-pole series stops once a term is this far below the largest
+_DEEP_NATS = 10.0  # residue points that cancel deeper than this try the merged-pole series
 
 
-def rising_log(a: int, l: int):
-    """(is_zero, log) of the rising factorial (a)_l = a(a+1)...(a+l-1), a >= 0."""
-    if l == 0:
-        return False, 0.0
+def rising_log(a: int, ls):
+    """log of the rising factorial (a)_l = a(a+1)...(a+l-1), a >= 0, over the
+    integer array ls: -inf where it vanishes (a = 0 < l), which makes its
+    term a zero of any signed log-sum."""
     if a == 0:
-        return True, -math.inf
-    return False, float(gammaln(a + l) - gammaln(a))
+        return np.where(ls == 0, 0.0, -np.inf)
+    return gammaln(a + ls) - gammaln(a)
+
+
+@functools.lru_cache(maxsize=64)
+def _leibniz_terms(j):
+    """The terms of a triple Leibniz rule for a (j-1)-th derivative, read-only:
+    index arrays i, k, l with i + k + l = j - 1 (i, then k, ascending) and
+    -log(i! k! l!) in that order of subtraction."""
+    i, k = np.nonzero(np.add.outer(np.arange(j), np.arange(j)) < j)
+    l_ = j - 1 - i - k
+    out = (i, k, l_, -gammaln(i + 1.0) - gammaln(k + 1.0) - gammaln(l_ + 1.0))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def power_sign(sign: int, k: int) -> int:
@@ -134,55 +152,78 @@ def _power_signs(sign, ks):
     return _ALTERNATING[ks & (sign < 0)]
 
 
-def merged_pole_series(line, q0, j, eps):
-    """Terms (sign list, log list) of the merged-pole series for Ttilde_j.
+def merged_pole_series(line, grow, q0, j, eps, cols, ceiling):
+    """Terms (sign list, log list) of the merged-pole series for Ttilde_j at
+    the columns cols of `line`, and the mask of the columns it keeps.
 
-    The series runs until, past its first five terms, the last two terms lie
-    _CUTOFF_NATS below the largest term at every point (two, because a line
-    can vanish at every other degree, as H_q(0) does for odd q); if the line
-    runs out first it raises ArithmeticError instead of returning a
-    truncated sum.
+    A column is dropped once its running largest term exceeds `ceiling`
+    there (the residue pair's largest term, whose rounding error is then the
+    smaller).  The series runs until, past its first five terms, the last two
+    terms lie _CUTOFF_NATS below the largest term at every kept column (two,
+    because a line can vanish at every other degree, as H_q(0) does for odd
+    q).  Where it outruns its rows, `grow(cols, rows)` gives the line's rows
+    from the end of `line` up to `rows` on the columns, the series' rows
+    doubled each time.  eps == 0 gives the one term T_{q0+j-1}.
     """
     signs, term = line
+    base, at = 0, cols  # the degree of the first row of `signs`, and its columns
     sgs, lgs = [], []
-    best = prev = np.full(signs.shape[1], -np.inf)
-    for t in range(signs.shape[0] - (q0 + j - 1)):
+    kept = np.ones(cols.size, dtype=bool)
+    best = prev = np.full(cols.size, -np.inf)
+    for t in itertools.count():
         q = q0 + j - 1 + t
-        sg = signs[q] * power_sign(eps.sign, t)
-        lg = term(np.array([q]), np.array([math.log(math.comb(j + t - 1, t))]),
-                  np.array([t * eps.log_magnitude if t else 0.0]))[0]
-        sgs.append(sg)
-        lgs.append(lg)
+        if q == base + signs.shape[0]:
+            base, at = line[0].shape[0], slice(None)
+            signs, term = grow(cols, q + t)
+        sgs.append(signs[q - base, at] * power_sign(eps.sign, t))
+        lgs.append(term(np.array([q - base]), np.array([math.log(math.comb(j + t - 1, t))]),
+                        np.array([t * eps.log_magnitude if t else 0.0]))[0, at])
         if eps.sign == 0:
-            return sgs, lgs
-        cur = np.where(sg != 0, lg, -np.inf)
+            return sgs, lgs, kept
+        cur = np.where(sgs[-1] != 0, lgs[-1], -np.inf)
         best = np.maximum(best, cur)
-        if t > 4 and np.all(np.maximum(cur, prev) < best - _CUTOFF_NATS):
-            return sgs, lgs
+        kept &= best <= ceiling  # a NaN term or ceiling drops the column too
+        if t > 4 and np.all((np.maximum(cur, prev) < best - _CUTOFF_NATS) | ~kept):
+            return sgs, lgs, kept
         prev = cur
-    raise ArithmeticError(
-        f"merged-pole series for family index {j} did not converge in {len(sgs)} terms"
-    )
 
 
-def completing_family(line, q0, r, eps, merged, residue_at_eps):
+def completing_family(line, grow, q0, r, eps, residue_at_eps):
     """(r, npts) sign/log stacks of Ttilde_j, j = 1..r, from the line T_q.
 
-    merged=True sums the merged-pole series; otherwise the residue at 0 is
-    added to `residue_at_eps(j)`, the family's own (sign list, log list),
-    whose rows are stacked on top of the residue block.
+    Each point sums the residue pair, `residue_at_eps(j)` (the family's own
+    signs and logs) stacked on the residue at 0, unless the pair cancels
+    deeper than _DEEP_NATS there: on those points the merged-pole series
+    runs, and each keeps the branch whose largest term is the smaller.
+    `grow(cols, rows)` gives the line's rows past those of `line`, up to
+    `rows`, on the columns cols.  eps == 0 takes the series' one term.
     """
-    out_sign = np.zeros((r, line[0].shape[1]), dtype=np.int8)
+    npts = line[0].shape[1]
+    out_sign = np.zeros((r, npts), dtype=np.int8)
     out_log = np.full(out_sign.shape, -np.inf)
     for j in range(1, r + 1):
-        if merged:
-            sgs, lgs = map(np.array, merged_pole_series(line, q0, j, eps))
-        else:
+        if eps.sign:
             sgs, lgs = residue_at_eps(j)
             zs, zl = residue_at_zero(line, q0, j, eps)
-            sgs, lgs = np.concatenate((sgs, zs)), np.concatenate((lgs, zl))
-            del zs, zl  # the residue block is not held through the sum
-        out_sign[j - 1], out_log[j - 1] = slog_sum_columns(sgs, lgs)
+            scaled, top = _shifted_terms(np.concatenate((sgs, zs)), np.concatenate((lgs, zl)))
+            del sgs, lgs, zs, zl  # the residue block is not held through the sum
+            # the column sums over the largest terms: below e^-_DEEP_NATS (or NaN), deep
+            deep = ~(np.abs(np.sum(scaled, axis=0)) >= math.exp(-_DEEP_NATS)) & (top > -np.inf)
+            if not deep.any():
+                out_sign[j - 1], out_log[j - 1] = _shifted_sums(scaled, top)
+                continue
+            cols = np.flatnonzero(deep)
+        else:
+            cols, top = np.arange(npts), np.full(npts, np.inf)
+        ssg, slg, kept = merged_pole_series(line, grow, q0, j, eps, cols, top[cols])
+        series = cols[kept]
+        out_sign[j - 1, series], out_log[j - 1, series] = slog_sum_columns(
+            np.array(ssg)[:, kept], np.array(slg)[:, kept])
+        residue = np.ones(npts, dtype=bool)
+        residue[series] = False
+        if residue.any():
+            out_sign[j - 1, residue], out_log[j - 1, residue] = _shifted_sums(
+                scaled[:, residue], top[residue])
     return out_sign, out_log
 
 

@@ -100,22 +100,33 @@ def slog_sum_columns(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, n
     logs = np.asarray(logs)
     if signs.shape != logs.shape or signs.ndim != 2:
         raise ValueError("expected matching 2-d (nterms, npoints) arrays")
-    npts = signs.shape[1]
+    return _shifted_sums(*_shifted_terms(signs, logs))
+
+
+def _shifted_terms(signs, logs):
+    """(sign e^{log - m}, m) of a (nterms, npoints) stack, m each column's
+    largest live log (-inf for a column of zeros)."""
+    scaled = np.where(signs != 0, logs, _NEG_INF)
+    m = np.max(scaled, axis=0) if signs.shape[0] else np.full(signs.shape[1], _NEG_INF)
+    live = np.isfinite(m)
+    scaled -= m if live.all() else np.where(live, m, 0.0)
+    np.exp(scaled, out=scaled)
+    scaled *= signs
+    return scaled, m
+
+
+def _shifted_sums(scaled, m):
+    """(sign, log) of each column's sum from `_shifted_terms`, correctly rounded
+    (see `slog_sum_columns`); scaled is overwritten."""
+    npts = scaled.shape[1]
     out_sign = np.zeros(npts, dtype=np.int8)
     out_log = np.full(npts, _NEG_INF)
-    scaled = np.where(signs != 0, logs, _NEG_INF)
-    m = np.max(scaled, axis=0) if signs.shape[0] else np.full(npts, _NEG_INF)
     live = np.isfinite(m)
-    if live.all():
-        scaled -= m
-    else:
+    if not live.all():
         if np.any(m[~live] != _NEG_INF):
             raise ArithmeticError("signed log-sum over a NaN or +inf log")
         if not live.any():
             return out_sign, out_log
-        scaled -= np.where(live, m, 0.0)
-    np.exp(scaled, out=scaled)
-    scaled *= signs
     if npts < _NARROW:
         tops = m.tolist()
         for idx in np.nonzero(live)[0].tolist():

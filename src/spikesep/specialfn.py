@@ -10,6 +10,8 @@ size), so each row is a few in-place ufuncs.  A line takes one parameter
 sum per point, so the spiked LUE's two coefficient lines (M and M - 1) run
 as one call on its points laid twice, and its bulk comes from four entries
 of them by Christoffel-Darboux (`kernels.laguerre.SpikedLUE._bulk`).
+Each returns its rows with a `grow` method that continues the recurrence
+from its last two carriers, as the merged-pole series asks.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ _HYP0F1_TOL = 1e-17
 _HYP0F1_TERMS = 600
 
 
-def _signlog_store(vals, log0, b, d=None):
+def _signlog_store(vals, log0, b, d=None, carry=None):
     """Run a rescaled two-carrier recurrence and store sign/log of every row.
 
     `vals` is the (n, columns) stack to fill: on entry rows 1..n-1 hold the
@@ -62,14 +64,24 @@ def _signlog_store(vals, log0, b, d=None):
     with 0 < mag < 1e-250.  Each rescale stores the columns it moved, so
     signs and logs are taken once over the whole stack at the end, with the
     offsets accumulated in the order the carriers were rescaled.
+
+    carry = (first, v_prev, v_curr) continues a run whose carriers of rows
+    first - 2 and first - 1 these are, with log0 its final offset: row i of
+    vals is then row first + i, and holds A_{first+i-1} on entry.  Returns
+    the signs, the logs and the (v_prev, v_curr, offset) that continue this
+    run.
     """
     n, ncols = vals.shape
-    vals[0] = 1.0
+    if carry is None:
+        vals[0] = 1.0
+        first, v_prev, v_curr = 0, vals[0], vals[0]
+    else:
+        first, v_prev, v_curr = carry
     rescales = []  # (first row of the new offset, columns scaled up, columns scaled down)
     scratch = np.empty(ncols)
-    v_prev = v_curr = vals[0]
-    for p in range(n - 1):
-        row = vals[p + 1]
+    for i in range(1 if carry is None else 0, n):
+        p = first + i - 1  # the step that forms row first + i
+        row = vals[i]
         if p:
             np.multiply(row, v_curr, out=row)
             np.multiply(b[p], v_prev, out=scratch)
@@ -91,21 +103,22 @@ def _signlog_store(vals, log0, b, d=None):
                 v_curr[up] *= _RESCALE_UP
                 row[down] *= _RESCALE_DOWN
                 v_curr[down] *= _RESCALE_DOWN
-                rescales.append((p + 1, up, down))
+                rescales.append((i, up, down))
         v_prev, v_curr = v_curr, row
+    v_prev, v_curr = v_prev.copy(), v_curr.copy()  # the rows below are overwritten
     signs = np.sign(vals, out=np.empty(vals.shape, dtype=np.int8), casting="unsafe")
     logs = np.abs(vals, out=vals)
     with np.errstate(divide="ignore"):
         np.log(logs, out=logs)
     offset = np.array(log0, dtype=float)
-    first = 0
+    start = 0
     for row, up, down in rescales:
-        logs[first:row] += offset
+        logs[start:row] += offset
         offset[up] -= _RESCALE_LOG
         offset[down] += _RESCALE_LOG
-        first = row
-    logs[first:] += offset
-    return signs, logs
+        start = row
+    logs[start:] += offset
+    return signs, logs, (v_prev, v_curr, offset)
 
 
 def _readonly(a):
@@ -133,17 +146,45 @@ def _laguerre_rows(n, a):
     return shift, _readonly(np.sqrt(denom)[:, None]), np.sqrt(p * (p + a) / denom).tolist()
 
 
+class _SignLogRows(tuple):
+    """(signs, logs) of rows 0..n-1 of a weighted recurrence over a grid.
+
+    steps(p0, p1, cols, out) writes the blocks A_p, p0 <= p < p1, at the
+    columns cols into out and returns the b and d of `_signlog_store`.
+    """
+
+    def __new__(cls, n, log0, steps, ncols):
+        vals = np.empty((n, ncols))
+        b, d = steps(0, n - 1, slice(None), vals[1:])
+        signs, logs, carry = _signlog_store(vals, log0, b, d)
+        rows = super().__new__(cls, (signs, logs))
+        rows._steps, rows._carry = steps, carry
+        return rows
+
+    def grow(self, cols, rows):
+        """(signs, logs) of the rows n..rows-1 past these at the columns cols,
+        continued from their last two carriers, each with the bits a call for
+        `rows` rows gives it."""
+        n = self[0].shape[0]
+        v_prev, v_curr, offset = self._carry
+        vals = np.empty((rows - n, cols.size))
+        b, d = self._steps(n - 1, rows - 1, cols, vals)
+        return _signlog_store(vals, offset[cols], b, d, (n, v_prev[cols], v_curr[cols]))[:2]
+
+
 def hermite_weighted_signlog(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     """Sign/log arrays of psi_p(x) = H_p(x) e^{-x^2/2} / (pi^{1/4} 2^{p/2} sqrt(p!))
     for p < n over a grid; immune to under/overflow."""
     if n < 1:
         raise ValueError("need at least one function (n >= 1)")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    log0 = -0.25 * _LOG_PI - 0.5 * x * x
-    vals = np.empty((n, x.size))
-    s1, s2 = _hermite_rows(n)
-    np.multiply(s1, x, out=vals[1:])
-    return _signlog_store(vals, log0, s2)
+
+    def steps(p0, p1, cols, out):
+        s1, s2 = _hermite_rows(p1 + 1)
+        np.multiply(s1[p0:], x[cols], out=out)
+        return s2, None
+
+    return _SignLogRows(n, -0.25 * _LOG_PI - 0.5 * x * x, steps, x.size)
 
 
 def laguerre_weighted_signlog(n: int, a: float, x) -> tuple[np.ndarray, np.ndarray]:
@@ -156,12 +197,15 @@ def laguerre_weighted_signlog(n: int, a: float, x) -> tuple[np.ndarray, np.ndarr
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(x > 0):  # NaN fails this too
         raise ValueError("signlog Laguerre grid must be strictly positive")
-    vals = np.empty((n, x.size))
-    shift, scale, c2 = _laguerre_rows(n, a)
-    np.subtract(shift, x, out=vals[1:])
-    np.divide(vals[1:], scale, out=vals[1:])
+
+    def steps(p0, p1, cols, out):
+        shift, scale, c2 = _laguerre_rows(p1 + 1, a)
+        np.subtract(shift[p0:], x[cols], out=out)
+        np.divide(out, scale[p0:], out=out)
+        return c2, None
+
     log0 = 0.5 * a * np.log(x) - 0.5 * x - 0.5 * gammaln(a + 1.0)
-    return _signlog_store(vals, log0, c2)
+    return _SignLogRows(n, log0, steps, x.size)
 
 
 def laguerre_line_signlog(n: int, big_m, x) -> tuple[np.ndarray, np.ndarray]:
@@ -175,10 +219,14 @@ def laguerre_line_signlog(n: int, big_m, x) -> tuple[np.ndarray, np.ndarray]:
     if n < 1:
         raise ValueError("need at least one coefficient (n >= 1)")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = np.empty((n, x.size))
-    q = np.arange(n - 1.0)
-    np.subtract(big_m - x, q[:, None], out=vals[1:])
-    return _signlog_store(vals, np.zeros(x.size), [x] * (n - 1), (q + 1.0).tolist())
+    lead = big_m - x
+
+    def steps(p0, p1, cols, out):
+        q = np.arange(p1 + 0.0)
+        np.subtract(lead[cols], q[p0:, None], out=out)
+        return [x[cols]] * p1, (q + 1.0).tolist()
+
+    return _SignLogRows(n, np.zeros(x.size), steps, x.size)
 
 
 def log_0f1(b: float, z: float) -> float:
@@ -188,6 +236,8 @@ def log_0f1(b: float, z: float) -> float:
     scaled Bessel value underflows (b large against z) it sums the series
     sum_k z^k / ((b)_k k!) instead, in logs relative to its largest term.
     """
+    if not (math.isfinite(b) and math.isfinite(z)):
+        raise ValueError("0F1 needs finite b and z")  # the series would never stop
     if b <= 0:
         raise ValueError("parameter must be positive")
     if z < 0:

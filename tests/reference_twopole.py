@@ -13,7 +13,7 @@ import math
 import numpy as np
 from reference_logsum import reference_slog_sum_columns
 
-from spikesep.kernels.twopole import merged_pole_series, power_sign
+from spikesep.kernels.twopole import _DEEP_NATS, merged_pole_series, power_sign
 
 
 def _term(term, q, log_binom, log_power):
@@ -47,16 +47,32 @@ def reference_residue_at_zero(line, q0, j, eps):
     return sgs, lgs
 
 
-def reference_completing_family(line, q0, r, eps, merged, residue_at_eps):
-    """Drop-in for `twopole.completing_family`."""
-    out_sign = np.zeros((r, line[0].shape[1]), dtype=np.int8)
+def reference_completing_family(line, grow, q0, r, eps, residue_at_eps):
+    """Drop-in for `twopole.completing_family`: the same per-column choice,
+    read from the stacked residue terms, and per-column sums."""
+    npts = line[0].shape[1]
+    out_sign = np.zeros((r, npts), dtype=np.int8)
     out_log = np.full(out_sign.shape, -np.inf)
     for j in range(1, r + 1):
-        if merged:
-            sgs, lgs = merged_pole_series(line, q0, j, eps)
-        else:
+        if eps.sign:
             sgs, lgs = residue_at_eps(j)
             zs, zl = reference_residue_at_zero(line, q0, j, eps)
-            sgs, lgs = sgs + zs, lgs + zl
-        out_sign[j - 1], out_log[j - 1] = reference_slog_sum_columns(np.array(sgs), np.array(lgs))
+            sgs, lgs = np.array([*sgs, *zs]), np.array([*lgs, *zl])
+            top = np.max(np.where(sgs != 0, lgs, -np.inf), axis=0)
+            with np.errstate(invalid="ignore"):  # columns of zeros
+                total = np.sum(sgs * np.exp(lgs - top), axis=0)
+            cols = np.flatnonzero(~(np.abs(total) >= math.exp(-_DEEP_NATS)) & (top > -np.inf))
+        else:
+            cols, top = np.arange(npts), np.full(npts, np.inf)
+        series = {}
+        if cols.size:
+            series_sgs, series_lgs, kept = merged_pole_series(line, grow, q0, j, eps, cols, top[cols])
+            series = dict(zip(cols[kept].tolist(), np.flatnonzero(kept).tolist()))
+        for col in range(npts):
+            if col in series:
+                at = series[col]
+                column = ([[s[at]] for s in series_sgs], [[g[at]] for g in series_lgs])
+            else:
+                column = (sgs[:, col : col + 1], lgs[:, col : col + 1])
+            (out_sign[j - 1, col],), (out_log[j - 1, col],) = reference_slog_sum_columns(*column)
     return out_sign, out_log

@@ -1,5 +1,6 @@
 """scripts/bench.py's pairing of parent and change runs (no benchmark is run)."""
 
+import contextlib
 import importlib.util
 import subprocess
 from pathlib import Path
@@ -70,3 +71,31 @@ def test_tree_state_dirty_covers_src_and_perfbench(bench, tmp_path):
         assert bench.tree_state(tmp_path)["dirty"] is True, path.name
         path.write_text(original)
         assert bench.tree_state(tmp_path)["dirty"] is False
+
+
+def test_checkout_clones_a_revision_and_removes_it(bench, tmp_path):
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                              cwd=tmp_path, check=True, capture_output=True, text=True).stdout
+
+    (tmp_path / "src" / "spikesep").mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("b = 1\n")
+    (tmp_path / "src" / "spikesep" / "a.py").write_text("a = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    first = git("rev-parse", "HEAD").strip()
+    (tmp_path / "src" / "spikesep" / "a.py").write_text("a = 1\nb = 2\n")
+    git("commit", "-q", "-am", "second")
+    (tmp_path / "src" / "spikesep" / "a.py").write_text("uncommitted = 1\n")  # never measured
+    with contextlib.ExitStack() as clones:
+        assert bench.checkout(str(tmp_path), tmp_path, clones) == tmp_path.resolve()
+        parent = bench.checkout("HEAD~1", tmp_path, clones)
+        change = bench.checkout("HEAD", tmp_path, clones)
+        assert bench.tree_state(parent) == {"commit": first, "dirty": False, "src_lines": 1}
+        assert bench.tree_state(change)["src_lines"] == 2
+        assert bench.tree_state(change)["dirty"] is False
+        with pytest.raises(ValueError, match="neither a directory nor a git revision"):
+            bench.checkout("no-such-revision", tmp_path, clones)
+    assert not parent.exists() and not change.exists()

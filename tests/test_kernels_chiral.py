@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
@@ -181,3 +182,32 @@ def test_density_and_kernel_run_one_recurrence(monkeypatch, model):
     calls.clear()
     kernel_shifted_chiral(model, x, x[::-1])
     assert calls == [46]
+
+
+def _mp_q1(u, m, alpha, c, dps=400):
+    """q_1(u) of a rank-one shifted chiral model as its residue pair at dps digits:
+    u^a e^{-u} [e^{-c^2} 0F1(a+1; u c^2) / (Gamma(a+1) (-c^2)^q0)
+                - sum_{q<q0} L_q^a(u) / (Gamma(q+a+1) (-c^2)^{q0-q})], q0 = m - 1."""
+    with mpmath.workdps(dps):
+        u, csq, a = mpmath.mpf(u), mpmath.mpf(c) ** 2, mpmath.mpf(alpha)
+        q0 = m - 1
+        lag = [mpmath.mpf(1), a + 1 - u]
+        for q in range(1, q0 - 1):
+            lag.append(((2 * q + a + 1 - u) * lag[q] - (q + a) * lag[q - 1]) / (q + 1))
+        residue_at_eps = mpmath.exp(-csq) * mpmath.hyp0f1(a + 1, u * csq) / mpmath.gamma(a + 1)
+        residue_at_0 = mpmath.fsum(lag[q] / mpmath.gamma(q + a + 1) * (-csq) ** q for q in range(q0))
+        return u**a * mpmath.exp(-u) * (residue_at_eps - residue_at_0) / (-csq) ** q0
+
+
+@pytest.mark.parametrize("spike", [0.5, 0.6, 0.7])
+def test_below_threshold_density_is_finite_and_nonnegative(spike):
+    # the residue pair cancelled to noise here (down to -1.07e126 at 0.5 units)
+    model = ShiftedChiral(500, 2.0, 1, 0.0).respike(spike)
+    x = np.linspace(0.05, 1.1 * model.bulk_edge, 41)
+    vals = density_shifted_chiral(model, x)
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+    for u in x[[5, 20, 35]] ** 2:
+        want = _mp_q1(u, model.m, model.alpha, model.c)
+        got = chiral_pq("q", 1, u, model.m, model.alpha, 1, model.c)
+        assert got.sign == (1 if want > 0 else -1)
+        assert abs(math.expm1(got.log_magnitude - float(mpmath.log(abs(want))))) < 1e-10

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -206,11 +207,30 @@ def test_merged_pole_series_is_not_cut_short_at_a_single_point():
     assert density_shifted_gue(model, 0.0) == pytest.approx(6.36300, abs=1e-5)
 
 
-def test_unconverged_merged_pole_series_raises():
-    # far out the terms (0.24 x)^t / t! peak near t = 96 and are still large
-    # when the recurrence rows run out
-    with pytest.raises(ArithmeticError):
-        incomplete_hermite("tilde", 1, 400.0, 3, 1, 0.12)
+@pytest.mark.parametrize("x", [-400.0, -250.0, -150.0, -100.0, 100.0, 150.0, 250.0, 400.0])
+def test_rank_one_family_matches_its_closed_form(x):
+    # n = 3, r = 1: Gtilde_1(x) = -x/(2c) - 1/(4c^2) + e^{2cx - c^2}/(4c^2).  At
+    # 2c = 0.24 the residue pair cancels little here, and far out the
+    # merged-pole terms (0.24 x)^t / t! peak near t = 96
+    c = 0.12
+    mpmath.mp.dps = 50
+    cm, xm = mpmath.mpf(c), mpmath.mpf(x)
+    want = -xm / (2 * cm) - 1 / (4 * cm**2) + mpmath.exp(2 * cm * xm - cm**2) / (4 * cm**2)
+    got = incomplete_hermite("tilde", 1, x, 3, 1, c)
+    assert got.sign == (1 if want > 0 else -1)
+    assert abs(math.expm1(got.log_magnitude - float(mpmath.log(abs(want))))) < 1e-11
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda x: density_shifted_gue(ShiftedGUE(5, 0, 0.0), x),  # read a NaN point as 0
+    lambda x: density_shifted_gue(ShiftedGUE(5, 2, 1.0), x),
+    lambda x: kernel_gue(5, x, 0.5),
+    lambda x: [incomplete_hermite("tilde", 1, v, 5, 2, 1.0) for v in np.atleast_1d(x)],
+], ids=["rank-0", "rank-2", "kernel", "family"])
+@pytest.mark.parametrize("x", [[math.nan, 1.0], [math.inf, 1.0], -math.inf])
+def test_non_finite_points_raise(evaluate, x):
+    with pytest.raises(ValueError, match="finite x"):
+        evaluate(x)
 
 
 def test_kernel_overflow_raises():

@@ -412,3 +412,49 @@ def test_kernel_laguerre_at_zero():
     # a >= 0: phi_p(0) is finite, and K_n(0, 0) = sum_p phi_p(0)^2
     assert kernel_laguerre(3, 0.0, 0.0, 0.0) == pytest.approx(3.0, rel=1e-12)
     assert abs(kernel_laguerre(3, 0.5, 0.0, 1.0)) < 1e-70  # phi_p(0) = 0 for a > 0
+
+
+def _mp_ltilde_1(x, m, alpha, btilde, dps=650):
+    """Ltilde_1(x) of a rank-one spiked LUE as its residue pair at dps digits,
+    e^{-x eps} (1 + eps)^M / eps^q0 - sum_{p<q0} eps^{-(p+1)} T_{q0-1-p}(x), with
+    eps = btilde - 1, M = m + alpha, q0 = m - 1 and T_q from its recurrence."""
+    with mpmath.workdps(dps):
+        x, eps, big_m = mpmath.mpf(x), mpmath.mpf(btilde) - 1, mpmath.mpf(m) + alpha
+        q0 = m - 1
+        t = [mpmath.mpf(1), big_m - x]
+        for q in range(1, q0 - 1):
+            t.append(((big_m - x - q) * t[q] - x * t[q - 1]) / (q + 1))
+        value = mpmath.exp(-x * eps) * (1 + eps) ** big_m / eps**q0
+        return value - mpmath.fsum(t[q0 - 1 - p] / eps ** (p + 1) for p in range(q0))
+
+
+# verify's predictor_mc model: its residue pair cancels ~390 nats at x = 50,
+# where the density read -9.76e155
+DEEP_LUE = SpikedLUE(500, 3.0, 1, 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("x", [50.0, 500.0])
+def test_deep_family_against_600_digits(x):
+    want = _mp_ltilde_1(x, DEEP_LUE.m, DEEP_LUE.alpha, DEEP_LUE.btilde)
+    got = incomplete_laguerre("tilde", 1, x, DEEP_LUE.m, DEEP_LUE.alpha, 1, DEEP_LUE.btilde)
+    assert got.sign == (1 if want > 0 else -1)
+    assert abs(math.expm1(got.log_magnitude - float(mpmath.log(abs(want))))) < 1e-10
+
+
+def test_deep_density_is_finite_nonnegative_and_traces_to_m():
+    vals = density_spiked_lue(DEEP_LUE, np.linspace(1.0, 1000.0, 1000))
+    assert np.all(np.isfinite(vals)) and np.all(vals >= -1e-10)
+
+    def trace(panels):
+        # composite Gauss-Legendre in u = sqrt(x), where the eigenvalues are
+        # about evenly spaced, over the whole support (the density is 1e-94 at x = 3600)
+        g, w = np.polynomial.legendre.leggauss(20)
+        edges = np.linspace(0.0, 60.0, panels + 1)
+        half = 0.5 * np.diff(edges)
+        us = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * g).ravel()
+        ws = (half[:, None] * w).ravel()
+        return float(np.sum(2.0 * us * ws * density_spiked_lue(DEEP_LUE, us * us)))
+
+    coarse, fine = trace(120), trace(240)
+    assert abs(fine - coarse) < 1e-7  # converged
+    assert abs(fine - DEEP_LUE.m) < 1e-6

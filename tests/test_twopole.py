@@ -1,13 +1,21 @@
 """The whole-row two-pole assembly against the per-term reference, bit for bit."""
 
 import math
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_logsum import reference_slog_sum_columns
-from reference_twopole import reference_completing_family, reference_plain_family
+from reference_twopole import (
+    reference_completing_family,
+    reference_plain_family,
+    reference_residue_at_zero,
+)
 
 from spikesep.kernels import (
     ShiftedChiral,
@@ -26,6 +34,7 @@ from spikesep.kernels import (
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _perfbench_models():
@@ -61,8 +70,8 @@ def _assert_matches_reference(model, x, monkeypatch):
         assert np.array_equal(g, w)
 
 
-# each seam straddled: 2c = 0.2 / 0.3, |btilde - 1| = 0.01 / 0.03, c^2 = 0.01 / 0.03;
-# the first of each pair takes the merged-pole branch, the second the residues
+# the old fixed seams straddled: 2c = 0.2 / 0.3, |btilde - 1| = 0.01 / 0.03,
+# c^2 = 0.01 / 0.03; each model's points now pick their branch by depth
 SEAM_MODELS = [
     ShiftedGUE(12, 3, 0.1),
     ShiftedGUE(12, 3, 0.15),
@@ -97,12 +106,60 @@ def test_families_match_per_term_assembly(model, count, monkeypatch):
     _assert_matches_reference(model, _grid(model, count), monkeypatch)
 
 
-def test_seam_models_take_both_branches():
-    merged = [hermite._SMALL_SHIFT > 2.0 * 0.1, laguerre._SMALL_EPS > 0.01,
-              chiral._SMALL_CSQ > 0.01]
-    residue = [hermite._SMALL_SHIFT < 2.0 * 0.15, laguerre._SMALL_EPS < 0.03,
-               chiral._SMALL_CSQ < 0.03]
-    assert all(merged) and all(residue)
+def _branch_columns(model, x, monkeypatch):
+    """Per family row: the columns whose residue pair cancels deeper than
+    _DEEP_NATS (read from the residue terms, one at a time), and the columns
+    that took the merged-pole series."""
+    rows = []
+    series = twopole.merged_pole_series
+
+    def completing(line, grow, q0, r, eps, residue_at_eps):
+        for j in range(1, r + 1):
+            sgs, lgs = residue_at_eps(j)
+            zs, zl = reference_residue_at_zero(line, q0, j, eps)
+            sgs, lgs = np.array([*sgs, *zs]), np.array([*lgs, *zl])
+            top = np.max(np.where(sgs != 0, lgs, -np.inf), axis=0)
+            with np.errstate(divide="ignore"):  # a sum of exactly 0 is infinitely deep
+                depth = -np.log(np.abs(np.sum(sgs * np.exp(lgs - top), axis=0)))
+            rows.append([set(np.flatnonzero(depth > twopole._DEEP_NATS).tolist()), set()])
+        return twopole.completing_family(line, grow, q0, r, eps, residue_at_eps)
+
+    def recorded(line, grow, q0, j, eps, cols, ceiling):
+        out = series(line, grow, q0, j, eps, cols, ceiling)
+        rows[len(rows) - model.r + j - 1][1] = set(cols[out[2]].tolist())
+        return out
+
+    with monkeypatch.context() as patch:
+        for module in (hermite, laguerre, chiral):
+            patch.setattr(module, "completing_family", completing)
+        patch.setattr(twopole, "merged_pole_series", recorded)
+        model.families(x)
+    return rows
+
+
+def test_each_point_takes_the_branch_its_depth_picks(monkeypatch):
+    counts = {}
+    cases = [(m.tag, m, _grid(m, 41)) for m in SEAM_MODELS + RESIDUE_MODELS]
+    cases += [(tag, m, x[:: max(1, x.size // 100)]) for tag, m, x in _perfbench_models()
+              if tag.startswith("curve")]
+    for tag, model, x in cases:
+        rows = _branch_columns(model, x, monkeypatch)
+        assert len(rows) == model.r
+        for deep, series in rows:
+            # the series runs on the deep columns only, and is kept on all of
+            # them here (its largest term is below the residue's)
+            assert series == deep
+        counts[tag] = [(len(series), x.size - len(series)) for _, series in rows]
+    for model in SEAM_MODELS:
+        assert all(on_series > 0 for on_series, _ in counts[model.tag])
+    # on both sides of the old 2c = 0.25 and |btilde - 1| = 0.02 seams the
+    # first row splits its points between the branches
+    for model in SEAM_MODELS[:2] + SEAM_MODELS[4:6]:
+        assert all(side > 0 for side in counts[model.tag][0])
+    for model in RESIDUE_MODELS:
+        assert all(on_series == 0 for on_series, _ in counts[model.tag])
+    for tag in ("curve gue c=0.1", "curve lue btilde=0.99", "curve chiral c=0.1"):
+        assert all(on_residue == 0 for _, on_residue in counts[tag])
 
 
 @pytest.mark.parametrize("case", _perfbench_models(), ids=lambda case: case[0])
@@ -139,3 +196,65 @@ HALF_LINE_DENSITIES = [
 def test_half_line_densities_reject_nan_and_negative_points(density, x):
     with pytest.raises(ValueError, match="x >= 0"):
         density(x)
+
+
+# (model at shift s, the old seam's s, points): 2c = 0.25, |btilde - 1| = 0.02
+# on both sides of 1, c^2 = 0.02.  At N = 40 the residue pair just past each
+# seam cancelled to noise (up to 1e41 times the density's maximum).
+SEAMS = [
+    (lambda s: ShiftedGUE(40, 2, s / 2.0), 0.25, np.linspace(-9.0, 9.0, 13)),
+    (lambda s: SpikedLUE(40, 1.0, 2, 1.0 - s), 0.02, np.linspace(0.5, 170.0, 13)),
+    (lambda s: SpikedLUE(40, 1.0, 2, 1.0 + s), 0.02, np.linspace(0.5, 170.0, 13)),
+    (lambda s: ShiftedChiral(40, 1.0, 2, math.sqrt(s)), 0.02, np.linspace(0.2, 13.5, 13)),
+]
+
+
+@given(seam=st.sampled_from(range(len(SEAMS))), below=st.floats(1e-9, 1e-3),
+       above=st.floats(1e-9, 1e-3))
+@settings(max_examples=30, deadline=None)
+def test_density_is_continuous_in_the_shift_across_the_old_seams(seam, below, above):
+    make, at, x = SEAMS[seam]
+    lo, hi = make(at - below).density(x), make(at + above).density(x)
+    scale = np.max(np.abs(lo))
+    # |d density / d s| reads at most 0.042 of the maximum here
+    assert np.max(np.abs(hi - lo)) <= (below + above) * scale + 1e-10 * scale
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: ShiftedGUE(5, 1, v),
+    lambda v: SpikedLUE(5, v, 1, 0.5),
+    lambda v: SpikedLUE(5, 1.0, 1, v),
+    lambda v: ShiftedChiral(5, v, 1, 1.0),
+    lambda v: ShiftedChiral(5, 1.0, 1, v),
+], ids=["gue c", "lue alpha", "lue btilde", "chiral alpha", "chiral c"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_models_reject_non_finite_parameters(make, value):
+    with pytest.raises(ValueError, match="finite"):
+        make(value)
+
+
+def test_non_finite_0f1_arguments_raise():
+    # 0F1's series never stopped on these; run apart, time- and memory-bound
+    code = """if True:
+        import math
+        from spikesep.kernels import ShiftedChiral, density_shifted_chiral
+        from spikesep.specialfn import log_0f1
+        calls = [lambda: log_0f1(math.nan, 1.0), lambda: log_0f1(3.0, math.nan),
+                 lambda: log_0f1(3.0, math.inf),
+                 lambda: density_shifted_chiral(ShiftedChiral(5, 1.0, 1, 1.0), [math.inf])]
+        for call in calls:
+            try:
+                call()
+            except ValueError as err:
+                assert "finite" in str(err), err
+            else:
+                raise AssertionError("no ValueError")
+        print("ok")
+    """
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, preexec_fn=limit, env={"PYTHONPATH": SRC})
+    assert done.stdout.strip() == "ok", done.stderr
