@@ -11,6 +11,7 @@ The density of the positive eigenvalues is rho(x) = 2x K_m(x^2, x^2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from .common import half_line, pairwise, sampled_rows, shift_prediction
 from .hermite import kernel_gue
 from .twopole import (
     _leibniz_terms,
+    _read_only,
     bulk_sum,
     completing_family,
     family_value,
@@ -123,18 +125,8 @@ class ShiftedChiral:
         f1log = np.array([[log_0f1(alpha + 1.0 + i, xi * csq) for xi in x] for i in range(r)])
 
         def residue_at_eps(k):
-            i, l_, _, log_multinomial = _leibniz_terms(k)
-            poch_a = gammaln(alpha + 1.0 + i) - gammaln(alpha + 1.0)
-            base = (
-                log_multinomial
-                - poch_a
-                - gammaln(alpha + 1.0)
-                + rising_log(q0, l_)
-                - csq
-                - 2.0 * (q0 + l_) * math.log(c)
-            )
-            sgs = np.repeat(np.where((i + q0) % 2, -1, 1).astype(np.int8)[:, None], npts, axis=1)
-            return sgs, base[:, None] + i[:, None] * logx + f1log[i] + wlog
+            i, base, sign = _residue_terms(k, q0, alpha, c)
+            return np.repeat(sign, npts, axis=1), base[:, None] + i[:, None] * logx + f1log[i] + wlog
 
         def grow(cols, rows):
             return _lines(x[cols], stack.grow(cols, rows), alpha, m)[1]
@@ -144,9 +136,27 @@ class ShiftedChiral:
         return psign, plog, qsign, qlog
 
 
+@functools.lru_cache(maxsize=64)
+def _residue_terms(k, q0, alpha, c):
+    """Row k's terms of the residue at -c^2, a triple Leibniz rule over e^v,
+    0F1(a+1; -xv), v^{-q0}, read-only: each term's power i of x (and index
+    of 0F1(a+1+i)), the x-free part of its log and its sign as a column."""
+    i, l_, _, log_multinomial = _leibniz_terms(k)
+    poch_a = gammaln(alpha + 1.0 + i) - gammaln(alpha + 1.0)
+    base = (
+        log_multinomial
+        - poch_a
+        - gammaln(alpha + 1.0)
+        + rising_log(q0, l_)
+        - c * c
+        - 2.0 * (q0 + l_) * math.log(c)
+    )
+    return _read_only(i, base, np.where((i + q0) % 2, -1, 1).astype(np.int8)[:, None])
+
+
 def _lines(x, stack, alpha, first=0):
     """p_k's line q! L^alpha_q(x) and q_k's line x^alpha e^{-x} L^alpha_q(x) /
-    Gamma(q+alpha+1) on the stack's rows of phi_q^alpha(x), of degrees first,
+    Gamma(q+alpha+1) on the stack's rows of phi_q^alpha(x), q = first,
     first + 1, ..."""
     ls, wl = stack
     logx = np.log(x)

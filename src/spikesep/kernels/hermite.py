@@ -11,6 +11,7 @@ until they are paired against their ~1/sqrt(N!) partners.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from ..secular import SeparationPrediction
 from ..specialfn import hermite_weighted_signlog
 from .common import pairwise, shift_prediction
 from .twopole import (
+    _read_only,
     bulk_sum,
     completing_family,
     family_value,
@@ -119,16 +121,9 @@ class ShiftedGUE:
             hlog = np.log(np.abs(hsmall))
         expo = 2.0 * c * x - c * c
 
-        # the parts of each term's log that depend on k alone, or on l = j - 1 - k alone
-        ks = np.arange(r)
-        by_k = -ks * math.log(2.0) - gammaln(ks + 1.0)
-        by_l = (gammaln(ks + 1.0), rising_log(q0, ks), (q0 + ks) * eps.log_magnitude)
-        hsign *= np.where((q0 + ks) % 2, -1, 1).astype(np.int8)[:, None]
-
         def residue_at_eps(j):
-            l_ = np.arange(j - 1, -1, -1)
-            base = by_k[:j] - by_l[0][l_] + by_l[1][l_] - by_l[2][l_]
-            return hsign[:j], expo + base[:, None] + hlog[:j]
+            base, sign = _residue_terms(j, q0, eps.log_magnitude)
+            return hsign[:j] * sign, expo + base[:, None] + hlog[:j]
 
         def grow(cols, rows):
             return _lines(x[cols], stack.grow(cols, rows), n)[0]
@@ -138,10 +133,25 @@ class ShiftedGUE:
         return tsign, tlog, gsign, glog
 
 
+@functools.lru_cache(maxsize=64)
+def _residue_terms(j, q0, log_eps):
+    """Row j's terms k < j of the residue at -2c, read-only: the x-free part of
+    each log and the sign (-1)^(q0+k) as a column."""
+    k = np.arange(j)
+    l_ = j - 1 - k
+    base = (
+        -k * math.log(2.0)
+        - gammaln(k + 1.0)
+        - gammaln(l_ + 1.0)
+        + rising_log(q0, l_)
+        - (q0 + l_) * log_eps
+    )
+    return _read_only(base, np.where((q0 + k) % 2, -1, 1).astype(np.int8)[:, None])
+
+
 def _lines(x, stack, first=0):
-    """The coefficient lines (T_q, S_q) of psi_q(x) on the stack's rows, of
-    degrees first, first + 1, ...,
-    with the e^{-x^2/2} weight stripped back off:
+    """The coefficient lines (T_q, S_q) on the stack's rows of psi_q(x),
+    q = first, first + 1, ..., with the e^{-x^2/2} weight stripped back off:
     T_q = A_q = (-1)^q H_q(x)/(2^q q!),  S_q = (-1)^q e^{-x^2} H_q(x)/sqrt(pi),
     using H_q(x) = psi_q(x) e^{x^2/2} pi^{1/4} 2^{q/2} sqrt(q!)."""
     psign, plog = stack

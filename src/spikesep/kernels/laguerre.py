@@ -12,6 +12,7 @@ pair; accumulation is in signed log space throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -25,6 +26,7 @@ from ..specialfn import laguerre_line_signlog, laguerre_weighted_signlog
 from .common import half_line, pairwise, sampled_rows
 from .twopole import (
     _leibniz_terms,
+    _read_only,
     bulk_sum,
     completing_family,
     family_value,
@@ -203,20 +205,11 @@ class SpikedLUE:
         big_m = m + alpha
         logx = np.log(x)
 
+        shift = x * (btilde - 1.0)
+
         def residue_at_eps(j):
-            # triple Leibniz over e^{-x z}, (1+z)^{M}, z^{-q0}
-            i, k, l_, log_multinomial = _leibniz_terms(j)
-            base = (
-                log_multinomial
-                + gammaln(big_m + 1.0)
-                - gammaln(big_m + 1.0 - k)
-                + (big_m - k) * math.log(btilde)
-                + rising_log(q0, l_)
-                - (q0 + l_) * eps.log_magnitude
-            )
-            odd = (i + l_ + (q0 + l_) * (eps.sign < 0)) % 2
-            sgs = np.repeat(np.where(odd, -1, 1).astype(np.int8)[:, None], npts, axis=1)
-            return sgs, base[:, None] - x * (btilde - 1.0) + i[:, None] * logx
+            i, base, sign = _residue_terms(j, q0, big_m, btilde)
+            return np.repeat(sign, npts, axis=1), base[:, None] - shift + i[:, None] * logx
 
         def grow(cols, rows):
             return _t_line(*stack.grow(cols, rows))
@@ -238,6 +231,25 @@ class SpikedLUE:
         )
         lsign, llog = plain_family(s_line, q0, r, eps)
         return tsign, tlog, lsign, llog
+
+
+@functools.lru_cache(maxsize=64)
+def _residue_terms(j, q0, big_m, btilde):
+    """Row j's terms of the residue at btilde - 1, a triple Leibniz rule over
+    e^{-x z}, (1+z)^M, z^{-q0}, read-only: each term's power i of x, the
+    x-free part of its log and its sign as a column."""
+    eps = SignedLogValue.from_float(btilde - 1.0)
+    i, k, l_, log_multinomial = _leibniz_terms(j)
+    base = (
+        log_multinomial
+        + gammaln(big_m + 1.0)
+        - gammaln(big_m + 1.0 - k)
+        + (big_m - k) * math.log(btilde)
+        + rising_log(q0, l_)
+        - (q0 + l_) * eps.log_magnitude
+    )
+    odd = (i + l_ + (q0 + l_) * (eps.sign < 0)) % 2
+    return _read_only(i, base, np.where(odd, -1, 1).astype(np.int8)[:, None])
 
 
 def _t_line(signs, logs):

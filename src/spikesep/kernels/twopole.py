@@ -71,17 +71,20 @@ def rising_log(a: int, ls):
     return gammaln(a + ls) - gammaln(a)
 
 
-@functools.lru_cache(maxsize=64)
 def _leibniz_terms(j):
-    """The terms of a triple Leibniz rule for a (j-1)-th derivative, read-only:
-    index arrays i, k, l with i + k + l = j - 1 (i, then k, ascending) and
+    """The terms of a triple Leibniz rule for a (j-1)-th derivative: index
+    arrays i, k, l with i + k + l = j - 1 (i, then k, ascending) and
     -log(i! k! l!) in that order of subtraction."""
     i, k = np.nonzero(np.add.outer(np.arange(j), np.arange(j)) < j)
     l_ = j - 1 - i - k
-    out = (i, k, l_, -gammaln(i + 1.0) - gammaln(k + 1.0) - gammaln(l_ + 1.0))
-    for a in out:
+    return i, k, l_, -gammaln(i + 1.0) - gammaln(k + 1.0) - gammaln(l_ + 1.0)
+
+
+def _read_only(*arrays):
+    """The arrays, made read-only: a cache hands them to every caller."""
+    for a in arrays:
         a.flags.writeable = False
-    return out
+    return arrays
 
 
 def power_sign(sign: int, k: int) -> int:
@@ -205,12 +208,15 @@ def completing_family(line, grow, q0, r, eps, residue_at_eps):
         if eps.sign:
             sgs, lgs = residue_at_eps(j)
             zs, zl = residue_at_zero(line, q0, j, eps)
-            scaled, top = _shifted_terms(np.concatenate((sgs, zs)), np.concatenate((lgs, zl)))
+            scaled, top, live = _shifted_terms(np.concatenate((sgs, zs)), np.concatenate((lgs, zl)))
             del sgs, lgs, zs, zl  # the residue block is not held through the sum
-            # the column sums over the largest terms: below e^-_DEEP_NATS (or NaN), deep
-            deep = ~(np.abs(np.sum(scaled, axis=0)) >= math.exp(-_DEEP_NATS)) & (top > -np.inf)
+            # the column sums over their largest terms: below e^-_DEEP_NATS (or
+            # NaN, from a NaN or +inf term), deep; a column of zeros is not
+            deep = ~(np.abs(np.sum(scaled, axis=0)) >= math.exp(-_DEEP_NATS))
+            if deep.any():
+                deep &= top > -np.inf
             if not deep.any():
-                out_sign[j - 1], out_log[j - 1] = _shifted_sums(scaled, top)
+                out_sign[j - 1], out_log[j - 1] = _shifted_sums(scaled, top, live)
                 continue
             cols = np.flatnonzero(deep)
         else:
@@ -223,7 +229,7 @@ def completing_family(line, grow, q0, r, eps, residue_at_eps):
         residue[series] = False
         if residue.any():
             out_sign[j - 1, residue], out_log[j - 1, residue] = _shifted_sums(
-                scaled[:, residue], top[residue])
+                scaled[:, residue], top[residue], live[residue])
     return out_sign, out_log
 
 

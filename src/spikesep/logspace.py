@@ -104,24 +104,24 @@ def slog_sum_columns(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _shifted_terms(signs, logs):
-    """(sign e^{log - m}, m) of a (nterms, npoints) stack, m each column's
-    largest live log (-inf for a column of zeros)."""
+    """(sign e^{log - m}, m, live) of a (nterms, npoints) stack, m each
+    column's largest live log (-inf for a column of zeros) and live where it
+    is finite."""
     scaled = np.where(signs != 0, logs, _NEG_INF)
     m = np.max(scaled, axis=0) if signs.shape[0] else np.full(signs.shape[1], _NEG_INF)
     live = np.isfinite(m)
     scaled -= m if live.all() else np.where(live, m, 0.0)
     np.exp(scaled, out=scaled)
     scaled *= signs
-    return scaled, m
+    return scaled, m, live
 
 
-def _shifted_sums(scaled, m):
+def _shifted_sums(scaled, m, live):
     """(sign, log) of each column's sum from `_shifted_terms`, correctly rounded
     (see `slog_sum_columns`); scaled is overwritten."""
     npts = scaled.shape[1]
     out_sign = np.zeros(npts, dtype=np.int8)
     out_log = np.full(npts, _NEG_INF)
-    live = np.isfinite(m)
     if not live.all():
         if np.any(m[~live] != _NEG_INF):
             raise ArithmeticError("signed log-sum over a NaN or +inf log")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 from scipy.special import gammaln, ive
@@ -246,7 +247,7 @@ def log_0f1(b: float, z: float) -> float:
         return 0.0
     s = 2.0 * math.sqrt(z)
     bessel = ive(b - 1.0, s)
-    if bessel >= np.finfo(float).tiny:  # not underflowed, not even to a subnormal
+    if bessel >= sys.float_info.min:  # not underflowed, not even to a subnormal
         return gammaln(b) - 0.5 * (b - 1.0) * math.log(z) + s + math.log(bessel)
     terms = [0.0]  # log z^k / ((b)_k k!)
     while True:
