@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -38,6 +39,8 @@ class GridSpec:
     count: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError("grid bounds must be finite")
         if not self.lo < self.hi:
             raise ValueError("grid lower bound must be below upper bound")
         if self.count < 2:

@@ -109,8 +109,6 @@ def f00_unitary(x, y) -> SignedLogValue:
     _check_distinct(x, "x")
     _check_distinct(y, "y")
     n = x.size
-    if n == 1:
-        return SignedLogValue.from_log(1, x[0] * y[0])
     sx, lx = _log_vandermonde(x)
     sy, ly = _log_vandermonde(y)
     sd, ld = _det_signlog(np.outer(x, y))
@@ -132,11 +130,9 @@ def f01_unitary(a: float, x, y) -> SignedLogValue:
     _check_distinct(x, "x")
     _check_distinct(y, "y")
     b = a - n + 1.0
-    if n == 1:
-        return SignedLogValue.from_log(1, log_0f1(b, x[0] * y[0]))
     sx, lx = _log_vandermonde(x)
     sy, ly = _log_vandermonde(y)
-    logs = np.array([[log_0f1(b, xi * yj) for yj in y] for xi in x])
+    logs = log_0f1(b, np.multiply.outer(x, y))
     sd, ld = _det_signlog(logs)
     const = sum(gammaln(n - i + 1.0) + gammaln(a - i + 1.0) for i in range(1, n + 1))
     const -= n * gammaln(b)

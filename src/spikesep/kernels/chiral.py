@@ -21,12 +21,11 @@ from scipy.special import gammaln
 from ..ensembles import shifted_gram
 from ..logspace import SignedLogValue
 from ..secular import SeparationPrediction
-from ..specialfn import laguerre_weighted_signlog, log_0f1
+from ..specialfn import _read_only, laguerre_weighted_signlog, log_0f1
 from .common import half_line, pairwise, sampled_rows, shift_prediction
 from .hermite import kernel_gue
 from .twopole import (
     _leibniz_terms,
-    _read_only,
     bulk_sum,
     completing_family,
     family_value,
@@ -81,6 +80,8 @@ class ShiftedChiral:
 
     def respike(self, spike: float) -> ShiftedChiral:
         """Scan model at `spike` threshold units (shift spike*J/2; rank 0 at spike 0)."""
+        if not spike >= 0:  # NaN fails this too
+            raise ValueError("shift strength must be >= 0")
         if spike > 0:
             return ShiftedChiral(self.m, self.alpha, self.r, spike * self.bulk_edge / 2.0)
         return ShiftedChiral(self.m, self.alpha, 0, 0.0)
@@ -122,7 +123,7 @@ class ShiftedChiral:
         s_line, t_line = _lines(x, stack, alpha)
 
         # residue at -c^2: triple Leibniz over e^v, 0F1(a+1;-xv), v^{-q0}
-        f1log = np.array([[log_0f1(alpha + 1.0 + i, xi * csq) for xi in x] for i in range(r)])
+        f1log = log_0f1(alpha + 1.0 + np.arange(r)[:, None], x * csq)
 
         def residue_at_eps(k):
             i, base, sign = _residue_terms(k, q0, alpha, c)

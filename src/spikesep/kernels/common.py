@@ -3,6 +3,8 @@ helpers the kernel models share."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..logspace import slog_sum_columns
@@ -97,8 +99,8 @@ def sampled_rows(m: int, alpha: float) -> int:
 def shift_prediction(bulk_edge: float, spike: float) -> SeparationPrediction:
     """Mean (GUE) or singular-value (chiral) shift of `spike` threshold units:
     it separates above spike 1, at 0.5 * J * (spike + 1/spike) for bulk edge J."""
-    if spike < 0:
-        raise ValueError("shift strength must be >= 0")
+    if not 0 <= spike < math.inf:  # NaN fails this too
+        raise ValueError("shift strength must be finite and >= 0")
     if spike > 1.0:
         return SeparationPrediction(1.0, True, 0.5 * bulk_edge * (spike + 1.0 / spike))
     return SeparationPrediction(1.0, False)

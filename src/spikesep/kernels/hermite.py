@@ -21,10 +21,9 @@ from scipy.special import gammaln
 from ..ensembles import shifted_hermitian
 from ..logspace import SignedLogValue
 from ..secular import SeparationPrediction
-from ..specialfn import hermite_weighted_signlog
+from ..specialfn import _raw_hermite_signlog, _read_only, hermite_weighted_signlog
 from .common import pairwise, shift_prediction
 from .twopole import (
-    _read_only,
     bulk_sum,
     completing_family,
     family_value,
@@ -80,6 +79,8 @@ class ShiftedGUE:
 
     def respike(self, spike: float) -> ShiftedGUE:
         """Scan model at `spike` threshold units (shift spike*J/2; rank 0 at spike 0)."""
+        if not spike >= 0:  # NaN fails this too
+            raise ValueError("shift strength must be >= 0")
         if spike > 0:
             return ShiftedGUE(self.n, self.r, spike * self.bulk_edge / 2.0)
         return ShiftedGUE(self.n, 0, 0.0)
@@ -115,10 +116,7 @@ class ShiftedGUE:
         t_line, s_line = _lines(x, stack)
 
         # residue at -2c: e^{2cx - c^2} sum_k coef(k) H_k(x - c), k < r
-        hsmall = _raw_hermite_small(r - 1, x - c)
-        hsign = np.sign(hsmall).astype(np.int8)
-        with np.errstate(divide="ignore"):
-            hlog = np.log(np.abs(hsmall))
+        hsign, hlog = _raw_hermite_signlog(r, x - c)
         expo = 2.0 * c * x - c * c
 
         def residue_at_eps(j):
@@ -184,17 +182,6 @@ def kernel_gue(n: int, x, y):
     return pairwise(lambda xs, ys: spiked_values(model, xs, ys), x, y)
 
 
-def _raw_hermite_small(k_max: int, u: np.ndarray) -> np.ndarray:
-    """H_0..H_{k_max}(u) natively; only called for k_max < r (small)."""
-    out = np.empty((k_max + 1, u.size))
-    out[0] = 1.0
-    if k_max >= 1:
-        out[1] = 2.0 * u
-    for k in range(1, k_max):
-        out[k + 1] = 2.0 * u * out[k] - 2.0 * k * out[k - 1]
-    return out
-
-
 def incomplete_hermite(kind: str, j: int, x: float, n: int, r: int, c: float) -> SignedLogValue:
     """Gtilde_j(x) (kind='tilde') or Gamma_j(x) (kind='plain') as a SignedLogValue."""
     return family_value(ShiftedGUE(n, r, c), ("tilde", "plain"), kind, j, x)
@@ -203,8 +190,8 @@ def incomplete_hermite(kind: str, j: int, x: float, n: int, r: int, c: float) ->
 def density_shifted_gue(model: ShiftedGUE, x):
     """Eigenvalue density K_N(x, x) on a grid (vectorized)."""
     x = np.asarray(x, dtype=float)
-    out = spiked_values(model, np.atleast_1d(x))
-    return float(out[0]) if x.ndim == 0 else out
+    out = spiked_values(model, x.ravel())
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def kernel_shifted_gue(model: ShiftedGUE, x, y):

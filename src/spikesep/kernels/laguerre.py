@@ -22,11 +22,10 @@ from scipy.special import gammaln
 from ..ensembles import spiked_gram
 from ..logspace import SignedLogValue, slog_sum_columns
 from ..secular import SeparationPrediction
-from ..specialfn import laguerre_line_signlog, laguerre_weighted_signlog
+from ..specialfn import _read_only, laguerre_line_signlog, laguerre_weighted_signlog
 from .common import half_line, pairwise, sampled_rows
 from .twopole import (
     _leibniz_terms,
-    _read_only,
     bulk_sum,
     completing_family,
     family_value,
@@ -98,8 +97,8 @@ class SpikedLUE:
         (Baik-Ben Arous-Peche): past s = 2 at m s^2/(s - 1) in the fixed
         regime, past s = 1 + 1/sqrt(gamma) at n s (1 + (1/gamma)/(s - 1)) in
         the proportional one, gamma = n/m."""
-        if spike <= 0:
-            raise ValueError("inverse-covariance spike must be > 0")
+        if not 0 < spike < math.inf:  # NaN fails this too
+            raise ValueError("inverse-covariance spike must be finite and > 0")
         s = 1.0 / spike
         if self.regime == "fixed":
             if s > 2.0:

@@ -44,6 +44,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ..logspace import SignedLogValue, _shifted_sums, _shifted_terms, slog_sum_columns
+from ..specialfn import _read_only
 from .common import combine_positive_logs, materialize_columns, pair_and_sum
 
 __all__ = [
@@ -78,13 +79,6 @@ def _leibniz_terms(j):
     i, k = np.nonzero(np.add.outer(np.arange(j), np.arange(j)) < j)
     l_ = j - 1 - i - k
     return i, k, l_, -gammaln(i + 1.0) - gammaln(k + 1.0) - gammaln(l_ + 1.0)
-
-
-def _read_only(*arrays):
-    """The arrays, made read-only: a cache hands them to every caller."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 def power_sign(sign: int, k: int) -> int:
@@ -141,9 +135,7 @@ def residue_at_zero(line, q0, j, eps):
 @functools.lru_cache(maxsize=64)
 def _log_binoms(j, count):
     """log C(j+p-1, p) for p < count, read-only: the residue rows of every call share it."""
-    out = np.array([math.log(math.comb(j + p - 1, p)) for p in range(count)])
-    out.flags.writeable = False
-    return out
+    return _read_only(np.array([math.log(math.comb(j + p - 1, p)) for p in range(count)]))[0]
 
 
 _ALTERNATING = np.array([[1], [-1]], dtype=np.int8)

@@ -139,9 +139,13 @@ def _shifted_sums(scaled, m, live):
     total = _correctly_rounded_sums(scaled, live)
     nz = np.flatnonzero(total)
     out_sign[nz] = np.where(total[nz] > 0, 1, -1)
-    # math.log, not np.log, whose SIMD loops can differ in the last bit
-    out_log[nz] = np.array([math.log(v) for v in np.abs(total[nz]).tolist()]) + m[nz]
+    out_log[nz] = _logs(np.abs(total[nz])) + m[nz]
     return out_sign, out_log
+
+
+def _logs(values):
+    """math.log per entry: np.log's SIMD loops can differ from it in the last bit."""
+    return np.array([math.log(v) for v in values.tolist()])
 
 
 def _correctly_rounded_sums(x: np.ndarray, live: np.ndarray) -> np.ndarray:

@@ -9,19 +9,26 @@ the stack it will fill and hands over the per-row scalars (cached per
 size), so each row is a few in-place ufuncs.  A line takes one parameter
 sum per point, so the spiked LUE's two coefficient lines (M and M - 1) run
 as one call on its points laid twice, and its bulk comes from four entries
-of them by Christoffel-Darboux (`kernels.laguerre.SpikedLUE._bulk`).
-Each returns its rows with a `grow` method that continues the recurrence
-from its last two carriers, as the merged-pole series asks.
+of them by Christoffel-Darboux (`kernels.laguerre.SpikedLUE._bulk`).  The
+raw H_k(x - c), k < r, of the shifted GUE's residue at -2c run through it
+too, rescaled where a native loop overflows (k near 200).  Each returns
+its rows with a `grow` method that continues the recurrence from its last
+two carriers, as the merged-pole series asks.  `log_0f1` takes arrays: one
+`ive` call per block, the series where it underflows, and the Hankel
+expansion where scipy's is NaN.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 
 import numpy as np
 from scipy.special import gammaln, ive
+
+from .logspace import _logs
 
 __all__ = [
     "hermite_weighted_signlog",
@@ -40,6 +47,7 @@ _RESCALE_DOWN = math.exp(-_RESCALE_LOG)
 _NO_COLUMNS = np.empty(0, dtype=np.intp)
 _HYP0F1_TOL = 1e-17
 _HYP0F1_TERMS = 600
+_HANKEL_TOL = 1e-17
 
 
 def _signlog_store(vals, log0, b, d=None, carry=None):
@@ -122,10 +130,11 @@ def _signlog_store(vals, log0, b, d=None, carry=None):
     return signs, logs, (v_prev, v_curr, offset)
 
 
-def _readonly(a):
-    """a, made read-only: the cached coefficient vectors are shared by every call."""
-    a.flags.writeable = False
-    return a
+def _read_only(*arrays):
+    """The arrays, made read-only: a cache hands them to every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @functools.lru_cache(maxsize=64)
@@ -133,7 +142,7 @@ def _hermite_rows(n):
     """x-independent coefficients of psi_{p+1} = (s1_p x) psi_p - s2_p psi_{p-1},
     p < n - 1: s1 as a column, s2 as floats."""
     p = np.arange(n - 1)
-    return _readonly(np.sqrt(2.0 / (p + 1))[:, None]), np.sqrt(p / (p + 1.0)).tolist()
+    return *_read_only(np.sqrt(2.0 / (p + 1))[:, None]), np.sqrt(p / (p + 1.0)).tolist()
 
 
 @functools.lru_cache(maxsize=64)
@@ -143,8 +152,8 @@ def _laguerre_rows(n, a):
     p = np.arange(n - 1)
     pf = p + 1.0
     denom = pf * (pf + a)
-    shift = _readonly((2 * p + a + 1.0)[:, None])
-    return shift, _readonly(np.sqrt(denom)[:, None]), np.sqrt(p * (p + a) / denom).tolist()
+    columns = _read_only((2 * p + a + 1.0)[:, None], np.sqrt(denom)[:, None])
+    return *columns, np.sqrt(p * (p + a) / denom).tolist()
 
 
 class _SignLogRows(tuple):
@@ -186,6 +195,17 @@ def hermite_weighted_signlog(n: int, x) -> tuple[np.ndarray, np.ndarray]:
         return s2, None
 
     return _SignLogRows(n, -0.25 * _LOG_PI - 0.5 * x * x, steps, x.size)
+
+
+def _raw_hermite_signlog(n, u):
+    """Sign/log arrays of the raw H_p(u), p < n, by H_{p+1} = 2u H_p - 2p H_{p-1}
+    in a native loop's order: its bits wherever its carriers stay in range."""
+
+    def steps(p0, p1, cols, out):
+        np.multiply(2.0, u[cols], out=out)
+        return (2.0 * np.arange(p1)).tolist(), None
+
+    return _SignLogRows(n, np.zeros(u.size), steps, u.size)
 
 
 def laguerre_weighted_signlog(n: int, a: float, x) -> tuple[np.ndarray, np.ndarray]:
@@ -230,25 +250,38 @@ def laguerre_line_signlog(n: int, big_m, x) -> tuple[np.ndarray, np.ndarray]:
     return _SignLogRows(n, np.zeros(x.size), steps, x.size)
 
 
-def log_0f1(b: float, z: float) -> float:
-    """log of 0F1(b; z) for z >= 0, b > 0, safe for huge z.
+def log_0f1(b, z):
+    """log of 0F1(b; z) for z >= 0, b > 0, safe for huge z, entrywise over the
+    broadcast of b and z (a float for scalars).
 
-    Uses 0F1(b; z) = Gamma(b) z^{-(b-1)/2} I_{b-1}(2 sqrt(z)).  Where the
-    scaled Bessel value underflows (b large against z) it sums the series
-    sum_k z^k / ((b)_k k!) instead, in logs relative to its largest term.
+    Uses 0F1(b; z) = Gamma(b) z^{-(b-1)/2} I_{b-1}(2 sqrt(z)), one `ive` call
+    on the whole block.  Where the scaled Bessel value underflows (b large
+    against z) an entry sums the series sum_k z^k / ((b)_k k!) instead; where
+    `ive` is NaN at a finite argument (scipy's is from 2 sqrt(z) = 2^30) it
+    takes the large-argument expansion.  Each entry has a scalar call's bits.
     """
-    if not (math.isfinite(b) and math.isfinite(z)):
+    b, z = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(z, dtype=float))
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(z))):
         raise ValueError("0F1 needs finite b and z")  # the series would never stop
-    if b <= 0:
+    if not np.all(b > 0):
         raise ValueError("parameter must be positive")
-    if z < 0:
+    if not np.all(z >= 0):
         raise ValueError("use hyp0f1_complex for negative or complex arguments")
-    if z == 0.0:
-        return 0.0
-    s = 2.0 * math.sqrt(z)
+    out = np.zeros(z.shape)  # 0F1(b; 0) = 1
+    s = 2.0 * np.sqrt(z)
     bessel = ive(b - 1.0, s)
-    if bessel >= sys.float_info.min:  # not underflowed, not even to a subnormal
-        return gammaln(b) - 0.5 * (b - 1.0) * math.log(z) + s + math.log(bessel)
+    large = (z > 0) & np.isnan(bessel)  # the expansion's log is added below
+    closed = large | (z > 0) & (bessel >= sys.float_info.min)  # no underflow, not even subnormal
+    bc, log_bessel = b[closed], _logs(np.where(large, 1.0, bessel)[closed])
+    out[closed] = gammaln(bc) - 0.5 * (bc - 1.0) * _logs(z[closed]) + s[closed] + log_bessel
+    out[large] += _hankel_log_ive(b[large] - 1.0, s[large])
+    series = (z > 0) & ~closed
+    out[series] = [_log_0f1_series(*bz) for bz in zip(b[series].tolist(), z[series].tolist())]
+    return float(out) if out.ndim == 0 else out
+
+
+def _log_0f1_series(b, z):
+    """log 0F1(b; z) = log sum_k z^k / ((b)_k k!), summed relative to its largest term."""
     terms = [0.0]  # log z^k / ((b)_k k!)
     while True:
         k = len(terms)
@@ -258,6 +291,21 @@ def log_0f1(b: float, z: float) -> float:
         terms.append(terms[-1] + math.log(ratio))
     top = terms.pop(terms.index(max(terms)))
     return top + math.log1p(math.fsum(math.exp(t - top) for t in terms))
+
+
+def _hankel_log_ive(nu, s):
+    """log ive(nu, s) for large s by I_nu(s) e^{-s} ~ (2 pi s)^{-1/2} sum_k
+    (-1)^k a_k(nu) s^{-k} (DLMF 10.40.1), summed until every term is below
+    _HANKEL_TOL of its sum; ArithmeticError if the terms stop falling first."""
+    mu = 4.0 * nu * nu
+    term, total = np.ones(s.size), np.ones(s.size)
+    for k in itertools.count(1):
+        step = term * (((2 * k - 1) ** 2 - mu) / (8.0 * k * s))
+        if np.any((step != 0.0) & ~(np.abs(step) < np.abs(term))):
+            raise ArithmeticError("the large-argument Bessel expansion does not converge here")
+        term, total = step, total + step
+        if np.all(np.abs(term) <= _HANKEL_TOL * total):
+            return _logs(total) - 0.5 * _logs(2.0 * math.pi * s)
 
 
 def hyp0f1_complex(b: float, z: complex) -> complex:

@@ -454,5 +454,8 @@ def test_grid_spec_validation():
         GridSpec(1.0, 0.0, 10)
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 1)
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            GridSpec(lo, hi, 5)
     with pytest.raises(ValueError):
         ExperimentConfig(kind="bogus", model=ShiftedGUE(4, 1, 1.0), grid=GridSpec(0, 1, 5))

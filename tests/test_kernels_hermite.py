@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from raw_polynomials import hermite_raw
+from spikesep.harness.experiments import exact_density_curve
 from spikesep.kernels import hermite as hermite_module
 from spikesep.kernels import (
     ShiftedGUE,
@@ -247,6 +248,9 @@ def test_kernel_and_spike_term_are_pointwise_over_arrays(model):
         got = fn(model, x, y)
         assert got.shape == (41,)
         assert np.array_equal(got, [fn(model, a, b) for a, b in zip(x, y)])
+    got = density_shifted_gue(model, x.reshape(1, 41))
+    assert got.shape == (1, 41)
+    assert np.array_equal(got[0], [density_shifted_gue(model, a) for a in x])
 
 
 def test_kernel_matrix_is_a_broadcast_call():
@@ -286,3 +290,12 @@ def test_density_and_kernel_run_one_recurrence(monkeypatch, model):
     calls.clear()
     kernel_shifted_gue(model, x, x[::-1])
     assert calls == [46]
+
+
+def test_rank_200_shift_evaluates_to_its_plain_family_noise():
+    # the residue at -2c ran H_k(x - c) natively, which overflowed to NaN near
+    # k = 200, and the log-sum raised on it; the rows are rescaled now, and
+    # the curve meets the plain family's noise at this rank (ROADMAP item 2),
+    # which its negativity check reports
+    with pytest.raises(ArithmeticError, match="went negative"):
+        exact_density_curve(ShiftedGUE(500, 200, 40.0), np.linspace(-60.0, 60.0, 5))

@@ -261,8 +261,11 @@ def test_predictor_gaussian():
     assert pred.location == pytest.approx(39.5285, abs=1e-4)
     below = gue.predictor(0.5)
     assert not below.above_threshold and below.location is None
+    for spike in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            gue.predictor(spike)
     with pytest.raises(ValueError):
-        gue.predictor(-0.5)
+        gue.respike(math.nan)
 
 
 def test_predictor_wishart():
@@ -275,7 +278,7 @@ def test_predictor_wishart():
     assert eps.location == pytest.approx(4 * 500, rel=1e-8)
     at = lue.predictor(1.0 / 2.0)
     assert not at.above_threshold
-    for spike in (0.0, -1.0):
+    for spike in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             lue.predictor(spike)
 
@@ -297,5 +300,8 @@ def test_predictor_chiral():
     pred = chiral.predictor(2.0)
     assert pred.location == pytest.approx(55.90169943749474, rel=1e-12)
     assert not chiral.predictor(1.0).above_threshold
+    for spike in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            chiral.predictor(spike)
     with pytest.raises(ValueError):
-        chiral.predictor(-0.5)
+        chiral.respike(math.nan)

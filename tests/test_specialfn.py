@@ -1,23 +1,29 @@
+import ast
 import math
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import eval_genlaguerre, gammaln, ive
 
+from bounded import run_bounded
 from raw_polynomials import hermite_raw, laguerre_raw
 from reference_recurrence import ReferenceRecurrences
-from spikesep import specialfn
+from spikesep import jointpdf, specialfn
 from spikesep.harness.config import GridSpec
-from spikesep.kernels import SpikedLUE
+from spikesep.kernels import ShiftedChiral, SpikedLUE, chiral
 from spikesep.specialfn import (
     hermite_weighted_signlog,
     laguerre_line_signlog,
     laguerre_weighted_signlog,
     log_0f1,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def mp_hermite_weighted(n, x, dps=40):
@@ -275,3 +281,101 @@ def test_log_0f1_where_the_bessel_value_underflows():
             with mpmath.workdps(50):
                 ref = float(mpmath.log(mpmath.hyp0f1(b, z)))
             assert abs(log_0f1(b, z) - ref) < 1e-12, (b, z)
+
+
+def _chiral_density_cases():
+    """(model, points) of the chiral density grids of the figures and the
+    benchmark, and a test's rank-170 model, whose 0F1 entries underflow ive."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    j = 2.0 * math.sqrt(500.0)
+    fig6 = ShiftedChiral(500, 2.0, 1, 0.0)
+    cases = [(ShiftedChiral(15, 4.0, 5, 15.0), np.linspace(1e-3, 22.0, 727)),  # fig5, mc-small
+             (fig6.respike(1.0), GridSpec(0.05, 1.1 * j, 501).points())]  # fig6 inset
+    cases += [(fig6.respike(s), GridSpec(0.85 * j, 1.45 * j, 401).points()) for s in (1.0, 1.2, 2.0)]
+    cases += [(base.respike(s), grid.points())
+              for fam, base, grid, spikes in workloads.EXACT_SCANS if fam == "chiral" for s in spikes]
+    cases += [(model, grid.points()) for tag, model, grid in workloads.EXACT_MERGED
+              if tag.startswith("chiral")]
+    cases += [(model, grid.points()) for tag, model, grid, _ in workloads.MC_LARGE
+              if tag.startswith("chiral")]
+    return cases + [(ShiftedChiral(200, 1.0, 170, 0.1), np.array([1.0, 5.0, 15.0]))]
+
+
+def test_log_0f1_blocks_match_scalar_calls(monkeypatch):
+    # every block the chiral residue and f01_unitary form, entry by entry
+    blocks = []
+
+    def recorded(b, z):
+        out = log_0f1(b, z)
+        blocks.append((*np.broadcast_arrays(b, z), out))
+        return out
+
+    monkeypatch.setattr(chiral, "log_0f1", recorded)
+    monkeypatch.setattr(jointpdf, "log_0f1", recorded)
+    for model, x in _chiral_density_cases():
+        model.families(x * x)
+    jointpdf.f01_unitary(4.5, np.array([0.1, 0.25, 0.4]), np.array([0.15, 0.3, 0.55]))
+    b, z, got = (np.concatenate([block[i].ravel() for block in blocks]) for i in range(3))
+    assert np.array_equal(got, [log_0f1(*bz) for bz in zip(b.tolist(), z.tolist())])
+    fits = ive(b - 1.0, 2.0 * np.sqrt(z)) >= sys.float_info.min
+    assert fits.sum() > 7000 and (~fits).sum() > 50  # both the ive and the series side
+
+
+@pytest.mark.parametrize("at", [0, 3, 5])
+@pytest.mark.parametrize("arg, value, match", [
+    ("b", math.nan, "finite"), ("z", math.inf, "finite"), ("b", 0.0, "positive"),
+    ("b", -2.0, "positive"), ("z", -1e-300, "hyp0f1_complex"),
+])
+def test_log_0f1_rejects_a_bad_entry_anywhere(at, arg, value, match):
+    args = {"b": np.full((2, 3), 3.0), "z": np.full((2, 3), 4.0)}
+    args[arg].flat[at] = value
+    with pytest.raises(ValueError, match=match):
+        log_0f1(args["b"], args["z"])
+
+
+HUGE_Z = [(3.0, 1e18), (1.5, 1e20), (50.0, 1e300), (201.0, 3e17)]
+
+
+def test_log_0f1_at_huge_z_matches_mpmath():
+    # scipy's ive is NaN from 2 sqrt(z) = 2^30; 0F1 read that as underflow and
+    # summed about z series terms, so the calls run apart, time- and memory-bound
+    b, z = zip(*HUGE_Z)
+    code = f"""if True:
+        from spikesep.specialfn import log_0f1
+        print(repr([log_0f1(b, z) for b, z in {HUGE_Z!r}]))
+        print(repr(log_0f1({list(b)!r}, {list(z)!r}).tolist()))
+    """
+    done = run_bounded(code)
+    assert done.returncode == 0, done.stderr
+    scalars, block = (ast.literal_eval(line) for line in done.stdout.splitlines())
+    assert block == scalars
+    for (bk, zk), value in zip(HUGE_Z, scalars):
+        with mpmath.workdps(40):
+            ref = float(mpmath.log(mpmath.hyp0f1(bk, zk)))
+        assert abs(value - ref) <= 1e-12 * abs(ref), (bk, zk)
+
+
+def test_raw_hermite_rows_are_the_native_loop():
+    u = np.linspace(-60.0, 60.0, 701) - 0.37
+    signs, logs = specialfn._raw_hermite_signlog(31, u)
+    native = np.array([hermite_raw(p, u) for p in range(31)])
+    assert np.array_equal(signs, np.sign(native))
+    assert np.array_equal(logs, np.log(np.abs(native)))
+
+
+@pytest.mark.parametrize("n", [200, 300])
+def test_raw_hermite_rows_past_the_native_overflow(n):
+    # a native loop reads NaN here (inf - inf from k ~ 150 on at |u| = 60)
+    u = np.linspace(-60.0, 60.0, 13) + 0.25
+    signs, logs = specialfn._raw_hermite_signlog(n, u)
+    with mpmath.workdps(40):
+        for k in (n // 2, n - 2, n - 1):
+            for i, ui in enumerate(u.tolist()):
+                ref = mpmath.hermite(k, ui)
+                want = float(mpmath.log(abs(ref)))
+                assert signs[k, i] == mpmath.sign(ref)
+                assert abs(logs[k, i] - want) <= 1e-12 * abs(want), (k, ui)
