@@ -261,23 +261,25 @@ def log_0f1(b, z):
     takes the large-argument expansion.  Each entry has a scalar call's bits.
     """
     b, z = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(z, dtype=float))
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(z))):
+    shape, b, z = z.shape, b.ravel(), z.ravel()
+    if not (np.isfinite(b).all() and np.isfinite(z).all()):
         raise ValueError("0F1 needs finite b and z")  # the series would never stop
-    if not np.all(b > 0):
+    if not (b > 0).all():
         raise ValueError("parameter must be positive")
-    if not np.all(z >= 0):
+    if not (z >= 0).all():
         raise ValueError("use hyp0f1_complex for negative or complex arguments")
-    out = np.zeros(z.shape)  # 0F1(b; 0) = 1
+    out = np.zeros(z.size)  # 0F1(b; 0) = 1
     s = 2.0 * np.sqrt(z)
     bessel = ive(b - 1.0, s)
     large = (z > 0) & np.isnan(bessel)  # the expansion's log is added below
     closed = large | (z > 0) & (bessel >= sys.float_info.min)  # no underflow, not even subnormal
     bc, log_bessel = b[closed], _logs(np.where(large, 1.0, bessel)[closed])
     out[closed] = gammaln(bc) - 0.5 * (bc - 1.0) * _logs(z[closed]) + s[closed] + log_bessel
-    out[large] += _hankel_log_ive(b[large] - 1.0, s[large])
+    if large.any():
+        out[large] += _hankel_log_ive(b[large] - 1.0, s[large])
     series = (z > 0) & ~closed
     out[series] = [_log_0f1_series(*bz) for bz in zip(b[series].tolist(), z[series].tolist())]
-    return float(out) if out.ndim == 0 else out
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def _log_0f1_series(b, z):
