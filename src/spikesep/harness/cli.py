@@ -26,9 +26,13 @@ VERIFY_FAILED = 1
 def _parse_grid(text: str) -> GridSpec:
     try:
         lo, hi, count = text.split(":")
-        return GridSpec(float(lo), float(hi), int(count))
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"grid must look like min:max:count, got {text!r}") from exc
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"grid must look like min:max:count, got {text!r}") from exc
+    try:
+        return GridSpec(lo, hi, count)
+    except ValueError as exc:  # argparse prints only an ArgumentTypeError's reason
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _build_model(args) -> object:

@@ -100,8 +100,8 @@ class ShiftedChiral:
 
     def _weighted(self, x):
         """phi_p^alpha(x), p < m: the rows the bulk and the families share."""
-        if not np.all(x > 0):  # NaN fails this too
-            raise ValueError("evaluate the p/q families at x > 0")
+        if not np.all((x > 0) & (x < np.inf)):  # NaN fails this too
+            raise ValueError("evaluate the p/q families at x > 0, x finite")
         return laguerre_weighted_signlog(self.m, self.alpha, x)
 
     def _bulk(self, points, stack, npts):

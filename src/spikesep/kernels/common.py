@@ -15,7 +15,6 @@ __all__ = [
     "half_line",
     "pair_and_sum",
     "materialize_columns",
-    "combine_positive_logs",
     "sampled_rows",
     "shift_prediction",
 ]
@@ -67,25 +66,6 @@ def materialize_columns(sign, log):
     out = np.zeros(log.shape)
     live = sign != 0
     out[live] = sign[live] * np.exp(log[live])
-    return out
-
-
-def combine_positive_logs(logs):
-    """Column-wise log-sum-exp of nonnegative contributions (nterms, npts).
-
-    `logs` is overwritten when every column is live.  Pass it in F order:
-    each column is then one contiguous run, which numpy sums pairwise, as it
-    sums the F-ordered copy `logs[:, live]` that the other case forms.
-    """
-    m = np.max(logs, axis=0)
-    live = np.isfinite(m)
-    if live.all():
-        logs -= m
-        np.exp(logs, out=logs)
-        return m + np.log(np.sum(logs, axis=0))
-    out = np.full(m.shape, -np.inf)
-    if np.any(live):
-        out[live] = m[live] + np.log(np.sum(np.exp(logs[:, live] - m[live]), axis=0))
     return out
 
 

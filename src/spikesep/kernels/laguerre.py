@@ -123,8 +123,8 @@ class SpikedLUE:
         """The stack the bulk and the families share: phi_p^alpha(x), p < m, at
         rank 0; else the lines T_q^{(M)}(x) | T_q^{(M-1)}(x), M = m + alpha, as
         one line call on [x; x]."""
-        if not np.all(x > 0):  # NaN fails this too
-            raise ValueError("evaluate the LUE at x > 0")
+        if not np.all((x > 0) & (x < np.inf)):  # NaN fails this too
+            raise ValueError("evaluate the LUE at x > 0, x finite")
         if self.r == 0:
             return laguerre_weighted_signlog(self.m, self.alpha, x)
         big_m = np.repeat([self.m + self.alpha, self.m + self.alpha - 1.0], x.size)

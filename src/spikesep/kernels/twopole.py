@@ -12,7 +12,8 @@ form is one of
 or the residue at eps, which each family supplies itself.  Ttilde_j is the
 residue pair wherever it cancels little, else the merged-pole series, read
 per point from how deep the pair cancels there (`completing_family`); the
-series grows its line as far as it needs.
+series grows its line as far as it needs, and each point stops it at its own
+step, so no point's value depends on the other points of its call.
 
 A coefficient line is a pair (signs, term): signs is the (q, npts) sign stack
 of T_q, and term(qs, log_binom, log_power) takes (k,) arrays of degrees, log C
@@ -43,9 +44,9 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from ..logspace import SignedLogValue, _shifted_sums, _shifted_terms, slog_sum_columns
+from ..logspace import SignedLogValue, slog_sum_columns
 from ..specialfn import _read_only
-from .common import combine_positive_logs, materialize_columns, pair_and_sum
+from .common import materialize_columns, pair_and_sum
 
 __all__ = [
     "rising_log",
@@ -90,17 +91,13 @@ def bulk_sum(stack, n_bulk, npts):
     """(sign, log) of the projection kernel sum_{p<n_bulk} f_p(x) f_p(y) at npts pairs.
 
     `stack` is the (rows, points) sign/log stack of f_0, f_1, ... on the
-    points x (the diagonal, npts columns) or [x; y] (2 npts columns, column i
-    of x paired with column i of y); the sum reads its first n_bulk rows.
+    points x (the diagonal, npts columns, y = x) or [x; y] (2 npts columns,
+    column i of x paired with column i of y); the sum reads its first n_bulk
+    rows.
     """
-    if n_bulk == 0:
-        return np.zeros(npts, dtype=np.int8), np.full(npts, -np.inf)
     s, lg = stack
-    if lg.shape[1] == npts:
-        # f_p(x)^2: the doubled logs in one F-ordered temporary, summed in place
-        doubled = np.multiply(lg[:n_bulk], 2.0, out=np.empty((n_bulk, npts), order="F"))
-        return np.ones(npts, dtype=np.int8), combine_positive_logs(doubled)
-    return pair_and_sum(s[:n_bulk, :npts], lg[:n_bulk, :npts], s[:n_bulk, npts:], lg[:n_bulk, npts:])
+    x, y = slice(npts), slice(lg.shape[1] - npts, None)
+    return pair_and_sum(s[:n_bulk, x], lg[:n_bulk, x], s[:n_bulk, y], lg[:n_bulk, y])
 
 
 def plain_family(line, q0, r, eps):
@@ -149,21 +146,26 @@ def _power_signs(sign, ks):
 
 def merged_pole_series(line, grow, q0, j, eps, cols, ceiling):
     """Terms (sign list, log list) of the merged-pole series for Ttilde_j at
-    the columns cols of `line`, and the mask of the columns it keeps.
+    the columns cols of `line`, and the number of terms each column sums (0
+    where it is dropped).
 
     A column is dropped once its running largest term exceeds `ceiling`
     there (the residue pair's largest term, whose rounding error is then the
-    smaller).  The series runs until, past its first five terms, the last two
-    terms lie _CUTOFF_NATS below the largest term at every kept column (two,
-    because a line can vanish at every other degree, as H_q(0) does for odd
-    q).  Where it outruns its rows, `grow(cols, rows)` gives the line's rows
-    from the end of `line` up to `rows` on the columns, the series' rows
-    doubled each time.  eps == 0 gives the one term T_{q0+j-1}.
+    smaller).  Each column stops at its own step: the first, past its first
+    five terms, at which its last two terms lie _CUTOFF_NATS below its
+    largest (two, because a line can vanish at every other degree, as H_q(0)
+    does for odd q).  It sums its terms up to that step, so its value does
+    not depend on the other columns of the call; the series runs until every
+    kept column has stopped.  Where it outruns its rows, `grow(cols, rows)`
+    gives the line's rows from the end of `line` up to `rows` on the
+    columns, the series' rows doubled each time.  eps == 0 gives the one
+    term T_{q0+j-1}.
     """
     signs, term = line
     base, at = 0, cols  # the degree of the first row of `signs`, and its columns
     sgs, lgs = [], []
-    kept = np.ones(cols.size, dtype=bool)
+    counts = np.zeros(cols.size, dtype=int)
+    running = np.ones(cols.size, dtype=bool)
     best = prev = np.full(cols.size, -np.inf)
     for t in itertools.count():
         q = q0 + j - 1 + t
@@ -174,12 +176,16 @@ def merged_pole_series(line, grow, q0, j, eps, cols, ceiling):
         lgs.append(term(np.array([q - base]), np.array([math.log(math.comb(j + t - 1, t))]),
                         np.array([t * eps.log_magnitude if t else 0.0]))[0, at])
         if eps.sign == 0:
-            return sgs, lgs, kept
+            return sgs, lgs, np.ones(cols.size, dtype=int)
         cur = np.where(sgs[-1] != 0, lgs[-1], -np.inf)
         best = np.maximum(best, cur)
-        kept &= best <= ceiling  # a NaN term or ceiling drops the column too
-        if t > 4 and np.all((np.maximum(cur, prev) < best - _CUTOFF_NATS) | ~kept):
-            return sgs, lgs, kept
+        running &= best <= ceiling  # a NaN term or ceiling drops the column too
+        if t > 4:
+            done = running & (np.maximum(cur, prev) < best - _CUTOFF_NATS)
+            counts[done] = t + 1
+            running &= ~done
+        if not running.any():
+            return sgs, lgs, counts
         prev = cur
 
 
@@ -187,11 +193,11 @@ def completing_family(line, grow, q0, r, eps, residue_at_eps):
     """(r, npts) sign/log stacks of Ttilde_j, j = 1..r, from the line T_q.
 
     Each point sums the residue pair, `residue_at_eps(j)` (the family's own
-    signs and logs) stacked on the residue at 0, unless the pair cancels
-    deeper than _DEEP_NATS there: on those points the merged-pole series
-    runs, and each keeps the branch whose largest term is the smaller.
-    `grow(cols, rows)` gives the line's rows past those of `line`, up to
-    `rows`, on the columns cols.  eps == 0 takes the series' one term.
+    signs and logs) stacked on the residue at 0.  Where that sum lies more
+    than _DEEP_NATS below the pair's largest term, the merged-pole series
+    runs too, and the point keeps the branch whose largest term is the
+    smaller.  `grow(cols, rows)` gives the line's rows past those of `line`,
+    up to `rows`, on the columns cols.  eps == 0 takes the series' one term.
     """
     npts = line[0].shape[1]
     out_sign = np.zeros((r, npts), dtype=np.int8)
@@ -200,28 +206,21 @@ def completing_family(line, grow, q0, r, eps, residue_at_eps):
         if eps.sign:
             sgs, lgs = residue_at_eps(j)
             zs, zl = residue_at_zero(line, q0, j, eps)
-            scaled, top, live = _shifted_terms(np.concatenate((sgs, zs)), np.concatenate((lgs, zl)))
-            del sgs, lgs, zs, zl  # the residue block is not held through the sum
-            # the column sums over their largest terms: below e^-_DEEP_NATS (or
-            # NaN, from a NaN or +inf term), deep; a column of zeros is not
-            deep = ~(np.abs(np.sum(scaled, axis=0)) >= math.exp(-_DEEP_NATS))
-            if deep.any():
-                deep &= top > -np.inf
-            if not deep.any():
-                out_sign[j - 1], out_log[j - 1] = _shifted_sums(scaled, top, live)
-                continue
-            cols = np.flatnonzero(deep)
+            sgs, lgs = np.concatenate((sgs, zs)), np.concatenate((lgs, zl))
+            out_sign[j - 1], out_log[j - 1] = slog_sum_columns(sgs, lgs)
+            zero = sgs == 0
+            top = (np.where(zero, -np.inf, lgs) if zero.any() else lgs).max(axis=0)
+            del sgs, lgs, zs, zl, zero  # the residue block is not held through the series
+            cols = np.flatnonzero(out_log[j - 1] < top - _DEEP_NATS)  # a sum of 0 is deep
         else:
             cols, top = np.arange(npts), np.full(npts, np.inf)
-        ssg, slg, kept = merged_pole_series(line, grow, q0, j, eps, cols, top[cols])
-        series = cols[kept]
-        out_sign[j - 1, series], out_log[j - 1, series] = slog_sum_columns(
-            np.array(ssg)[:, kept], np.array(slg)[:, kept])
-        residue = np.ones(npts, dtype=bool)
-        residue[series] = False
-        if residue.any():
-            out_sign[j - 1, residue], out_log[j - 1, residue] = _shifted_sums(
-                scaled[:, residue], top[residue], live[residue])
+        if cols.size:
+            ssg, slg, counts = merged_pole_series(line, grow, q0, j, eps, cols, top[cols])
+            ssg, slg = np.array(ssg), np.array(slg)
+            for count in np.unique(counts[counts > 0]).tolist():
+                at = counts == count
+                out_sign[j - 1, cols[at]], out_log[j - 1, cols[at]] = slog_sum_columns(
+                    ssg[:count, at], slg[:count, at])
     return out_sign, out_log
 
 

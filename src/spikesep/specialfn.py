@@ -20,6 +20,7 @@ expansion where scipy's is NaN.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -315,7 +316,12 @@ def hyp0f1_complex(b: float, z: complex) -> complex:
 
     Oracle-grade helper: raises if the alternating-series cancellation would
     eat more than ~6 digits, instead of returning a silently inaccurate value.
+    A non-finite b or z and b in {0, -1, -2, ...} raise ValueError.
     """
+    if not (math.isfinite(b) and cmath.isfinite(z)):
+        raise ValueError("hyp0f1_complex needs finite b and z")
+    if b <= 0 and b == math.floor(b):
+        raise ValueError("0F1(b; z) is undefined at b = 0, -1, -2, ...")
     if abs(z) > 2000:
         raise ValueError("series evaluation restricted to |z| <= 2000")
     term = complex(1.0)

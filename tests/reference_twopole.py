@@ -3,9 +3,9 @@
 `kernels.twopole` forms all the terms of a family row in one `term` call and
 sums the row with `slog_sum_columns`.  This version calls `term` once per
 term, with one-element index arrays, collects the rows in lists and sums
-them with the per-column `math.fsum` reference, as the assembly did term by
-term.  Every element goes through the same additions, so the two must agree
-bit for bit.
+them one column at a time with the per-column reference, as the assembly did
+term by term; a series column sums its own terms up to its own stop.  Every
+element goes through the same additions, so the two must agree bit for bit.
 """
 
 import math
@@ -49,30 +49,27 @@ def reference_residue_at_zero(line, q0, j, eps):
 
 def reference_completing_family(line, grow, q0, r, eps, residue_at_eps):
     """Drop-in for `twopole.completing_family`: the same per-column choice,
-    read from the stacked residue terms, and per-column sums."""
+    read from the residue pair's sum against its largest term, and
+    per-column sums."""
     npts = line[0].shape[1]
     out_sign = np.zeros((r, npts), dtype=np.int8)
     out_log = np.full(out_sign.shape, -np.inf)
     for j in range(1, r + 1):
+        series = {}
         if eps.sign:
             sgs, lgs = residue_at_eps(j)
             zs, zl = reference_residue_at_zero(line, q0, j, eps)
             sgs, lgs = np.array([*sgs, *zs]), np.array([*lgs, *zl])
             top = np.max(np.where(sgs != 0, lgs, -np.inf), axis=0)
-            with np.errstate(invalid="ignore"):  # columns of zeros
-                total = np.sum(sgs * np.exp(lgs - top), axis=0)
-            cols = np.flatnonzero(~(np.abs(total) >= math.exp(-_DEEP_NATS)) & (top > -np.inf))
+            out_sign[j - 1], out_log[j - 1] = reference_slog_sum_columns(sgs, lgs)
+            cols = np.flatnonzero(out_log[j - 1] < top - _DEEP_NATS)
         else:
             cols, top = np.arange(npts), np.full(npts, np.inf)
-        series = {}
         if cols.size:
-            series_sgs, series_lgs, kept = merged_pole_series(line, grow, q0, j, eps, cols, top[cols])
-            series = dict(zip(cols[kept].tolist(), np.flatnonzero(kept).tolist()))
-        for col in range(npts):
-            if col in series:
-                at = series[col]
-                column = ([[s[at]] for s in series_sgs], [[g[at]] for g in series_lgs])
-            else:
-                column = (sgs[:, col : col + 1], lgs[:, col : col + 1])
+            series_sgs, series_lgs, counts = merged_pole_series(line, grow, q0, j, eps, cols,
+                                                                top[cols])
+            series = {col: (at, count) for at, (col, count) in enumerate(zip(cols, counts)) if count}
+        for col, (at, count) in series.items():
+            column = ([[s[at]] for s in series_sgs[:count]], [[g[at]] for g in series_lgs[:count]])
             (out_sign[j - 1, col],), (out_log[j - 1, col],) = reference_slog_sum_columns(*column)
     return out_sign, out_log

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 from dataclasses import replace
@@ -23,6 +24,15 @@ from spikesep.kernels import ShiftedChiral, ShiftedGUE, SpikedLUE
 from spikesep.spectra import DensityCurve
 
 FIGURE_DIGESTS = Path(__file__).resolve().parent / "data" / "figure_digests.json"
+FIGURE_DIGESTS_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "figure_digests.py"
+
+
+def _figure_digests_script():
+    """scripts/figure_digests.py as a module: the figure test renders through it."""
+    spec = importlib.util.spec_from_file_location("figure_digests_script", FIGURE_DIGESTS_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _small_mc_config(trials=400, seed=11, bins=41):
@@ -400,6 +410,18 @@ def test_cli_density_and_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("grid, reason", [
+    ("0:inf:5", "grid bounds must be finite"),
+    ("0:1", "grid must look like min:max:count"),
+    ("1:0:5", "grid lower bound must be below upper bound"),
+])
+def test_cli_grid_errors_keep_their_reason(tmp_path, capsys, grid, reason):
+    code = main(["density", "--model", "shifted-gue", "--n", "4", "--grid", grid,
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_cli_mc_and_scan(tmp_path, capsys):
     out = tmp_path / "mc.csv"
     code = main([
@@ -427,12 +449,8 @@ def test_cli_figure_smoke(tmp_path, capsys):
 
 
 def test_all_figure_presets_emit_csv_and_svg(tmp_path):
-    from spikesep.harness.figures import run_figure
-
     # fig1 with a reduced trial count; the rest at their full settings
-    results = {"fig1": run_figure("fig1", tmp_path, trials=3000)}
-    for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7"):
-        results[name] = run_figure(name, tmp_path)
+    results = _figure_digests_script().render(tmp_path)
     for name, res in results.items():
         suffixes = {p.suffix for p in res["files"]}
         assert ".csv" in suffixes and ".svg" in suffixes, name
@@ -447,6 +465,21 @@ def test_all_figure_presets_emit_csv_and_svg(tmp_path):
     for name in emitted:
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == recorded["sha256"][name], f"{name} differs from its recorded digest ({versions})"
+
+
+def test_figure_digests_script_curve_deltas(tmp_path):
+    grid = np.linspace(0.0, 1.0, 4)
+    old = [DensityCurve(grid, np.array([0.0, 2.0, 4.0, 1.0]), {"model": "a"}),
+           DensityCurve(grid, np.array([1.0, 1.0, 1.0, 1.0]), {"model": "b"})]
+    new = [DensityCurve(grid, np.array([0.0, 2.0, 4.0 - 1e-3, 1.0]), {"model": "a"}), old[1]]
+    emit_csv(old, None, tmp_path / "old.csv")
+    emit_csv(new, None, tmp_path / "new.csv")
+    script = _figure_digests_script()
+    names = list(script.read_curves(tmp_path / "old.csv"))
+    assert len(names) == 2
+    deltas = script.curve_deltas(tmp_path / "old.csv", tmp_path / "new.csv")
+    assert deltas == {names[0]: pytest.approx(1e-3 / 4.0), names[1]: 0.0}
+    assert script.curve_deltas(tmp_path / "old.csv", tmp_path / "old.csv") == dict.fromkeys(names, 0.0)
 
 
 def test_grid_spec_validation():

@@ -21,6 +21,10 @@ def test_zero_invariant():
         SignedLogValue(0, 1.0)
     with pytest.raises(ValueError):
         SignedLogValue(1, -math.inf)
+    with pytest.raises(ValueError, match="NaN"):
+        SignedLogValue(1, math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        SignedLogValue.from_log(-1, math.nan)
 
 
 @given(signed_floats)
@@ -56,18 +60,18 @@ def test_slog_sum_columns_matches_scalar():
 
 
 # ---------------------------------------------------------------------------
-# slog_sum_columns against the per-column math.fsum reference, bit for bit
+# slog_sum_columns against the one-column-at-a-time reference, bit for bit
 
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from([1, 2, 3, 17, 600]),
-    st.sampled_from([1, 5, 15, 16, 40]),  # both sides of the 16-column cut-off
+    st.sampled_from([1, 5, 15, 16, 40]),  # both sides of the old 16-column cut-off
     st.floats(min_value=0.0, max_value=800.0),
     st.floats(min_value=0.0, max_value=0.5),
     st.booleans(),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_slog_sum_columns_matches_fsum_reference(nterms, npts, spread, zeros, cancel, seed):
+def test_slog_sum_columns_matches_per_column_reference(nterms, npts, spread, zeros, cancel, seed):
     rng = np.random.default_rng(seed)
     logs = rng.uniform(0.0, spread, size=(nterms, npts))
     signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(nterms, npts))
@@ -101,7 +105,7 @@ ADVERSARIAL = {
     "cancel": [1.0, -1.0, 0.75, -0.75],
     "cancel pair": [1.0, -1.0],
     # 1 + 2^-53 is an exact tie: round half to even gives 1 (every "tie" column
-    # sums to a rounding midpoint, which no certificate can settle)
+    # sums to a rounding midpoint)
     "tie": [1.0, 0.5 + U, -0.5],
     "above tie": [1.0, 0.5 + U, -0.5, 2.0**-110],
     "below tie": [1.0, 0.5 + U, -0.5, -(2.0**-110)],
@@ -139,34 +143,22 @@ def _adversarial_stack(width):
 
 
 @pytest.mark.parametrize("width", [12, 3 * len(ADVERSARIAL)])  # 15 and 48 columns
-def test_slog_sum_columns_adversarial_columns(width, monkeypatch):
+def test_slog_sum_columns_adversarial_columns(width):
     signs, logs = _adversarial_stack(width)
-    fallbacks = []
-    real_fsum = math.fsum
-
-    def counting_fsum(values):
-        fallbacks.append(values)
-        return real_fsum(values)
-
-    monkeypatch.setattr(math, "fsum", counting_fsum)
     sign, log = slog_sum_columns(signs, logs)
-    monkeypatch.undo()
     want = reference_slog_sum_columns(signs, logs)
     assert np.array_equal(sign, want[0]) and np.array_equal(log, want[1])
     assert np.all(sign[-3:] == 0) and np.all(log[-3:] == -np.inf)
     names = list(ADVERSARIAL)
     for k in range(width):
         name = names[k % len(names)]
-        total = math.fsum(ADVERSARIAL[name])
-        assert sign[k] == np.sign(total), name
-    live = signs.shape[1] - 3
-    if signs.shape[1] >= 16:
-        # the exact ties reach math.fsum; the columns 2^-70 or more from a
-        # midpoint, and the totals just below 2 that round, are certified
-        ties = sum(names[k % len(names)].startswith("tie") for k in range(width))
-        assert ties <= len(fallbacks) < live
-    else:
-        assert len(fallbacks) == live  # the narrow loop sums each live column
+        terms = ADVERSARIAL[name]
+        exact = math.fsum(terms)
+        # the worst-case error of any summation order of the terms
+        bound = (len(terms) - 1) * U * math.fsum(map(abs, terms))
+        assert abs(float(sign[k]) * math.exp(log[k]) - exact) <= bound, name
+        if abs(exact) > bound:
+            assert sign[k] == np.sign(exact), name
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -337,6 +337,18 @@ def test_log_0f1_rejects_a_bad_entry_anywhere(at, arg, value, match):
         log_0f1(args["b"], args["z"])
 
 
+@pytest.mark.parametrize("b, z", [
+    (1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (1.0, complex(0.0, math.inf)),
+    (0.0, 1.0), (-1.0, 1.0), (-2.0, 0.5j),
+])
+def test_hyp0f1_complex_rejects_bad_arguments(b, z):
+    # NaN came back as nan+nanj and b = 0 raised ZeroDivisionError
+    with pytest.raises(ValueError):
+        specialfn.hyp0f1_complex(b, z)
+    # a negative b off the integers is fine
+    assert specialfn.hyp0f1_complex(-1.5, 0.5j) == pytest.approx(complex(mpmath.hyp0f1(-1.5, 0.5j)), rel=1e-12)
+
+
 HUGE_Z = [(3.0, 1e18), (1.5, 1e20), (50.0, 1e300), (201.0, 3e17)]
 
 

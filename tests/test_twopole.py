@@ -28,6 +28,10 @@ from spikesep.kernels import (
     hermite,
     incomplete_hermite,
     incomplete_laguerre,
+    kernel_laguerre,
+    kernel_shifted_chiral,
+    kernel_shifted_gue,
+    kernel_spiked_lue,
     laguerre,
     twopole,
 )
@@ -124,7 +128,7 @@ def _branch_columns(model, x, monkeypatch):
 
     def recorded(line, grow, q0, j, eps, cols, ceiling):
         out = series(line, grow, q0, j, eps, cols, ceiling)
-        rows[len(rows) - model.r + j - 1][1] = set(cols[out[2]].tolist())
+        rows[len(rows) - model.r + j - 1][1] = set(cols[out[2] > 0].tolist())
         return out
 
     with monkeypatch.context() as patch:
@@ -166,6 +170,23 @@ def test_exact_n500_models_match_per_term_assembly(case, monkeypatch):
     _assert_matches_reference(model, points[:: max(1, points.size // 40)], monkeypatch)
 
 
+@pytest.mark.parametrize("case", [case for case in _perfbench_models() if case[0].startswith("curve")],
+                         ids=lambda case: case[0])
+def test_merged_curve_points_alone_match_the_whole_grid(case):
+    # the series grows its line on these curves; each point's column sums
+    # its own terms up to its own stop, whatever else shares the call
+    _, model, points = case
+    whole = _assembled(model, points)
+    for at in range(0, points.size, 25):
+        for alone, full in zip(_assembled(model, points[at : at + 1]), whole):
+            assert np.array_equal(alone, full[..., at : at + 1]), at
+    # and in calls of ten points: with one stop for every column of a call, a
+    # chiral-curve point that stops a step before the grid's last gets other bits
+    chunks = [_assembled(model, points[at : at + 10]) for at in range(0, points.size, 10)]
+    for parts, full in zip(zip(*chunks), whole):
+        assert np.array_equal(np.concatenate(parts, axis=-1), full)
+
+
 FAMILY_VALUES = [
     lambda kind, j: incomplete_hermite(kind, j, 0.4, 8, 2, 1.5),
     lambda kind, j: incomplete_laguerre(kind, j, 0.4, 8, 1.0, 2, 0.5),
@@ -194,6 +215,27 @@ HALF_LINE_DENSITIES = [
 def test_half_line_densities_reject_nan_and_negative_points(density, x):
     with pytest.raises(ValueError, match="x >= 0"):
         density(x)
+
+
+NON_FINITE_POINT_CALLS = {
+    "gue density": lambda r, v: ShiftedGUE(5, r, 1.0).density(np.array([v])),
+    "gue kernel": lambda r, v: kernel_shifted_gue(ShiftedGUE(5, r, 1.0), v, 0.5),
+    "lue density": lambda r, v: SpikedLUE(5, 1.0, r, 1.0).density(np.array([v])),
+    "lue kernel": lambda r, v: kernel_spiked_lue(SpikedLUE(5, 1.0, r, 0.5), v, 1.0),
+    "laguerre kernel": lambda r, v: kernel_laguerre(5, 1.0 + r, 1.0, v),
+    "chiral density": lambda r, v: ShiftedChiral(5, 1.0, r, float(r)).density(np.array([v])),
+    "chiral kernel": lambda r, v: kernel_shifted_chiral(ShiftedChiral(5, 1.0, r, 1.0), 1.0, v),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("call", list(NON_FINITE_POINT_CALLS))
+def test_models_reject_non_finite_points(call, r, value):
+    # +inf read as nan (2x K = inf 0), 0 or the log-sum's ArithmeticError in
+    # the half-line models; NaN stops at each function's own domain check
+    with pytest.raises(ValueError, match="finite" if value == math.inf else None):
+        NON_FINITE_POINT_CALLS[call](r, value)
 
 
 # (model at shift s, the old seam's s, points): 2c = 0.25, |btilde - 1| = 0.02
