@@ -232,8 +232,7 @@ NON_FINITE_POINT_CALLS = {
 @pytest.mark.parametrize("r", [0, 1])
 @pytest.mark.parametrize("call", list(NON_FINITE_POINT_CALLS))
 def test_models_reject_non_finite_points(call, r, value):
-    # +inf read as nan (2x K = inf 0), 0 or the log-sum's ArithmeticError in
-    # the half-line models; NaN stops at each function's own domain check
+    # NaN stops at each function's own domain check, whose message differs
     with pytest.raises(ValueError, match="finite" if value == math.inf else None):
         NON_FINITE_POINT_CALLS[call](r, value)
 
