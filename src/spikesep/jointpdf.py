@@ -233,11 +233,16 @@ def joint_pdf(model: ShiftedGUE | SpikedLUE | ShiftedChiral,
     ShiftedChiral: prod lam^{2a+1} e^{-lam^2} Delta(lam^2)^2 0F1(n; lam^2; lam0^2),
                    n = m + alpha
     The source eigenvalues lam0 come from `config`; the model supplies the
-    family and alpha.
+    family, alpha and the number of eigenvalues (n, or m), which the
+    configuration must have.
     """
     lam = config.lam
     if lam.size > 6:
         raise ValueError("oracle-scale evaluation only (N <= 6)")
+    if not isinstance(model, (ShiftedGUE, SpikedLUE, ShiftedChiral)):
+        raise TypeError(f"unknown spike model {model!r}")
+    if lam.size != model.mass:
+        raise ValueError(f"the model has {model.mass:g} eigenvalues, the configuration {lam.size}")
     if isinstance(model, ShiftedGUE):
         _, lv = _log_vandermonde(lam)
         f = f00_unitary(2.0 * config.lam0, lam)
@@ -250,15 +255,13 @@ def joint_pdf(model: ShiftedGUE | SpikedLUE | ShiftedChiral,
         f = f00_unitary(lam, -np.asarray(config.lam0, dtype=float))
         log = model.alpha * float(np.sum(np.log(lam))) + 2.0 * lv
         return f.scaled(log)
-    if isinstance(model, ShiftedChiral):
-        if np.any(lam <= 0):
-            raise ValueError("chiral positive eigenvalues must be positive")
-        alpha = model.alpha
-        _, lv2 = _log_vandermonde(lam**2)
-        f = f01_unitary(float(model.m + alpha), lam**2, np.asarray(config.lam0, dtype=float) ** 2)
-        log = (2.0 * alpha + 1.0) * float(np.sum(np.log(lam))) - float(np.sum(lam**2)) + 2.0 * lv2
-        return f.scaled(log)
-    raise TypeError(f"unknown spike model {model!r}")
+    if np.any(lam <= 0):
+        raise ValueError("chiral positive eigenvalues must be positive")
+    alpha = model.alpha
+    _, lv2 = _log_vandermonde(lam**2)
+    f = f01_unitary(float(model.m + alpha), lam**2, np.asarray(config.lam0, dtype=float) ** 2)
+    log = (2.0 * alpha + 1.0) * float(np.sum(np.log(lam))) - float(np.sum(lam**2)) + 2.0 * lv2
+    return f.scaled(log)
 
 
 # ---------------------------------------------------------------------------

@@ -197,8 +197,8 @@ def kernel_shifted_chiral(model: ShiftedChiral, x, y):
     """
 
     def evaluate(xs, ys):
-        if not (np.all(xs > 0) and np.all(ys > 0)):  # NaN fails this too
-            raise ValueError("kernel arguments must be > 0")
+        if not np.all((xs > 0) & (xs < np.inf) & (ys > 0) & (ys < np.inf)):  # NaN fails this too
+            raise ValueError("kernel arguments must be finite and > 0")
         u, v = xs * xs, ys * ys
         wu = 0.5 * model.alpha * np.log(u) - 0.5 * u
         wv = -0.5 * model.alpha * np.log(v) + 0.5 * v

@@ -311,8 +311,8 @@ def kernel_spiked_lue(model: SpikedLUE, x, y):
     a_bulk = model.alpha + model.r
 
     def evaluate(xs, ys):
-        if not (np.all(xs > 0) and np.all(ys > 0)):  # NaN fails this too
-            raise ValueError("kernel arguments must be > 0")
+        if not np.all((xs > 0) & (xs < np.inf) & (ys > 0) & (ys < np.inf)):  # NaN fails this too
+            raise ValueError("kernel arguments must be finite and > 0")
         wx = 0.5 * a_bulk * np.log(xs) - 0.5 * xs
         wy = -0.5 * a_bulk * np.log(ys) + 0.5 * ys
         return spiked_values(model, xs, ys, wx, wy)

@@ -21,9 +21,9 @@ and log |eps|^power and returns the (k, npts) block of log(C |eps|^power |T_q|).
 The family forms that log, and with it each element's order of floating-point
 additions (per-degree scalars enter as a column), so a term has the same bits
 however many rows one call forms: a plain-family or residue row forms all its
-terms in one call, the merged-pole series, which stops on convergence, one
-term per call.  eps is a SignedLogValue, so a family hands over log|eps| as
-it forms it (2 log c for the chiral family).
+terms in one call, the merged-pole series a block of line rows.  eps is a
+SignedLogValue, so a family hands over log|eps| as it forms it (2 log c for
+the chiral family); at eps = 0 each row of either family is one line row.
 
 `spiked_values` is the one evaluation path of the three models.  On the
 points x (the diagonal) or [x; y] it asks the model for `_weighted(points)`,
@@ -38,7 +38,6 @@ of a family at one point.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -102,22 +101,34 @@ def bulk_sum(stack, n_bulk, npts):
 
 def plain_family(line, q0, r, eps):
     """(r, npts) sign/log stacks of S_j, j = 1..r."""
+    if not eps.sign:
+        return _line_rows(line, q0, r)
     signs, term = line
     out_sign = np.zeros((r, signs.shape[1]), dtype=np.int8)
     out_log = np.full(out_sign.shape, -np.inf)
-    # row j's terms l < j (only l = j-1 when eps = 0), laid out row after row
-    pairs = [(j - 1, l_) for j in range(1, r + 1) for l_ in (range(j) if eps.sign else (j - 1,))]
+    # row j's terms l < j, laid out row after row
+    pairs = [(j - 1, l_) for j in range(1, r + 1) for l_ in range(j)]
     qs = np.array([q0 + l_ for _, l_ in pairs], dtype=int)
     powers = np.array([i - l_ for i, l_ in pairs], dtype=int)
     log_binom = np.array([math.log(math.comb(i, l_)) for i, l_ in pairs])
-    log_power = powers * eps.log_magnitude if eps.sign else np.zeros(r)
+    log_power = powers * eps.log_magnitude
     sign_col = _power_signs(-eps.sign, powers)
     for j in range(1, r + 1):
-        row = slice(j * (j - 1) // 2, j * (j + 1) // 2) if eps.sign else slice(j - 1, j)
+        row = slice(j * (j - 1) // 2, j * (j + 1) // 2)
         out_sign[j - 1], out_log[j - 1] = slog_sum_columns(
             signs[qs[row]] * sign_col[row], term(qs[row], log_binom[row], log_power[row])
         )
     return out_sign, out_log
+
+
+def _line_rows(line, q0, r):
+    """Either family at eps == 0: (r, npts) sign/log stacks whose row j is the
+    line's row q0+j-1, read as a one-term sum (a zero as (0, -inf))."""
+    signs, term = line
+    qs = np.arange(q0, q0 + r)
+    sign, log = slog_sum_columns(signs[qs].reshape(1, -1),
+                                 term(qs, np.zeros(r), np.zeros(r)).reshape(1, -1))
+    return sign.reshape(r, -1), log.reshape(r, -1)
 
 
 def residue_at_zero(line, q0, j, eps):
@@ -139,54 +150,44 @@ _ALTERNATING = np.array([[1], [-1]], dtype=np.int8)
 
 
 def _power_signs(sign, ks):
-    """sign**k over the integer array ks as an int8 column, sign in {-1, 0, +1}
-    (0**k taken as 1, as `power_sign` takes it)."""
+    """sign**k over the integer array ks as an int8 column, sign in {-1, +1}."""
     return _ALTERNATING[ks & (sign < 0)]
 
 
 def merged_pole_series(line, grow, q0, j, eps, cols, ceiling):
-    """Terms (sign list, log list) of the merged-pole series for Ttilde_j at
-    the columns cols of `line`, and the number of terms each column sums (0
-    where it is dropped).
+    """Terms (signs, logs), (terms, cols), of the merged-pole series for
+    Ttilde_j (eps != 0) at the columns cols of `line`, and the number of
+    terms each column sums (0 where it is dropped).
 
-    A column is dropped once its running largest term exceeds `ceiling`
-    there (the residue pair's largest term, whose rounding error is then the
-    smaller).  Each column stops at its own step: the first, past its first
-    five terms, at which its last two terms lie _CUTOFF_NATS below its
-    largest (two, because a line can vanish at every other degree, as H_q(0)
-    does for odd q).  It sums its terms up to that step, so its value does
-    not depend on the other columns of the call; the series runs until every
-    kept column has stopped.  Where it outruns its rows, `grow(cols, rows)`
-    gives the line's rows from the end of `line` up to `rows` on the
-    columns, the series' rows doubled each time.  eps == 0 gives the one
-    term T_{q0+j-1}.
+    The terms come one block of line rows per `term` call: first the rows
+    `line` holds, then, while a column runs on, the rows `grow(cols, rows)`
+    gives past the end of `line` up to `rows` on the columns, the series'
+    rows doubled each time.  A column is dropped once its running largest
+    term exceeds `ceiling` there (the residue pair's largest term, whose
+    rounding error is then the smaller).  Each column stops at its own step:
+    the first, past its first five terms, at which its last two terms lie
+    _CUTOFF_NATS below its largest (two, because a line can vanish at every
+    other degree, as H_q(0) does for odd q).  It sums its terms up to that
+    step, so its value does not depend on the other columns of the call.
     """
-    signs, term = line
-    base, at = 0, cols  # the degree of the first row of `signs`, and its columns
-    sgs, lgs = [], []
-    counts = np.zeros(cols.size, dtype=int)
-    running = np.ones(cols.size, dtype=bool)
-    best = prev = np.full(cols.size, -np.inf)
-    for t in itertools.count():
-        q = q0 + j - 1 + t
-        if q == base + signs.shape[0]:
-            base, at = line[0].shape[0], slice(None)
-            signs, term = grow(cols, q + t)
-        sgs.append(signs[q - base, at] * power_sign(eps.sign, t))
-        lgs.append(term(np.array([q - base]), np.array([math.log(math.comb(j + t - 1, t))]),
-                        np.array([t * eps.log_magnitude if t else 0.0]))[0, at])
-        if eps.sign == 0:
-            return sgs, lgs, np.ones(cols.size, dtype=int)
-        cur = np.where(sgs[-1] != 0, lgs[-1], -np.inf)
-        best = np.maximum(best, cur)
-        running &= best <= ceiling  # a NaN term or ceiling drops the column too
-        if t > 4:
-            done = running & (np.maximum(cur, prev) < best - _CUTOFF_NATS)
-            counts[done] = t + 1
-            running &= ~done
-        if not running.any():
-            return sgs, lgs, counts
-        prev = cur
+    first = q0 + j - 1  # the degree of term t is first + t
+    (signs, term), base, at = line, 0, cols  # the degree of row 0 of `signs`, and its columns
+    sgs, lgs = np.empty((0, cols.size), dtype=np.int8), np.empty((0, cols.size))
+    while True:
+        ts = np.arange(sgs.shape[0], base + signs.shape[0] - first)
+        qs = first + ts - base
+        log_binom = np.array([math.log(math.comb(j + t - 1, t)) for t in ts.tolist()])
+        sgs = np.concatenate((sgs, signs[qs][:, at] * _power_signs(eps.sign, ts)))
+        lgs = np.concatenate((lgs, term(qs, log_binom, ts * eps.log_magnitude)[:, at]))
+        cur = np.where(sgs != 0, lgs, -np.inf)
+        best = np.maximum.accumulate(cur, axis=0)
+        ended = ~(best <= ceiling)  # dropped; a NaN term or ceiling drops the column too
+        ended[5:] |= np.maximum(cur[5:], cur[4:-1]) < best[5:] - _CUTOFF_NATS  # stopped
+        if ended.any(axis=0).all():
+            end = ended.argmax(axis=0)  # a column ends dropped where its best is past the ceiling
+            return sgs, lgs, np.where(best[end, np.arange(cols.size)] <= ceiling, end + 1, 0)
+        base, at = line[0].shape[0], slice(None)
+        signs, term = grow(cols, first + 2 * sgs.shape[0])
 
 
 def completing_family(line, grow, q0, r, eps, residue_at_eps):
@@ -197,26 +198,24 @@ def completing_family(line, grow, q0, r, eps, residue_at_eps):
     than _DEEP_NATS below the pair's largest term, the merged-pole series
     runs too, and the point keeps the branch whose largest term is the
     smaller.  `grow(cols, rows)` gives the line's rows past those of `line`,
-    up to `rows`, on the columns cols.  eps == 0 takes the series' one term.
+    up to `rows`, on the columns cols.
     """
+    if not eps.sign:
+        return _line_rows(line, q0, r)
     npts = line[0].shape[1]
     out_sign = np.zeros((r, npts), dtype=np.int8)
     out_log = np.full(out_sign.shape, -np.inf)
     for j in range(1, r + 1):
-        if eps.sign:
-            sgs, lgs = residue_at_eps(j)
-            zs, zl = residue_at_zero(line, q0, j, eps)
-            sgs, lgs = np.concatenate((sgs, zs)), np.concatenate((lgs, zl))
-            out_sign[j - 1], out_log[j - 1] = slog_sum_columns(sgs, lgs)
-            zero = sgs == 0
-            top = (np.where(zero, -np.inf, lgs) if zero.any() else lgs).max(axis=0)
-            del sgs, lgs, zs, zl, zero  # the residue block is not held through the series
-            cols = np.flatnonzero(out_log[j - 1] < top - _DEEP_NATS)  # a sum of 0 is deep
-        else:
-            cols, top = np.arange(npts), np.full(npts, np.inf)
+        sgs, lgs = residue_at_eps(j)
+        zs, zl = residue_at_zero(line, q0, j, eps)
+        sgs, lgs = np.concatenate((sgs, zs)), np.concatenate((lgs, zl))
+        out_sign[j - 1], out_log[j - 1] = slog_sum_columns(sgs, lgs)
+        zero = sgs == 0
+        top = (np.where(zero, -np.inf, lgs) if zero.any() else lgs).max(axis=0)
+        del sgs, lgs, zs, zl, zero  # the residue block is not held through the series
+        cols = np.flatnonzero(out_log[j - 1] < top - _DEEP_NATS)  # a sum of 0 is deep
         if cols.size:
             ssg, slg, counts = merged_pole_series(line, grow, q0, j, eps, cols, top[cols])
-            ssg, slg = np.array(ssg), np.array(slg)
             for count in np.unique(counts[counts > 0]).tolist():
                 at = counts == count
                 out_sign[j - 1, cols[at]], out_log[j - 1, cols[at]] = slog_sum_columns(

@@ -1,19 +1,22 @@
 """The per-term two-pole assembly, as a test reference.
 
-`kernels.twopole` forms all the terms of a family row in one `term` call and
-sums the row with `slog_sum_columns`.  This version calls `term` once per
-term, with one-element index arrays, collects the rows in lists and sums
-them one column at a time with the per-column reference, as the assembly did
-term by term; a series column sums its own terms up to its own stop.  Every
-element goes through the same additions, so the two must agree bit for bit.
+`kernels.twopole` forms the terms of a family row, or of a block of
+merged-pole series rows, in one `term` call and sums the row with
+`slog_sum_columns`.  This version calls `term` once per term, with
+one-element index arrays, collects the rows in lists and sums them one
+column at a time with the per-column reference, as the assembly did term by
+term; a series column sums its own terms up to its own stop, read term by
+term.  Every element goes through the same additions, so the two must agree
+bit for bit.
 """
 
+import itertools
 import math
 
 import numpy as np
 from reference_logsum import reference_slog_sum_columns
 
-from spikesep.kernels.twopole import _DEEP_NATS, merged_pole_series, power_sign
+from spikesep.kernels.twopole import _CUTOFF_NATS, _DEEP_NATS, power_sign
 
 
 def _term(term, q, log_binom, log_power):
@@ -47,6 +50,38 @@ def reference_residue_at_zero(line, q0, j, eps):
     return sgs, lgs
 
 
+def reference_merged_pole_series(line, grow, q0, j, eps, cols, ceiling):
+    """Drop-in for `twopole.merged_pole_series`, one term per step: the terms
+    as (sign list, log list) and each column's count.  eps == 0 gives the one
+    term T_{q0+j-1}."""
+    signs, term = line
+    base, at = 0, cols  # the degree of the first row of `signs`, and its columns
+    sgs, lgs = [], []
+    counts = np.zeros(cols.size, dtype=int)
+    running = np.ones(cols.size, dtype=bool)
+    best = prev = np.full(cols.size, -np.inf)
+    for t in itertools.count():
+        q = q0 + j - 1 + t
+        if q == base + signs.shape[0]:
+            base, at = line[0].shape[0], slice(None)
+            signs, term = grow(cols, q + t)
+        sgs.append(signs[q - base, at] * power_sign(eps.sign, t))
+        lgs.append(term(np.array([q - base]), np.array([math.log(math.comb(j + t - 1, t))]),
+                        np.array([t * eps.log_magnitude if t else 0.0]))[0, at])
+        if eps.sign == 0:
+            return sgs, lgs, np.ones(cols.size, dtype=int)
+        cur = np.where(sgs[-1] != 0, lgs[-1], -np.inf)
+        best = np.maximum(best, cur)
+        running &= best <= ceiling  # a NaN term or ceiling drops the column too
+        if t > 4:
+            done = running & (np.maximum(cur, prev) < best - _CUTOFF_NATS)
+            counts[done] = t + 1
+            running &= ~done
+        if not running.any():
+            return sgs, lgs, counts
+        prev = cur
+
+
 def reference_completing_family(line, grow, q0, r, eps, residue_at_eps):
     """Drop-in for `twopole.completing_family`: the same per-column choice,
     read from the residue pair's sum against its largest term, and
@@ -66,8 +101,8 @@ def reference_completing_family(line, grow, q0, r, eps, residue_at_eps):
         else:
             cols, top = np.arange(npts), np.full(npts, np.inf)
         if cols.size:
-            series_sgs, series_lgs, counts = merged_pole_series(line, grow, q0, j, eps, cols,
-                                                                top[cols])
+            series_sgs, series_lgs, counts = reference_merged_pole_series(line, grow, q0, j, eps,
+                                                                          cols, top[cols])
             series = {col: (at, count) for at, (col, count) in enumerate(zip(cols, counts)) if count}
         for col, (at, count) in series.items():
             column = ([[s[at]] for s in series_sgs[:count]], [[g[at]] for g in series_lgs[:count]])

@@ -17,7 +17,7 @@ from spikesep.jointpdf import (
     series_f00,
     series_f01,
 )
-from spikesep.kernels import ShiftedGUE
+from spikesep.kernels import ShiftedChiral, ShiftedGUE, SpikedLUE
 from spikesep.specialfn import log_0f1
 
 
@@ -82,6 +82,16 @@ def test_joint_pdf_gaussian_n1():
     for lam in (0.5, 2.5):
         v = joint_pdf(model, EigenConfiguration([lam], [2.0]))
         assert v.log_magnitude == pytest.approx(-((lam - 2.0) ** 2), abs=1e-12)
+
+
+@pytest.mark.parametrize("model, lam, lam0", [
+    (ShiftedGUE(4, 2, 20.0), [0.1, 0.5, 20.3], [0.0, 1e-6, 20.0]),
+    (SpikedLUE(4, 1.0, 2, 0.5), [0.5, 1.0, 2.0, 3.0, 4.0], [1.0, 1.0 + 1e-6, 2.0, 2.0 + 1e-6, 3.0]),
+    (ShiftedChiral(4, 1.0, 2, 5.0), [0.6, 1.7], [5.0, 5.0 + 1e-6]),
+], ids=["gue", "lue", "chiral"])
+def test_joint_pdf_rejects_a_configuration_of_the_wrong_size(model, lam, lam0):
+    with pytest.raises(ValueError, match="eigenvalues"):
+        joint_pdf(model, EigenConfiguration(lam, lam0))
 
 
 def test_joint_pdf_normalized_against_histogram():
@@ -173,6 +183,30 @@ def test_green_tau_limits_n2():
     vals /= vals.sum()
     eq /= eq.sum()
     assert float(np.abs(vals - eq).sum()) < 1e-4
+
+
+def test_green_chiral_n2_relaxes_to_equilibrium():
+    # tau -> infinity: the squared-variable Green function tends to
+    # (l1 l2)^{2 alpha'} e^{-l1^2 - l2^2} (l2^2 - l1^2)^2, alpha' = alpha + 1/2,
+    # its distance shrinking by e^2 per unit of tau (t = e^{-2 tau})
+    xs = np.linspace(0.05, 3.5, 40)
+    alpha_prime = 1.5
+    eq = np.zeros((40, 40))
+    for i, a in enumerate(xs):
+        for j, b in enumerate(xs[i + 1:], i + 1):
+            eq[i, j] = (a * b) ** (2 * alpha_prime) * math.exp(-a * a - b * b) * (b * b - a * a) ** 2
+    eq /= eq.sum()
+    dists = []
+    for tau in (3.0, 4.0, 5.0):
+        vals = np.zeros_like(eq)
+        for i, a in enumerate(xs):
+            for j, b in enumerate(xs[i + 1:], i + 1):
+                cfg = EigenConfiguration([a, b], [0.6, 1.7], tau)
+                vals[i, j] = green_function("chiral", cfg, alpha=1.0, n_param=3).to_float()
+        dists.append(float(np.abs(vals / vals.sum() - eq).sum()))
+    assert dists[2] < 1e-4
+    for far, near in zip(dists, dists[1:]):
+        assert far / near == pytest.approx(math.e**2, rel=0.02)
 
 
 def test_factorization_second_differences():

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,12 @@ RESIDUE_MODELS = [
     SpikedLUE(12, 1.0, 3, 0.3),
     ShiftedChiral(15, 4.0, 5, 15.0),
 ]
+# eps = 0: each family row is a single line row
+ZERO_SHIFT_MODELS = [
+    ShiftedGUE(12, 3, 0.0),
+    SpikedLUE(10, 2.0, 2, 1.0),
+    ShiftedChiral(10, 1.0, 3, 0.0),
+]
 
 
 def _grid(model, count):
@@ -102,10 +109,20 @@ def _grid(model, count):
 
 
 @pytest.mark.parametrize("count", [3, 41])  # both sides of the narrow-stack cut-off
-@pytest.mark.parametrize("model", SEAM_MODELS + RESIDUE_MODELS, ids=lambda m: m.tag)
+@pytest.mark.parametrize("model", SEAM_MODELS + RESIDUE_MODELS + ZERO_SHIFT_MODELS,
+                         ids=lambda m: m.tag)
 def test_families_match_per_term_assembly(model, count, monkeypatch):
     assert model.r >= 1
     _assert_matches_reference(model, _grid(model, count), monkeypatch)
+
+
+@pytest.mark.parametrize("model", ZERO_SHIFT_MODELS, ids=lambda m: m.tag)
+def test_zero_shift_density_is_the_rank_0_density(model):
+    # a shift of 0 (btilde = 1) spikes nothing: the completion restores the
+    # r rows the bulk leaves out
+    x = _grid(model, 41)
+    got, want = model.density(x), replace(model, r=0).density(x)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
 
 
 def _branch_columns(model, x, monkeypatch):
@@ -162,6 +179,41 @@ def test_each_point_takes_the_branch_its_depth_picks(monkeypatch):
         assert all(on_series == 0 for on_series, _ in counts[model.tag])
     for tag in ("curve gue c=0.1", "curve lue btilde=0.99", "curve chiral c=0.1"):
         assert all(on_residue == 0 for _, on_residue in counts[tag])
+
+
+def test_series_forms_its_terms_a_block_per_term_call(monkeypatch):
+    # one `term` call on the rows the line holds, and one per line growth
+    tallies = []
+    series = twopole.merged_pole_series
+
+    def counted(line, grow, q0, j, eps, cols, ceiling):
+        tally = {"term": 0, "grow": 0}
+
+        def counting(line):
+            signs, term = line
+
+            def counted_term(*args):
+                tally["term"] += 1
+                return term(*args)
+
+            return signs, counted_term
+
+        def counted_grow(cols, rows):
+            tally["grow"] += 1
+            return counting(grow(cols, rows))
+
+        tallies.append(tally)
+        return series(counting(line), counted_grow, q0, j, eps, cols, ceiling)
+
+    cases = [(m, _grid(m, 41)) for m in SEAM_MODELS]
+    cases += [(m, x[::10]) for tag, m, x in _perfbench_models() if tag.startswith("curve")]
+    with monkeypatch.context() as patch:
+        patch.setattr(twopole, "merged_pole_series", counted)
+        for model, x in cases:
+            model.families(x)
+    assert sum(tally["grow"] for tally in tallies) > 0
+    for tally in tallies:
+        assert tally["term"] <= 1 + tally["grow"], tally
 
 
 @pytest.mark.parametrize("case", _perfbench_models(), ids=lambda case: case[0])
@@ -228,6 +280,7 @@ NON_FINITE_POINT_CALLS = {
 }
 
 
+@pytest.mark.filterwarnings("error")  # the points are checked before any weight is formed
 @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
 @pytest.mark.parametrize("r", [0, 1])
 @pytest.mark.parametrize("call", list(NON_FINITE_POINT_CALLS))
