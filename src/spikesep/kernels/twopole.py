@@ -173,10 +173,13 @@ def merged_pole_series(line, grow, q0, j, eps, cols, ceiling):
     first = q0 + j - 1  # the degree of term t is first + t
     (signs, term), base, at = line, 0, cols  # the degree of row 0 of `signs`, and its columns
     sgs, lgs = np.empty((0, cols.size), dtype=np.int8), np.empty((0, cols.size))
+    binom = 1  # C(j+t-1, t) at the next term t, stepped exactly from block to block
     while True:
         ts = np.arange(sgs.shape[0], base + signs.shape[0] - first)
         qs = first + ts - base
-        log_binom = np.array([math.log(math.comb(j + t - 1, t)) for t in ts.tolist()])
+        log_binom = np.empty(ts.size)
+        for i, t in enumerate(ts.tolist()):
+            log_binom[i], binom = math.log(binom), binom * (j + t) // (t + 1)
         sgs = np.concatenate((sgs, signs[qs][:, at] * _power_signs(eps.sign, ts)))
         lgs = np.concatenate((lgs, term(qs, log_binom, ts * eps.log_magnitude)[:, at]))
         cur = np.where(sgs != 0, lgs, -np.inf)

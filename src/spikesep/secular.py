@@ -2,8 +2,8 @@
 
 The rank-one solver finds all roots of 1 = mu * sum_i w_i/(lambda - a_i);
 between consecutive poles the secular function is strictly monotone, so each
-root is bracketed by interlacing, and all brackets are bisected and then
-polished by safeguarded Newton together, over arrays.  The chiral rank-two
+root is bracketed by interlacing, and all roots take dlaed4's middle-way
+rational steps together, over arrays.  The chiral rank-two
 condition is probed in every inter-pole interval in one pass, and its
 sign-change brackets are bisected together.  `SeparationPrediction` is the
 record each kernel model's `predictor(spike)` returns; the ensembles
@@ -28,7 +28,9 @@ __all__ = [
 # Entries in one block of secular-function evaluations (256 KiB of float64);
 # 2 MiB blocks ran no faster and moved perfbench pointwise peak RSS 124.7 -> 128.9 MB.
 _BLOCK = 2**15
-_TOL = 1e-13  # relative root tolerance of both solvers
+_TOL = 1e-13  # relative root tolerance of the rank-two bisection
+_U = 2.0**-53  # unit roundoff
+_MAX_STEPS = 64  # per rank-one root; bisection alone takes a bracket of |lambda| to rounding in 53
 
 
 @dataclass(frozen=True)
@@ -68,39 +70,68 @@ def _by_blocks(fn, x, width):
                            for s in range(0, x.size, rows)], axis=-1)
 
 
-def _solve_brackets(f, f_fp, width, lo, hi):
-    """Root in each bracket (lo_k, hi_k) of an increasing f: bisection to 1e-3
-    of the bracket, then safeguarded Newton to _TOL, all brackets at once.  f and
-    f_fp are `_by_blocks` functions of `width` columns giving f and (f, f')."""
-    a, b = lo.copy(), hi.copy()
-    gap = b - a
-    live = np.arange(a.size)
-    while True:
-        al, bl = a[live], b[live]
-        rounding = 1e-15 * np.maximum(np.maximum(np.abs(al), np.abs(bl)), 1.0)
-        live = live[(bl - al > 1e-3 * gap[live]) & (bl - al > rounding)]
+def _rank_one_roots(a, w, mu):
+    """The roots of 1 = mu sum_j w_j/(lambda - a_j) for distinct descending poles a,
+    positive weights w and mu > 0, descending: root k > 0 lies in (a_k, a_{k-1})
+    and root 0 in (a_0, a_0 + mu sum w], up to rounding.
+
+    A root iterates on tau = lambda - a_o, d_j = (a_j - a_o) - tau, from a_o, the
+    pole of its bracket nearer the root by one evaluation at the midpoint (a_0 for
+    root 0).  dlaed4's middle-way step (R.-C. Li, LAPACK Working Note 89) splits
+    g = 1/mu + sum_j w_j/d_j at the pair (a_p, a_{p-1}), p = max(k, 1), and models
+    each part by one pole of the pair, matching its value and slope; the model's
+    quadratic is solved for the next tau itself, which keeps a root near its origin
+    accurate.  Steps against the sign of g fall back to Newton, steps out of the
+    bracket to bisection."""
+    n = a.size
+    total = mu * float(np.sum(w))
+    if not math.isfinite(a[0] + 2.0 * total):
+        raise OverflowError("the largest root's bracket a_0 + 2 mu sum(weights) overflows")
+    if n == 1:
+        return np.array([a[0] + total])
+    origin = np.arange(n)
+    split, width = np.maximum(origin, 1), np.concatenate([[total], a[:-1] - a[1:]])
+    # root 0 may lie within rounding of its bound a_0 + mu sum w: its bracket is twice as wide
+    lo, hi, tau = state = np.stack([0.0 * width, width + width * (origin == 0), 0.5 * width])
+
+    def sums(roots, work):
+        d, t = work.reshape(2, roots.size, n)
+        np.subtract(a, a[origin[roots], None], out=d)
+        d -= tau[roots, None]
+        np.divide(w, d, out=t)
+        np.divide(t, d, out=d)
+        starts = (n * np.arange(roots.size)[:, None] + np.outer(split[roots], [0, 1])).ravel()
+        return np.concatenate([np.add.reduceat(x.ravel(), starts).reshape(-1, 2).T for x in (t, d)])
+
+    live = origin.copy()
+    for step in range(_MAX_STEPS):
         if not live.size:
-            break
-        mid = 0.5 * (a[live] + b[live])
-        below = _by_blocks(f, mid, width) < 0.0
-        a[live[below]] = mid[below]
-        b[live[~below]] = mid[~below]
-    x = 0.5 * (a + b)
-    live = np.arange(x.size)
-    for _ in range(100):
-        if not live.size:
-            break
-        xl = x[live]
-        fx, dfx = _by_blocks(f_fp, xl, width)
-        below = fx < 0.0
-        al = a[live] = np.where(below, xl, a[live])
-        bl = b[live] = np.where(below, b[live], xl)
-        ok = (dfx > 0.0) & np.isfinite(dfx)
-        step = xl - fx / np.where(ok, dfx, 1.0)
-        ok &= (al < step) & (step < bl)
-        x[live] = x_new = np.where(ok, step, 0.5 * (al + bl))
-        live = live[np.abs(x_new - xl) > _TOL * np.maximum(np.abs(x_new), 1e-300)]
-    return x
+            return a[origin] + tau
+        phi, psi, dphi, dpsi = _by_blocks(sums, live, 2 * n)
+        g = 1.0 / mu + psi + phi
+        settled = np.abs(g) <= 8.0 * _U * (np.abs(psi) + np.abs(phi) + 1.0 / mu)
+        below = g < 0.0
+        lo[live[below]], hi[live[~below]] = tau[live[below]], tau[live[~below]]
+        if step == 0:  # an interior root above its midpoint iterates from its upper pole
+            up = live[below & ~settled & (live > 0)]
+            origin[up] -= 1
+            state[:, up] -= width[up]
+        o, p, t, l, u = origin[live], split[live], tau[live], lo[live], hi[live]
+        ep, eq = a[p] - a[o], a[p - 1] - a[o]  # the pair from the origin: one of them is 0
+        dp, dq = ep - t, eq - t
+        c = g - dp * dpsi - dq * dphi
+        sp, sq = dp * (dp * dpsi), dq * (dq * dphi)
+        # C + s_p/(e_p - x) + s_q/(e_q - x) = 0 at the next tau x: C x^2 - beta x + gamma = 0
+        beta, gamma = c * (ep + eq) + sp + sq, sp * eq + sq * ep
+        sd = np.where(live == 0, 1.0, -1.0)  # root 0 lies above both poles of its pair
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            disc = sd * np.sqrt(np.abs(beta * beta - 4.0 * c * gamma))
+            new = np.where(sd * beta >= 0, (beta + disc) / (2 * c), 2 * gamma / (beta - disc))
+            new = np.where((new - t) * g < 0.0, new, t - g / (dpsi + dphi))
+        new = np.where(settled, t, np.where((l < new) & (new < u), new, 0.5 * (l + u)))
+        tau[live] = new
+        live = live[np.abs(new - t) > 2.0 * _U * np.abs(a[o] + new)]
+    raise ArithmeticError(f"{live.size} rank-one roots still moving after {_MAX_STEPS} steps")
 
 
 def secular_eigenvalues(problem: SecularProblem) -> np.ndarray:
@@ -124,21 +155,7 @@ def secular_eigenvalues(problem: SecularProblem) -> np.ndarray:
     exact = np.concatenate([diag[weights == 0.0], a[~first]])
     a, w = a[first], np.bincount(np.cumsum(first) - 1, weights=w)
 
-    def f(lam, d):
-        return 1.0 - mu * np.sum(np.divide(w, np.subtract.outer(lam, a, out=d), out=d), axis=1)
-
-    def f_fp(lam, d):
-        fx = f(lam, d)
-        d = np.square(np.subtract.outer(lam, a, out=d), out=d)
-        return np.stack([fx, mu * np.sum(np.divide(w, d, out=d), axis=1)])
-
-    roots = np.empty(0)
-    if a.size:
-        total = mu * float(np.sum(w))
-        hi = a[0] + total
-        if _by_blocks(f, np.array([hi]), a.size)[0] < 0.0:  # rounding right at the bound
-            hi = a[0] + 2.0 * total + 1e-12 * max(1.0, abs(a[0]))
-        roots = _solve_brackets(f, f_fp, a.size, a, np.concatenate([[hi], a[:-1]]))
+    roots = _rank_one_roots(a, w, mu) if a.size else np.empty(0)
     return np.sort(np.concatenate([roots, exact]))[::-1]
 
 

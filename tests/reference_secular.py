@@ -1,53 +1,71 @@
 """The scalar secular root-finders, as a test reference.
 
-`spikesep.secular` brackets and refines every root of an equation at once,
-over arrays; these versions solve one root at a time with Python loops and
-re-evaluate the secular function at one point per call.  Each root sees the
-same sequence of floating-point operations, so the two must agree bit for
-bit.
+`spikesep.secular` refines every root of an equation at once, over arrays;
+these versions solve one root at a time with Python loops and re-evaluate the
+secular function at one point per call.  Each root sees the same sequence of
+floating-point operations, the same split sums (`np.add.reduceat` over the
+row of terms) included, so the two must agree bit for bit.
 """
 
 import math
 
 import numpy as np
 
+_U = 2.0**-53
 
-def _solve_bracket(f, fprime, lo, hi, tol):
-    """Root of strictly increasing f on (lo, hi): bisection then safeguarded Newton."""
-    a, b = lo, hi
-    gap = b - a
-    while b - a > 1e-3 * gap and b - a > 1e-15 * max(abs(a), abs(b), 1.0):
-        mid = 0.5 * (a + b)
-        if f(mid) < 0.0:
-            a = mid
+
+def _rank_one_root(a, w, mu, k, width):
+    """Root k of 1 = mu sum_j w_j/(lambda - a_j) (distinct descending poles a):
+    dlaed4's middle-way step on tau = lambda - a_o, from the midpoint of the
+    bracket a_k + (0, width), with Newton and bisection as safeguards."""
+    p, o = max(k, 1), k
+    side = 1.0 if k == 0 else -1.0
+    lo, hi, tau = 0.0, 2.0 * width if k == 0 else width, 0.5 * width
+    for step in range(64):
+        d = (a - a[o]) - tau
+        t = w / d
+        phi, psi = np.add.reduceat(t, [0, p])
+        dphi, dpsi = np.add.reduceat(t / d, [0, p])
+        g = 1.0 / mu + psi + phi
+        settled = abs(g) <= 8.0 * _U * (abs(psi) + abs(phi) + 1.0 / mu)
+        if g < 0.0:
+            lo = tau
         else:
-            b = mid
-    x = 0.5 * (a + b)
-    for _ in range(100):
-        fx = f(x)
-        if fx < 0.0:
-            a = x
-        else:
-            b = x
-        dfx = fprime(x)
-        step_ok = dfx > 0.0 and math.isfinite(dfx)
-        x_new = x - fx / dfx if step_ok else 0.5 * (a + b)
-        if not (a < x_new < b):
-            x_new = 0.5 * (a + b)
-        if abs(x_new - x) <= tol * max(abs(x_new), 1e-300):
-            return x_new
-        x = x_new
-    return x
+            hi = tau
+        if step == 0 and g < 0.0 and not settled and k > 0:
+            o, tau, lo, hi = o - 1, tau - width, lo - width, hi - width
+        ep, eq = a[p] - a[o], a[p - 1] - a[o]
+        dp, dq = ep - tau, eq - tau
+        c = g - dp * dpsi - dq * dphi
+        sp, sq = dp * (dp * dpsi), dq * (dq * dphi)
+        beta, gamma = c * (ep + eq) + sp + sq, sp * eq + sq * ep
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            disc = side * np.sqrt(abs(beta * beta - 4.0 * c * gamma))
+            if side * beta >= 0:
+                new = (beta + disc) / (2 * c)
+            else:
+                new = 2 * gamma / (beta - disc)
+            if not (new - tau) * g < 0.0:
+                new = tau - g / (dpsi + dphi)
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if settled:
+            new = tau
+        moving = abs(new - tau) > 2.0 * _U * abs(a[o] + new)
+        tau = new
+        if not moving:
+            return a[o] + tau
+    raise ArithmeticError("root still moving after 64 steps")
 
 
-def reference_secular_eigenvalues(diag, weights, mu, tol=1e-13):
-    """Drop-in for `secular_eigenvalues(SecularProblem(diag, weights, mu), tol)`."""
+def reference_secular_eigenvalues(diag, weights, mu):
+    """Drop-in for `secular_eigenvalues(SecularProblem(diag, weights, mu))`."""
     diag = np.asarray(diag, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if mu == 0.0:
         return np.sort(diag)[::-1].copy()
     if mu < 0.0:
-        return -reference_secular_eigenvalues(-diag, weights, -mu, tol)[::-1]
+        return -reference_secular_eigenvalues(-diag, weights, -mu)[::-1]
 
     order = np.argsort(diag)[::-1]
     diag = diag[order]
@@ -66,21 +84,15 @@ def reference_secular_eigenvalues(diag, weights, mu, tol=1e-13):
     a = np.array(merged_a)
     w = np.array(merged_w)
 
-    def f(lam):
-        return 1.0 - mu * np.sum(w / (lam - a))
-
-    def fp(lam):
-        return mu * np.sum(w / (lam - a) ** 2)
-
     roots = []
     if a.size:
         total = mu * float(np.sum(w))
-        hi = a[0] + total
-        if f(hi) < 0.0:
-            hi = a[0] + 2.0 * total + 1e-12 * max(1.0, abs(a[0]))
-        roots.append(_solve_bracket(f, fp, a[0], hi, tol))
-        for i in range(1, a.size):
-            roots.append(_solve_bracket(f, fp, a[i], a[i - 1], tol))
+        if a.size == 1:
+            roots.append(a[0] + total)
+        else:
+            roots.append(_rank_one_root(a, w, mu, 0, total))
+            for k in range(1, a.size):
+                roots.append(_rank_one_root(a, w, mu, k, a[k - 1] - a[k]))
     return np.array(sorted(roots + exact, reverse=True))
 
 

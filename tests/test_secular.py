@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_secular import reference_chiral_rank_two, reference_secular_eigenvalues
 
+from spikesep import secular
 from spikesep.kernels import ShiftedChiral, ShiftedGUE, SpikedLUE
 from spikesep.secular import SecularProblem, chiral_secular_eigenvalues, secular_eigenvalues
 
@@ -53,20 +55,65 @@ def test_random_instance_interlaces_and_matches_dense():
     assert np.max(np.abs(roots - dense)) < 1e-10 * np.max(np.abs(dense))
 
 
-@settings(max_examples=60, deadline=None)
+def _dense_rank_one(diag, w, mu):
+    return np.linalg.eigvalsh(np.diag(diag) + mu * np.outer(np.sqrt(w), np.sqrt(w)))[::-1]
+
+
+def _assert_matches_dense(roots, dense):
+    assert roots.shape == dense.shape
+    assert np.max(np.abs(roots - dense)) <= 1e-12 * max(float(np.max(np.abs(dense))), 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 500, 2000])
+@pytest.mark.parametrize("mu", [0.1, -0.1, 1.0, -1.0, 10.0, -10.0])
+def test_rank_one_matches_dense(n, mu):
+    rng = np.random.default_rng([n, 3])
+    diag = rng.normal(0, 3, n)
+    w = rng.normal(size=n) ** 2
+    _assert_matches_dense(secular_eigenvalues(SecularProblem(diag, w, mu)),
+                          _dense_rank_one(diag, w, mu))
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    st.integers(min_value=2, max_value=30),
-    st.sampled_from([0.1, 1.0, 10.0]),
+    st.integers(min_value=1, max_value=60),
+    st.sampled_from([0.1, -0.1, 1.0, -1.0, 10.0, -10.0]),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_secular_matches_dense_property(n, mu, seed):
+def test_secular_matches_dense_property(n, mu, repeats, zeros, tiny, seed):
     rng = np.random.default_rng(seed)
-    diag = np.sort(rng.normal(0, 3, n))[::-1]
+    diag = rng.normal(0, 3, n)
     w = rng.normal(size=n) ** 2
+    if repeats:
+        diag[rng.integers(0, n, n // 3)] = diag[rng.integers(0, n, n // 3)]
+    if zeros:
+        w[rng.integers(0, n, 1 + n // 4)] = 0.0
+    if tiny:
+        w[rng.integers(0, n, 1 + n // 4)] *= 1e-20
     roots = secular_eigenvalues(SecularProblem(diag, w, mu))
-    dense = np.linalg.eigvalsh(np.diag(diag) + mu * np.outer(np.sqrt(w), np.sqrt(w)))[::-1]
-    scale = max(np.max(np.abs(dense)), 1.0)
-    assert np.max(np.abs(roots - dense)) < 1e-9 * scale
+    _assert_matches_dense(roots, _dense_rank_one(diag, w, mu))
+    if np.all(w > 1e-12) and np.unique(diag).size == n:
+        poles = np.sort(diag)[::-1]
+        upper, lower = (roots, poles) if mu > 0 else (poles, roots)
+        assert np.all(upper > lower) and np.all(lower[:-1] > upper[1:])
+
+
+def test_overflowing_bracket_raises():
+    # mu * sum(w) = 1e400 is beyond a double: the largest root cannot be bracketed
+    with pytest.raises(OverflowError):
+        secular_eigenvalues(SecularProblem([3.0, 2.0, 1.0], [1e200, 1.0, 1.0], 1e200))
+
+
+def test_huge_coupling_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = secular_eigenvalues(SecularProblem([3.0, 2.0, 1.0], [1.0, 1.0, 1.0], 1e300))
+    # 1/mu = 1e-300 leaves sum_j 1/(lambda - a_j) = 0 between the poles: 2 +- 1/sqrt(3)
+    third = 1.0 / math.sqrt(3.0)
+    assert roots == pytest.approx([3e300, 2.0 + third, 2.0 - third], rel=1e-14)
 
 
 def test_negative_coupling_mirrors():
@@ -179,6 +226,25 @@ def test_secular_memory_is_bounded_by_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 2**20
+
+
+def test_rank_one_evaluations_per_root(monkeypatch):
+    """The middle-way step settles a root in about five evaluations of the
+    secular function, the first at its bracket's midpoint included; bisection
+    with a Newton polish took about 21."""
+    n = 2000
+    rng = np.random.default_rng(8)
+    problem = SecularProblem(np.sort(rng.normal(0, 3, n))[::-1], rng.normal(size=n) ** 2, 1.0)
+    points = []
+    by_blocks = secular._by_blocks
+
+    def spy(fn, x, width):
+        points.append(x.size)
+        return by_blocks(fn, x, width)
+
+    monkeypatch.setattr(secular, "_by_blocks", spy)
+    secular_eigenvalues(problem)
+    assert sum(points) <= 7 * n
 
 
 def test_import_leaves_scipy_linalg_out():
