@@ -30,7 +30,7 @@ __all__ = [
 _BLOCK = 2**15
 _TOL = 1e-13  # relative root tolerance of the rank-two bisection
 _U = 2.0**-53  # unit roundoff
-_MAX_STEPS = 64  # per rank-one root; bisection alone takes a bracket of |lambda| to rounding in 53
+_MAX_STEPS = 64  # per rank-one root; bisection takes a bracket of width |lambda| to rounding in 53
 
 
 @dataclass(frozen=True)

@@ -230,8 +230,8 @@ def test_secular_memory_is_bounded_by_blocks():
 
 def test_rank_one_evaluations_per_root(monkeypatch):
     """The middle-way step settles a root in about five evaluations of the
-    secular function, the first at its bracket's midpoint included; bisection
-    with a Newton polish took about 21."""
+    secular function, the midpoint's included; seven leaves room and still
+    fails a bisection-and-Newton solver, which takes about 21."""
     n = 2000
     rng = np.random.default_rng(8)
     problem = SecularProblem(np.sort(rng.normal(0, 3, n))[::-1], rng.normal(size=n) ** 2, 1.0)
