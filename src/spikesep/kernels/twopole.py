@@ -143,7 +143,10 @@ def residue_at_zero(line, q0, j, eps):
 @functools.lru_cache(maxsize=64)
 def _log_binoms(j, count):
     """log C(j+p-1, p) for p < count, read-only: the residue rows of every call share it."""
-    return _read_only(np.array([math.log(math.comb(j + p - 1, p)) for p in range(count)]))[0]
+    logs, binom = np.empty(count), 1  # C(j+p-1, p), stepped exactly
+    for p in range(count):
+        logs[p], binom = math.log(binom), binom * (j + p) // (p + 1)
+    return _read_only(logs)[0]
 
 
 _ALTERNATING = np.array([[1], [-1]], dtype=np.int8)

@@ -99,7 +99,8 @@ def _rank_one_roots(a, w, mu):
         np.subtract(a, a[origin[roots], None], out=d)
         d -= tau[roots, None]
         np.divide(w, d, out=t)
-        np.divide(t, d, out=d)
+        with np.errstate(over="ignore"):  # w/d^2 past a double: `steep` below
+            np.divide(t, d, out=d)
         starts = (n * np.arange(roots.size)[:, None] + np.outer(split[roots], [0, 1])).ravel()
         return np.concatenate([np.add.reduceat(x.ravel(), starts).reshape(-1, 2).T for x in (t, d)])
 
@@ -108,6 +109,9 @@ def _rank_one_roots(a, w, mu):
         if not live.size:
             return a[origin] + tau
         phi, psi, dphi, dpsi = _by_blocks(sums, live, 2 * n)
+        # a slope past a double (tau within rounding of a pole) gives no model or Newton step
+        steep = np.isinf(dphi) | np.isinf(dpsi)
+        dphi[steep] = dpsi[steep] = 0.0
         g = 1.0 / mu + psi + phi
         settled = np.abs(g) <= 8.0 * _U * (np.abs(psi) + np.abs(phi) + 1.0 / mu)
         below = g < 0.0
@@ -128,7 +132,7 @@ def _rank_one_roots(a, w, mu):
             disc = sd * np.sqrt(np.abs(beta * beta - 4.0 * c * gamma))
             new = np.where(sd * beta >= 0, (beta + disc) / (2 * c), 2 * gamma / (beta - disc))
             new = np.where((new - t) * g < 0.0, new, t - g / (dpsi + dphi))
-        new = np.where(settled, t, np.where((l < new) & (new < u), new, 0.5 * (l + u)))
+        new = np.where(settled, t, np.where((l < new) & (new < u) & ~steep, new, 0.5 * (l + u)))
         tau[live] = new
         live = live[np.abs(new - t) > 2.0 * _U * np.abs(a[o] + new)]
     raise ArithmeticError(f"{live.size} rank-one roots still moving after {_MAX_STEPS} steps")

@@ -6,16 +6,18 @@ polynomials H_p, L_p^a overflow doubles long before the sizes used here
 (p up to ~2000).  Every recurrence runs through one row loop,
 `_signlog_store`: a caller writes the x-dependent coefficient block into
 the stack it will fill and hands over the per-row scalars (cached per
-size), so each row is a few in-place ufuncs.  A line takes one parameter
-sum per point, so the spiked LUE's two coefficient lines (M and M - 1) run
-as one call on its points laid twice, and its bulk comes from four entries
-of them by Christoffel-Darboux (`kernels.laguerre.SpikedLUE._bulk`).  The
-raw H_k(x - c), k < r, of the shifted GUE's residue at -2c run through it
-too, rescaled where a native loop overflows (k near 200).  Each returns
-its rows with a `grow` method that continues the recurrence from its last
-two carriers, as the merged-pole series asks.  `log_0f1` takes arrays: one
-`ive` call per block, the series where it underflows, and the Hankel
-expansion where scipy's is NaN.
+size), so each row is a few in-place ufuncs; the range test for a rescale
+runs only where bounds from the coefficients cannot rule one out.  A line
+takes one parameter sum per point, so the spiked LUE's two coefficient
+lines (M and M - 1) run as one call on its points laid twice, and its bulk
+comes from four entries of them by Christoffel-Darboux
+(`kernels.laguerre.SpikedLUE._bulk`).  The raw H_k(x - c), k < r, of the
+shifted GUE's residue at -2c run through it too, rescaled where a native
+loop overflows (k near 200).  Each returns its rows with a `grow` method
+that continues the recurrence from its last two carriers (or its last
+growth at the same columns), as the merged-pole series asks.  `log_0f1`
+takes arrays: one `ive` call per block, the series where it underflows,
+and the Hankel expansion where scipy's is NaN.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ _RESCALE_LOG = 600.0
 _RESCALE_UP = math.exp(_RESCALE_LOG)
 _RESCALE_DOWN = math.exp(-_RESCALE_LOG)
 _NO_COLUMNS = np.empty(0, dtype=np.intp)
+_PROOF_ROWS = 32  # fewer rows to form test every row: a proof costs ~10 numpy calls
+_PROOF_MARGIN = 1.0  # nats a proven run keeps clear of each end of [1e-250, 1e250]
 _HYP0F1_TOL = 1e-17
 _HYP0F1_TERMS = 600
 _HANKEL_TOL = 1e-17
@@ -58,8 +62,8 @@ def _signlog_store(vals, log0, b, d=None, carry=None):
     x-dependent coefficient block A_0..A_{n-2}.  Row 0 is the carrier 1, row
     1 is A_0, and each later row is formed in place,
         v_{p+1} = (A_p v_p - b[p] v_{p-1}) / d[p],
-    where b[p] is a scalar or a vector over the columns, and d is None when
-    the recurrence does not divide.  The products and the difference run in
+    where b[p] is a scalar, or one vector over the columns for every row, and
+    d is None when the recurrence does not divide.  The products and the difference run in
     the order the closed forms write them, so every carrier has the bits of
     a per-row scalar-coefficient step.
 
@@ -73,7 +77,11 @@ def _signlog_store(vals, log0, b, d=None, carry=None):
     moves those columns down, and up the columns among |v_{p+1}| < 1e-250
     with 0 < mag < 1e-250.  Each rescale stores the columns it moved, so
     signs and logs are taken once over the whole stack at the end, with the
-    offsets accumulated in the order the carriers were rescaled.
+    offsets accumulated in the order the carriers were rescaled.  After a
+    tested row, `_proven_rows` finds the rows ahead in which no mag can leave
+    [1e-250, 1e250]; they are formed with the arithmetic alone, as the test
+    would move nothing there, so every bit is kept.  A failed proof waits
+    four tested rows; a call forming under _PROOF_ROWS rows tests them all.
 
     carry = (first, v_prev, v_curr) continues a run whose carriers of rows
     first - 2 and first - 1 these are, with log0 its final offset: row i of
@@ -89,7 +97,10 @@ def _signlog_store(vals, log0, b, d=None, carry=None):
         first, v_prev, v_curr = carry
     rescales = []  # (first row of the new offset, columns scaled up, columns scaled down)
     scratch = np.empty(ncols)
-    for i in range(1 if carry is None else 0, n):
+    start = 1 if carry is None else 0
+    bounds = _run_bounds(vals[1:], b, d, first) if n - start >= _PROOF_ROWS else None
+    unchecked, retry = 0, (n if bounds is None else start)  # rows below `unchecked` are proven
+    for i in range(start, n):
         p = first + i - 1  # the step that forms row first + i
         row = vals[i]
         if p:
@@ -98,6 +109,9 @@ def _signlog_store(vals, log0, b, d=None, carry=None):
             np.subtract(row, scratch, out=row)
             if d is not None:
                 np.divide(row, d[p], out=row)
+        if i < unchecked:
+            v_prev, v_curr = v_curr, row
+            continue
         size = np.abs(row, out=scratch)  # |v_{p+1}|
         lo, hi = np.fmin.reduce(size, initial=1.0), np.fmax.reduce(size, initial=1.0)
         if lo < _RESCALE_LO or hi > _RESCALE_HI:
@@ -115,6 +129,9 @@ def _signlog_store(vals, log0, b, d=None, carry=None):
                 v_curr[down] *= _RESCALE_DOWN
                 rescales.append((i, up, down))
         v_prev, v_curr = v_curr, row
+        if i >= retry:
+            unchecked = i + 1 + _proven_rows(bounds, i, v_prev, v_curr)
+            retry = unchecked if unchecked > i + 1 else i + 4
     v_prev, v_curr = v_prev.copy(), v_curr.copy()  # the rows below are overwritten
     signs = np.sign(vals, out=np.empty(vals.shape, dtype=np.int8), casting="unsafe")
     logs = np.abs(vals, out=vals)
@@ -129,6 +146,34 @@ def _signlog_store(vals, log0, b, d=None, carry=None):
         start = row
     logs[start:] += offset
     return signs, logs, (v_prev, v_curr, offset)
+
+
+def _run_bounds(block, b, d, p0):
+    """Prefix sums over the steps p of `block` (A_{p0}, A_{p0+1}, ...) of the
+    nats by which a column's pair max(|v_{p-1}|, |v_p|) can at most grow,
+    log max(1, (max|A_p| + max|b_p|)/|d_p|), and shrink, log max(1, (max|A_p|
+    + |d_p|)/min|b_p|) as b_p v_{p-1} = A_p v_p - d_p v_{p+1}.  NaN columns
+    are skipped (their carriers stay NaN); an inf or NaN factor bars a run."""
+    p1 = p0 + block.shape[0]
+    amax = np.fmax(np.fmax.reduce(block, axis=1, initial=0.0), -np.fmin.reduce(block, axis=1, initial=0.0))
+    bs = np.abs(b[p0]) if isinstance(b[p0], np.ndarray) else np.abs(b[p0:p1])[:, None]
+    bmax, bmin = np.fmax.reduce(bs, axis=-1, initial=0.0), np.fmin.reduce(bs, axis=-1, initial=np.inf)
+    dd = 1.0 if d is None else np.asarray(d[p0:p1])  # d >= 1: no product overflows before its quotient
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        nats = np.fmin(np.log(np.maximum([(amax + bmax) / dd, (amax + dd) / bmin], 1.0)), 1e6)
+    return np.concatenate((np.zeros((2, 1)), np.cumsum(nats, axis=1)), axis=1)
+
+
+def _proven_rows(bounds, i, v_prev, v_curr):
+    """How many rows after row i (carriers v_prev, v_curr) no column's pair max
+    can take out of [1e-250, 1e250], by the call's `_run_bounds`.  Zero pairs
+    stay zero (or turn NaN), and NaN columns never move."""
+    grow, shrink = bounds
+    mag = np.maximum(np.abs(v_prev), np.abs(v_curr))
+    hi, lo = np.fmax.reduce(mag, initial=1.0), np.fmin.reduce(mag, where=mag > 0.0, initial=1.0)
+    up = grow.searchsorted(grow[i] + math.log(_RESCALE_HI) - math.log(hi) - _PROOF_MARGIN, "right")
+    down = shrink.searchsorted(shrink[i] + math.log(lo) - math.log(_RESCALE_LO) - _PROOF_MARGIN, "right")
+    return max(0, min(up, down) - 1 - i)
 
 
 def _read_only(*arrays):
@@ -169,18 +214,26 @@ class _SignLogRows(tuple):
         b, d = steps(0, n - 1, slice(None), vals[1:])
         signs, logs, carry = _signlog_store(vals, log0, b, d)
         rows = super().__new__(cls, (signs, logs))
-        rows._steps, rows._carry = steps, carry
+        rows._steps, rows._carry, rows._grown = steps, carry, None
         return rows
 
     def grow(self, cols, rows):
         """(signs, logs) of the rows n..rows-1 past these at the columns cols,
         continued from their last two carriers, each with the bits a call for
-        `rows` rows gives it."""
+        `rows` rows gives it.  The last growth's rows and carriers are kept,
+        so a growth at the same columns forms only its new rows."""
         n = self[0].shape[0]
-        v_prev, v_curr, offset = self._carry
-        vals = np.empty((rows - n, cols.size))
-        b, d = self._steps(n - 1, rows - 1, cols, vals)
-        return _signlog_store(vals, offset[cols], b, d, (n, v_prev[cols], v_curr[cols]))[:2]
+        if self._grown is None or not np.array_equal(self._grown[0], cols):
+            self._grown = cols, self[0][n:, cols], self[1][n:, cols], [a[cols] for a in self._carry]
+        _, signs, logs, (v_prev, v_curr, offset) = self._grown
+        have = n + signs.shape[0]
+        if rows > have:
+            vals = np.empty((rows - have, cols.size))
+            b, d = self._steps(have - 1, rows - 1, cols, vals)
+            more = _signlog_store(vals, offset, b, d, (have, v_prev, v_curr))
+            signs, logs = _read_only(np.concatenate((signs, more[0])), np.concatenate((logs, more[1])))
+            self._grown = cols, signs, logs, more[2]
+        return signs[:rows - n], logs[:rows - n]
 
 
 def hermite_weighted_signlog(n: int, x) -> tuple[np.ndarray, np.ndarray]:

@@ -116,6 +116,17 @@ def test_huge_coupling_without_warnings():
     assert roots == pytest.approx([3e300, 2.0 + third, 2.0 - third], rel=1e-14)
 
 
+
+@pytest.mark.parametrize("mu", [1e-300, -1e-300, 1e-200])
+def test_tiny_coupling_without_warnings(mu):
+    # each root lies within 1e-300 of its pole: w/d^2 overflows there, and the
+    # model step would meet inf - inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = secular_eigenvalues(SecularProblem([3.0, 2.0, 1.0], [1.0, 1.0, 1.0], mu))
+    dense = np.linalg.eigvalsh(np.diag([3.0, 2.0, 1.0]) + mu * np.ones((3, 3)))[::-1]
+    assert np.max(np.abs(roots - dense)) < 1e-12 * 3.0
+
 def test_negative_coupling_mirrors():
     rng = np.random.default_rng(5)
     diag = np.sort(rng.normal(0, 1, 8))[::-1]

@@ -12,10 +12,10 @@ from scipy.special import eval_genlaguerre, gammaln, ive
 
 from bounded import run_bounded
 from raw_polynomials import hermite_raw, laguerre_raw
-from reference_recurrence import ReferenceRecurrences
+from reference_recurrence import ReferenceRecurrences, reference_signlog_store
 from spikesep import jointpdf, specialfn
 from spikesep.harness.config import GridSpec
-from spikesep.kernels import ShiftedChiral, SpikedLUE, chiral
+from spikesep.kernels import ShiftedChiral, ShiftedGUE, SpikedLUE, chiral
 from spikesep.specialfn import (
     hermite_weighted_signlog,
     laguerre_line_signlog,
@@ -233,6 +233,138 @@ def test_recurrence_matches_reference_on_random_grids(n, points, a, big_m):
     if positive.size:
         _assert_matches_reference(lambda f: f.laguerre_weighted_signlog(n, a, positive))
 
+
+
+def _spy_proofs(monkeypatch):
+    """Record (largest pair max, smallest nonzero pair max, rows proven) per run proof."""
+    proofs = []
+    prove = specialfn._proven_rows
+
+    def spy(bounds, i, v_prev, v_curr):
+        rows = prove(bounds, i, v_prev, v_curr)
+        mag = np.maximum(np.abs(v_prev), np.abs(v_curr))
+        live = mag[mag > 0]  # NaN drops out
+        proofs.append((live.max(initial=0.0), live.min(initial=np.inf), rows))
+        return rows
+
+    monkeypatch.setattr(specialfn, "_proven_rows", spy)
+    return proofs
+
+
+def _block_store_matches_reference(block, b, d=None):
+    """`_signlog_store` on the coefficient block A_0..A_{n-2} (rows of `block`)
+    with b and d per step, against the per-row reference; its rescale events."""
+    n, ncols = block.shape[0] + 1, block.shape[1]
+    vals = np.empty((n, ncols))
+    vals[1:] = block
+    signs, logs, _ = specialfn._signlog_store(vals, np.zeros(ncols), b, d)
+
+    def step(p, v, v1, xs):
+        if p == 0:
+            return block[0] * v
+        out = block[p] * v - b[p] * v1
+        return out if d is None else out / d[p]
+
+    events = []
+    ref_signs, ref_logs = reference_signlog_store(n, np.zeros(ncols), np.zeros(ncols), step, events)
+    assert np.array_equal(signs, ref_signs)
+    assert np.array_equal(logs, ref_logs, equal_nan=True)
+    return set(events)
+
+
+def test_proven_runs_next_to_the_range_keep_every_bit(monkeypatch):
+    proofs = _spy_proofs(monkeypatch)
+    # from row 2 the pairs of columns 0 and 1 sit at 1e249 and 1e-249; every
+    # later step can grow no pair (0.1 + 0.9 <= 1) and shrink it by 0.2 nats,
+    # so runs of a few rows start 1.3 nats from each end, until column 1 falls
+    # below 1e-250 (0.05 nats a row) and is scaled up
+    block = np.full((199, 3), 0.1)
+    block[0], block[1] = [1e249, 1e-249, 0.5], 1.0
+    b = [0.0, 0.0] + [0.9] * 197
+    assert "up" in _block_store_matches_reference(block, b)
+    assert any(rows and hi > 1e248 and lo < 1e-248 for hi, lo, rows in proofs)
+    # three columns that grow by about 1, 1.35 and 1.6 nats a row rescale on
+    # different rows, with divisors that vary by row, and runs between rescales
+    proofs.clear()
+    block = np.tile([3.0, -4.0, 5.0, 0.5], (1199, 1))
+    d = (1.0 + 0.01 * np.arange(1199.0) % 0.3).tolist()
+    assert "down" in _block_store_matches_reference(block, [0.5] * 1199, d)
+    assert sum(rows for _, _, rows in proofs) > 600
+
+
+@pytest.mark.parametrize(
+    "recurrence",
+    [
+        # x = 0 puts a zero in the line's b vector, which bars every run
+        lambda f: f.laguerre_line_signlog(300, 500.5, np.array([0.0, 2500.0, 0.5, 1700.0])),
+        # at x = 1e300 the carriers overflow to inf and then turn NaN: NaN logs
+        lambda f: f.hermite_weighted_signlog(200, np.array([1e300, 0.5, -3.0, 20.0])),
+        lambda f: f.hermite_weighted_signlog(100, np.array([])),
+        lambda f: f.laguerre_line_signlog(100, 20.0, np.array([])),
+    ],
+)
+def test_run_proofs_at_extreme_points(recurrence):
+    with np.errstate(over="ignore"):
+        _assert_matches_reference(recurrence)
+
+
+def test_overflowing_column_keeps_its_nan_logs():
+    with np.errstate(over="ignore", invalid="ignore"):
+        signs, logs = hermite_weighted_signlog(200, np.array([1e300, 0.5]))
+    assert np.isnan(logs[-1, 0]) and np.isfinite(logs[:, 1]).all()
+
+
+def test_grow_continues_the_last_growth(monkeypatch):
+    proofs = _spy_proofs(monkeypatch)
+    formed = []
+    store = specialfn._signlog_store
+
+    def spy(vals, *args):
+        formed.append(vals.shape[0])
+        return store(vals, *args)
+
+    x = np.array([-40.0, -3.0, 0.5, 7.0, 44.0, 30.0])
+    cols = np.array([0, 2, 4])
+    for stack, whole in [
+        (hermite_weighted_signlog(100, x), hermite_weighted_signlog(600, x[cols])),
+        (laguerre_line_signlog(100, 500.5, np.abs(x)), laguerre_line_signlog(600, 500.5, np.abs(x[cols]))),
+    ]:
+        monkeypatch.setattr(specialfn, "_signlog_store", spy)
+        formed.clear()
+        grown = [stack.grow(cols, rows) for rows in (180, 600, 150)]
+        grown.append(stack.grow(cols[1:], 300))
+        monkeypatch.setattr(specialfn, "_signlog_store", store)
+        # the second growth forms only its new rows, the third reads the kept
+        # ones, and other columns start again from the line's end
+        assert formed == [80, 420, 200]
+        for (signs, logs), rows, at in zip(grown, (180, 600, 150, 300), (slice(None),) * 3 + (slice(1, None),)):
+            assert np.array_equal(signs, whole[0][100:rows, at])
+            assert np.array_equal(logs, whole[1][100:rows, at])
+    assert sum(rows for _, _, rows in proofs) > 0
+
+
+def test_run_proofs_cover_the_scan_rows(monkeypatch):
+    # the speedup must not fall back to the per-row range test unnoticed
+    proofs = _spy_proofs(monkeypatch)
+    grid = GridSpec(0.85 * _J_GUE, 1.42 * _J_GUE, 401).points()
+    hermite_weighted_signlog(500, grid)
+    assert sum(rows for _, _, rows in proofs) >= 0.6 * 499
+    density = ShiftedGUE(500, 1, 0.0).respike(1.5).density(grid)
+    peak = np.flatnonzero(grid > 1.05 * _J_GUE)[np.argmax(density[grid > 1.05 * _J_GUE])]
+    proofs.clear()
+    hermite_weighted_signlog(500, np.linspace(grid[peak - 1], grid[peak + 1], 65))
+    assert sum(rows for _, _, rows in proofs) >= 0.9 * 499
+
+
+def test_short_recurrences_make_no_proof(monkeypatch):
+    proofs = _spy_proofs(monkeypatch)
+    x = np.array([0.5, 3.0])
+    stack = hermite_weighted_signlog(32, x)  # 31 rows to form
+    stack.grow(np.arange(2), 63)
+    laguerre_line_signlog(32, 20.0, x)
+    assert not proofs
+    hermite_weighted_signlog(33, x)
+    assert proofs
 
 def _raises(message, fn, *args):
     with pytest.raises(ValueError, match=message):
