@@ -229,7 +229,16 @@ def _check_chiral_secular_oracle():
         roots = chiral_secular_eigenvalues([abs(xval)], u, v, mu, n=1)
         truth = abs(xval + mu)
         worst = max(worst, abs(roots[0] - truth) / truth)
-    return worst < 1e-10, worst, 1e-10, "m=n=1 vs |x + mu| eigendecomposition"
+    for trial in range(20):  # X = [diag(sing); 0]: its singular vectors are unit vectors
+        m, extra = int(rng.integers(2, 31)), 3 * (trial % 2)
+        sing, mu = rng.uniform(0.1, 5.0, m), float(rng.uniform(-3.0, 3.0))
+        e, f = (rng.normal(size=k) + 1j * rng.normal(size=k) for k in (m + extra, m))
+        u, v = e[:m].conj() / math.sqrt(2.0), f.conj() / math.sqrt(2.0)
+        roots = chiral_secular_eigenvalues(sing, u, v, mu, n=m + extra, zero_components=e[m:].conj())
+        dense = np.vstack([np.diag(sing), np.zeros((extra, m))]) + mu * np.outer(e, f.conj())
+        truth = np.sort(np.linalg.svd(dense, compute_uv=False))
+        worst = max(worst, float(np.max(np.abs(roots - truth)) / np.max(truth)))
+    return worst < 1e-10, worst, 1e-10, "m=n=1 vs |x + mu|; 20 with m <= 30 vs dense SVD"
 
 
 def _check_chiral_averaged_interlacing():

@@ -3,9 +3,9 @@
 The rank-one solver finds all roots of 1 = mu * sum_i w_i/(lambda - a_i);
 between consecutive poles the secular function is strictly monotone, so each
 root is bracketed by interlacing, and all roots take dlaed4's middle-way
-rational steps together, over arrays.  The chiral rank-two
-condition is probed in every inter-pole interval in one pass, and its
-sign-change brackets are bisected together.  `SeparationPrediction` is the
+rational steps together, over arrays.  The chiral rank-two equation is two
+such updates of its Hermitian dilation, the second over the first's roots
+(Bunch-Nielsen-Sorensen 1978; Gu-Eisenstat 1994).  `SeparationPrediction` is the
 record each kernel model's `predictor(spike)` returns; the ensembles
 themselves are described once, by the models in `spikesep.kernels`.
 """
@@ -28,7 +28,6 @@ __all__ = [
 # Entries in one block of secular-function evaluations (256 KiB of float64);
 # 2 MiB blocks ran no faster and moved perfbench pointwise peak RSS 124.7 -> 128.9 MB.
 _BLOCK = 2**15
-_TOL = 1e-13  # relative root tolerance of the rank-two bisection
 _U = 2.0**-53  # unit roundoff
 _MAX_STEPS = 64  # per rank-one root; bisection takes a bracket of width |lambda| to rounding in 53
 
@@ -72,8 +71,8 @@ def _by_blocks(fn, x, width):
 
 def _rank_one_roots(a, w, mu):
     """The roots of 1 = mu sum_j w_j/(lambda - a_j) for distinct descending poles a,
-    positive weights w and mu > 0, descending: root k > 0 lies in (a_k, a_{k-1})
-    and root 0 in (a_0, a_0 + mu sum w], up to rounding.
+    positive weights w and mu > 0, as (origin, tau): root k is a[origin[k]] + tau[k],
+    in (a_k, a_{k-1}) for k > 0 and in (a_0, a_0 + mu sum w] for k = 0, up to rounding.
 
     A root iterates on tau = lambda - a_o, d_j = (a_j - a_o) - tau, from a_o, the
     pole of its bracket nearer the root by one evaluation at the midpoint (a_0 for
@@ -88,7 +87,7 @@ def _rank_one_roots(a, w, mu):
     if not math.isfinite(a[0] + 2.0 * total):
         raise OverflowError("the largest root's bracket a_0 + 2 mu sum(weights) overflows")
     if n == 1:
-        return np.array([a[0] + total])
+        return np.zeros(1, int), np.array([total])
     origin = np.arange(n)
     split, width = np.maximum(origin, 1), np.concatenate([[total], a[:-1] - a[1:]])
     # root 0 may lie within rounding of its bound a_0 + mu sum w: its bracket is twice as wide
@@ -107,7 +106,7 @@ def _rank_one_roots(a, w, mu):
     live = origin.copy()
     for step in range(_MAX_STEPS):
         if not live.size:
-            return a[origin] + tau
+            return origin, tau
         phi, psi, dphi, dpsi = _by_blocks(sums, live, 2 * n)
         # a slope past a double (tau within rounding of a pole) gives no model or Newton step
         steep = np.isinf(dphi) | np.isinf(dpsi)
@@ -159,8 +158,8 @@ def secular_eigenvalues(problem: SecularProblem) -> np.ndarray:
     exact = np.concatenate([diag[weights == 0.0], a[~first]])
     a, w = a[first], np.bincount(np.cumsum(first) - 1, weights=w)
 
-    roots = _rank_one_roots(a, w, mu) if a.size else np.empty(0)
-    return np.sort(np.concatenate([roots, exact]))[::-1]
+    origin, tau = _rank_one_roots(a, w, mu) if a.size else (np.empty(0, int), np.empty(0))
+    return np.sort(np.concatenate([a[origin] + tau, exact]))[::-1]
 
 
 def chiral_secular_eigenvalues(
@@ -173,13 +172,14 @@ def chiral_secular_eigenvalues(
 ) -> np.ndarray:
     """Positive eigenvalues of the rank-two-shifted chiral block matrix, ascending.
 
-    With u and v given (length m, the eigenvector-sum components paired with the
-    +-singular-value pairs) solves det(1 - mu*A(lambda)) = 0 where
-        a11 = conj(a22) = sum_j 2 lam_j v_j conj(u_j) / (lambda^2 - lam_j^2)
-        a12 = sum_j 2 lambda |v_j|^2 / (lambda^2 - lam_j^2)
-        a21 = sum_j 2 lambda |u_j|^2 / (lambda^2 - lam_j^2) + sum_z |z|^2/lambda
-    and the optional `zero_components` are the n-m entries paired with the zero
-    eigenvalues.  With u, v omitted, solves the eigenvector-averaged condition
+    With u and v given: the singular values of X + mu e f^*, where the n x m X
+    has singular values lam_j and vectors l_j, r_j, u_j = <e, l_j>/sqrt(2),
+    v_j = <f, r_j>/sqrt(2), and the optional `zero_components` are the <e, l_k>
+    of X's zero block.  The shift adds (mu/2)(g g^* - h h^*), g, h = (e, +-f), to
+    the Hermitian dilation [[0, X], [X^*, 0]], whose eigenvalues are +-lam_j and
+    0: a rank-one update on those poles, then one on its roots, with h's
+    components on its eigenvectors (diag - lambda_i)^{-1} g (LAPACK's dlaed3).
+    With u, v omitted, solves the eigenvector-averaged condition
     1 = mu * sum_j lambda/(lambda^2 - lam_j^2).
     """
     order = np.argsort(singulars)
@@ -217,50 +217,40 @@ def chiral_secular_eigenvalues(
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v)) and math.isfinite(zsq)):
         raise ValueError("u, v and zero_components must be finite")
 
-    lam2 = lam**2
-    uv = 2.0 * lam * v * np.conj(u)
-    vv = 2.0 * np.abs(v) ** 2
-    uu = 2.0 * np.abs(u) ** 2
+    if mu < 0.0:  # X + mu e f^* = X + |mu| (-e) f^*
+        u, mu = -u, -mu
+    # components of g, h = E +- F on the eigenvectors of [[0, X], [X^*, 0]]: pairs at
+    # +-lam_j, and at 0 the zero block's touched direction (or an exact 0 eigenvalue)
+    poles = np.concatenate([lam, -lam, [0.0]])
+    g = np.conj(np.concatenate([u + v, u - v, [math.sqrt(zsq)]]))
+    h = np.conj(np.concatenate([u - v, u + v, [math.sqrt(zsq)]]))
+    # g touches one direction of each repeated pole's eigenspace, the first
+    # update's pole; what h keeps off it stays at the pole in the second update
+    d, group, copies = np.unique(poles, return_inverse=True, return_counts=True)
+    gg = np.bincount(group, np.abs(g) ** 2)
+    gh = np.conj(g) * h
+    cross = np.bincount(group, gh.real) + 1j * np.bincount(group, gh.imag)
+    kept = np.bincount(group, np.abs(h) ** 2)
+    touched = gg > 0.0
+    kept[touched] = np.maximum(kept[touched] - np.abs(cross[touched]) ** 2 / gg[touched], 0.0)
+    rest = copies - touched
+    a, w = d[touched][::-1], gg[touched][::-1]
+    if not a.size:  # g = 0: u = v = 0 and no zero block
+        return lam.copy()
+    s = cross[touched][::-1] / np.sqrt(w)  # h on the touched directions
+    origin, tau = _rank_one_roots(a, w, 0.5 * mu)
 
-    # float_power and hypot are libm's pow and hypot, as numpy scalars use: a
-    # root then sees the same arithmetic however many points share the call
-    def g(x, d):
-        d = np.subtract.outer(np.float_power(x, 2.0), lam2, out=d)
-        t = 1.0 - mu * np.sum(uv / d, axis=1)
-        a12 = x * np.sum(vv / d, axis=1)
-        a21 = x * np.sum(uu / d, axis=1) + (zsq / x if zsq else 0.0)
-        return np.float_power(np.hypot(t.real, t.imag), 2.0) - mu**2 * a12 * a21
+    def project(roots, work):  # y_i = sqrt(w)/(a - lambda_i) to max 1: Re, Im of s.y_i; |y_i|^2
+        y, t = work.reshape(2, roots.size, a.size)
+        np.subtract(a, a[origin[roots], None], out=y)
+        y -= tau[roots, None]
+        np.divide(np.sqrt(w), y, out=y)
+        y /= np.abs(y, out=t).max(axis=1, keepdims=True)
+        return np.stack([np.multiply(y, part, out=t).sum(axis=1)
+                         for part in (s.real, s.imag, y)])
 
-    # Bracket roots by probing each inter-pole interval (rank-two updates can
-    # place zero or two roots per interval) plus a tail interval, then bisect
-    # every sign change at once, keeping g at each left end.
-    probes_per_interval = 64
-    scale = mu * (float(np.sum(vv)) + float(np.sum(uu))) + zsq * mu
-    upper = math.sqrt(lam2[-1] + abs(scale) * lam[-1] + scale**2) + lam[-1] + 1.0
-    edges = np.concatenate([[1e-9 * lam[0]], lam, [upper]])
-    pad = 1e-9 * np.diff(edges)
-    xs = np.linspace(edges[:-1] + pad, edges[1:] - pad, probes_per_interval, axis=1)
-    vals = _by_blocks(g, xs.ravel(), m).reshape(xs.shape)
-    left = vals[:, :-1]
-    change = left * vals[:, 1:] < 0.0
-    a_, b_, g_a = xs[:, :-1][change], xs[:, 1:][change], left[change]
-    live = np.arange(a_.size)
-    for _ in range(200):
-        mid = 0.5 * (a_[live] + b_[live])
-        wide = b_[live] - a_[live] > _TOL * np.maximum(np.abs(mid), 1e-300)
-        live, mid = live[wide], mid[wide]
-        if not live.size:
-            break
-        g_mid = _by_blocks(g, mid, m)
-        lower = g_a[live] * g_mid <= 0.0
-        b_[live[lower]] = mid[lower]
-        a_[live[~lower]] = mid[~lower]
-        g_a[live[~lower]] = g_mid[~lower]
-    roots = np.sort(np.concatenate([xs[:, :-1][left == 0.0], 0.5 * (a_ + b_)]))
-    if roots.size != m:
-        raise ArithmeticError(
-            f"bracketing located {roots.size} positive roots, expected {m}; "
-            "tighten probing or check inputs"
-        )
-    return roots
-
+    re, im, norm = _by_blocks(project, np.arange(a.size), 2 * a.size)
+    poles = np.concatenate([a[origin] + tau, np.repeat(d, rest)])
+    weights = np.concatenate([(re * re + im * im) / norm,
+                              np.repeat(kept / np.maximum(rest, 1), rest)])
+    return secular_eigenvalues(SecularProblem(poles, weights, -0.5 * mu))[m - 1::-1]

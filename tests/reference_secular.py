@@ -7,17 +7,16 @@ floating-point operations, the same split sums (`np.add.reduceat` over the
 row of terms) included, so the two must agree bit for bit.
 """
 
-import math
-
 import numpy as np
 
 _U = 2.0**-53
 
 
 def _rank_one_root(a, w, mu, k, width):
-    """Root k of 1 = mu sum_j w_j/(lambda - a_j) (distinct descending poles a):
-    dlaed4's middle-way step on tau = lambda - a_o, from the midpoint of the
-    bracket a_k + (0, width), with Newton and bisection as safeguards."""
+    """Root k of 1 = mu sum_j w_j/(lambda - a_j) (distinct descending poles a) as
+    (o, tau), the root being a_o + tau: dlaed4's middle-way step on tau, from the
+    midpoint of the bracket a_k + (0, width), with Newton and bisection as
+    safeguards."""
     p, o = max(k, 1), k
     side = 1.0 if k == 0 else -1.0
     lo, hi, tau = 0.0, 2.0 * width if k == 0 else width, 0.5 * width
@@ -54,7 +53,7 @@ def _rank_one_root(a, w, mu, k, width):
         moving = abs(new - tau) > 2.0 * _U * abs(a[o] + new)
         tau = new
         if not moving:
-            return a[o] + tau
+            return o, tau
     raise ArithmeticError("root still moving after 64 steps")
 
 
@@ -84,63 +83,66 @@ def reference_secular_eigenvalues(diag, weights, mu):
     a = np.array(merged_a)
     w = np.array(merged_w)
 
-    roots = []
-    if a.size:
-        total = mu * float(np.sum(w))
-        if a.size == 1:
-            roots.append(a[0] + total)
-        else:
-            roots.append(_rank_one_root(a, w, mu, 0, total))
-            for k in range(1, a.size):
-                roots.append(_rank_one_root(a, w, mu, k, a[k - 1] - a[k]))
+    roots = [a[o] + tau for o, tau in _rank_one_roots(a, w, mu)]
     return np.array(sorted(roots + exact, reverse=True))
 
 
-def reference_chiral_rank_two(singulars, u, v, mu, tol=1e-13, zero_components=None):
-    """Drop-in for `chiral_secular_eigenvalues(singulars, u, v, mu, tol=tol,
-    zero_components=zero_components)` with positive singular values and mu != 0."""
-    lam = np.sort(np.asarray(singulars, dtype=float))
+def _rank_one_roots(a, w, mu):
+    """Every root of 1 = mu sum_j w_j/(lambda - a_j), a distinct and descending,
+    w > 0 and mu > 0, as (o, tau) pairs."""
+    total = mu * float(np.sum(w))
+    if a.size == 1:
+        return [(0, total)]
+    widths = [total] + [a[k - 1] - a[k] for k in range(1, a.size)]
+    return [_rank_one_root(a, w, mu, k, width) for k, width in enumerate(widths)]
+
+
+def reference_chiral_rank_two(singulars, u, v, mu, zero_components=None):
+    """Drop-in for `chiral_secular_eigenvalues(singulars, u, v, mu,
+    zero_components=zero_components)` with positive singular values and mu != 0:
+    two rank-one updates of the Hermitian dilation, one root and one pole at a time."""
+    order = np.argsort(singulars)
+    lam = np.asarray(singulars, dtype=float)[order]
     m = lam.size
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    u = np.asarray(u, dtype=complex)[order]
+    v = np.asarray(v, dtype=complex)[order]
     zsq = 0.0
     if zero_components is not None:
         zsq = float(np.sum(np.abs(np.asarray(zero_components, dtype=complex)) ** 2))
+    if mu < 0.0:
+        u, mu = -u, -mu
+    poles = list(lam) + list(-lam) + [0.0]
+    g = np.conj(np.concatenate([u + v, u - v, [np.sqrt(zsq)]]))
+    h = np.conj(np.concatenate([u - v, u + v, [np.sqrt(zsq)]]))
 
-    lam2 = lam**2
-    uv = 2.0 * lam * v * np.conj(u)
-    vv = 2.0 * np.abs(v) ** 2
-    uu = 2.0 * np.abs(u) ** 2
+    # per distinct pole, descending: |g|^2, conj(g) h and |h|^2 summed in order
+    gg, gh, hh = np.abs(g) ** 2, np.conj(g) * h, np.abs(h) ** 2
+    a, w, cross, rest_poles, rest_weights = [], [], [], [], []
+    for p in sorted(set(poles), reverse=True):
+        group = [j for j in range(len(poles)) if poles[j] == p]
+        w_p, re, im, kept = 0.0, 0.0, 0.0, 0.0
+        for j in group:
+            w_p, re, im, kept = w_p + gg[j], re + gh[j].real, im + gh[j].imag, kept + hh[j]
+        copies = len(group)
+        if w_p > 0.0:
+            a.append(p)
+            w.append(w_p)
+            cross.append(re + 1j * im)
+            kept = max(kept - (np.abs(cross[-1:]) ** 2 / w_p)[0], 0.0)
+            copies -= 1
+        rest_poles += [p] * copies
+        rest_weights += [kept / max(copies, 1)] * copies
+    if not a:
+        return lam.copy()
+    a, w = np.array(a), np.array(w)
+    s = np.array(cross) / np.sqrt(w)
 
-    def g(x):
-        d = x**2 - lam2
-        a11 = np.sum(uv / d)
-        a12 = x * np.sum(vv / d)
-        a21 = x * np.sum(uu / d) + (zsq / x if zsq else 0.0)
-        return abs(1.0 - mu * a11) ** 2 - mu**2 * a12 * a21
-
-    probes_per_interval = 64
-    scale = mu * (float(np.sum(vv)) + float(np.sum(uu))) + zsq * mu
-    upper = math.sqrt(lam2[-1] + abs(scale) * lam[-1] + scale**2) + lam[-1] + 1.0
-    edges = np.concatenate([[1e-9 * lam[0]], lam, [upper]])
-    roots = []
-    for k in range(m + 1):
-        lo, hi = edges[k], edges[k + 1]
-        pad = 1e-9 * (hi - lo)
-        xs = np.linspace(lo + pad, hi - pad, probes_per_interval)
-        vals = np.array([g(x) for x in xs])
-        for i in range(len(xs) - 1):
-            if vals[i] == 0.0:
-                roots.append(xs[i])
-            elif vals[i] * vals[i + 1] < 0.0:
-                a_, b_ = xs[i], xs[i + 1]
-                for _ in range(200):
-                    mid = 0.5 * (a_ + b_)
-                    if b_ - a_ <= tol * max(abs(mid), 1e-300):
-                        break
-                    if g(a_) * g(mid) <= 0.0:
-                        b_ = mid
-                    else:
-                        a_ = mid
-                roots.append(0.5 * (a_ + b_))
-    return np.array(sorted(roots))
+    roots, weights = [], []
+    for o, tau in _rank_one_roots(a, w, 0.5 * mu):
+        y = np.sqrt(w) / ((a - a[o]) - tau)
+        y = y / np.max(np.abs(y))
+        re, im, norm = (np.sum(y * part) for part in (s.real, s.imag, y))
+        roots.append(a[o] + tau)
+        weights.append((re * re + im * im) / norm)
+    second = reference_secular_eigenvalues(roots + rest_poles, weights + rest_weights, -0.5 * mu)
+    return second[m - 1::-1]

@@ -188,11 +188,13 @@ def test_rank_one_deflation_bit_identical_to_scalar_reference(mu):
 @pytest.mark.parametrize("zero_block", [False, True])
 def test_rank_two_bit_identical_to_scalar_reference(m, zero_block):
     n = m + 3 if zero_block else m
-    sing, u, v, mu, zero, _ = _rank_two_instance(np.random.default_rng([m, n]), n, m)
+    sing, u, v, mu, zero, dense = _rank_two_instance(np.random.default_rng([m, n]), n, m)
     zero = zero if zero_block else None
     roots = chiral_secular_eigenvalues(sing, u, v, mu, n=n, zero_components=zero)
     assert roots.shape == (m,)
     assert np.array_equal(roots, reference_chiral_rank_two(sing, u, v, mu, zero_components=zero))
+    ref = np.sort(np.linalg.svd(dense, compute_uv=False))
+    assert np.max(np.abs(roots - ref)) <= 1e-12 * np.max(ref)
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,6 +209,54 @@ def test_rank_two_matches_dense_svd_property(m, extra, seed):
     roots = chiral_secular_eigenvalues(sing, u, v, mu, n=n, zero_components=zero)
     ref = np.sort(np.linalg.svd(dense, compute_uv=False))
     assert np.max(np.abs(roots - ref)) < 1e-9 * np.max(ref)
+
+
+def _rank_two_degenerate(case, zero_block):
+    """Rank-two inputs of one degenerate kind, with X's singular vectors the unit
+    vectors: the singular values (ascending), u, v, mu, the zero-block components
+    (or None) and the dense X + mu e f^*, e and f read off u, v and the zero block."""
+    m = 1 if case == "single untouched pair" else 5
+    rng = np.random.default_rng([m, len(case), zero_block])
+    sing = np.sort(rng.uniform(0.5, 3.0, m))
+    u, v, zero = ((rng.normal(size=k) + 1j * rng.normal(size=k)) / 2.0 for k in (m, m, 3))
+    mu = 1.7
+    if case in ("untouched pair", "single untouched pair"):
+        u[m // 2] = v[m // 2] = 0.0
+    elif case == "u = v":
+        u[1] = v[1]
+    elif case == "u = -v":
+        u[3] = -v[3]
+    elif case == "repeated pair":
+        sing[2] = sing[1]
+    elif case == "all equal":
+        sing[:] = 1.3
+    elif case == "tiny components":
+        u[[1, 3]] *= 1e-12
+        v[[1, 3]] *= 1e-12
+    elif case == "negative mu":
+        mu = -1.7
+    zero = zero if zero_block else None
+    x = np.zeros((m + 3 * zero_block, m), dtype=complex)
+    x[:m] = np.diag(sing)
+    e = np.concatenate([math.sqrt(2.0) * u.conj(), zero.conj() if zero_block else []])
+    f = math.sqrt(2.0) * v.conj()
+    return sing, u, v, mu, zero, x + mu * np.outer(e, f.conj())
+
+
+@pytest.mark.parametrize("zero_block", [False, True])
+@pytest.mark.parametrize("case", ["untouched pair", "single untouched pair", "u = v", "u = -v",
+                                  "repeated pair", "all equal", "tiny components",
+                                  "negative mu"])
+def test_rank_two_degenerate_inputs_match_dense_svd(case, zero_block):
+    """Untouched pairs, u_j = +-v_j, repeated singular values and tiny components
+    put a root on a pole or leave a pole without weight in one of the two updates."""
+    sing, u, v, mu, zero, dense = _rank_two_degenerate(case, zero_block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = chiral_secular_eigenvalues(sing, u, v, mu, n=dense.shape[0], zero_components=zero)
+    ref = np.sort(np.linalg.svd(dense, compute_uv=False))
+    assert np.max(np.abs(roots - ref)) < 1e-9 * np.max(ref)
+    assert np.array_equal(roots, reference_chiral_rank_two(sing, u, v, mu, zero_components=zero))
 
 
 def test_tiny_weights_match_dense_and_interlace():
@@ -256,6 +306,46 @@ def test_rank_one_evaluations_per_root(monkeypatch):
     monkeypatch.setattr(secular, "_by_blocks", spy)
     secular_eigenvalues(problem)
     assert sum(points) <= 7 * n
+
+
+def _rank_two_large(m, extra):
+    """Singular values and components of an m-column rank-two problem, without its SVD."""
+    rng = np.random.default_rng([m, extra])
+    components = [(rng.normal(size=k) + 1j * rng.normal(size=k)) / math.sqrt(2 * (m + extra))
+                  for k in (m, m, extra)]
+    return (np.sort(rng.uniform(0.1, 3.0 * math.sqrt(m), m)), *components)
+
+
+def test_rank_two_memory_is_bounded_by_blocks():
+    """The projection onto the first update's eigenvectors runs over blocks too,
+    not over a (2m+1) x (2m+1) matrix of gaps (24 MiB at m = 1000)."""
+    m, n = 1000, 1003
+    sing, u, v, zero = _rank_two_large(m, n - m)
+    chiral_secular_eigenvalues(sing, u, v, 2.0, n=n, zero_components=zero)
+    tracemalloc.start()
+    try:
+        chiral_secular_eigenvalues(sing, u, v, 2.0, n=n, zero_components=zero)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
+
+
+def test_rank_two_evaluations_per_root(monkeypatch):
+    """Two rank-one updates of 2m+1 roots each, at most seven evaluations a root
+    as in the rank-one test, and one projection of each first-update root."""
+    m, n = 100, 103
+    sing, u, v, zero = _rank_two_large(m, n - m)
+    points = []
+    by_blocks = secular._by_blocks
+
+    def spy(fn, x, width):
+        points.append(x.size)
+        return by_blocks(fn, x, width)
+
+    monkeypatch.setattr(secular, "_by_blocks", spy)
+    chiral_secular_eigenvalues(sing, u, v, 2.0, n=n, zero_components=zero)
+    assert sum(points) <= 2 * 7 * (2 * m + 1) + (2 * m + 1)
 
 
 def test_import_leaves_scipy_linalg_out():
