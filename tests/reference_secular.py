@@ -4,7 +4,8 @@
 these versions solve one root at a time with Python loops and re-evaluate the
 secular function at one point per call.  Each root sees the same sequence of
 floating-point operations, the same split sums (`np.add.reduceat` over the
-row of terms) included, so the two must agree bit for bit.
+row of terms) included, so the two must agree bit for bit.  The rank-two
+reference groups its poles and projects its roots the same way, one at a time.
 """
 
 import numpy as np
@@ -128,6 +129,8 @@ def reference_chiral_rank_two(singulars, u, v, mu, zero_components=None):
             a.append(p)
             w.append(w_p)
             cross.append(re + 1j * im)
+            # numpy's complex abs over an array, as the solver takes it (Python's
+            # abs(complex) can differ in the last bit)
             kept = max(kept - (np.abs(cross[-1:]) ** 2 / w_p)[0], 0.0)
             copies -= 1
         rest_poles += [p] * copies
